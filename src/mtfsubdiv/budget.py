@@ -28,9 +28,6 @@ class SearchBudget:
     max_nodes: int = 10_000_000
     max_seconds: float = 30.0
 
-    def meter(self) -> "_Meter":
-        return _Meter(self)
-
 
 DEFAULT_BUDGET = SearchBudget()
 
@@ -39,7 +36,7 @@ class _Meter:
     """Mutable node/time counter shared by the recursions of one search.
 
     A single meter may span several internal searches (for example the
-    descending-d loop of ``max_dsw_size``) so that the budget covers the
+    upward search over d in ``max_dsw_size``) so that the budget covers the
     whole user-facing call.
     """
 

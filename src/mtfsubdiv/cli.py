@@ -2,9 +2,10 @@
 
 Subcommands: gen, analyze, pipeline, find-subdivision, hypergraph.
 Exit codes: 0 success / witness found, 1 exhaustive search found nothing,
-2 budget exceeded, 3 input or usage error.  "-" as a filename reads
-standard input; the format is sniffed from the first byte unless --format
-is given.  Output never contains ANSI escapes, so NO_COLOR is honored by
+2 budget or recursion limit exceeded, 3 input or usage error.  "-" as a
+filename reads standard input; the format is sniffed (JSON when the
+payload starts with '{' and contains '"', else graph6) unless --format is
+given.  Output never contains ANSI escapes, so NO_COLOR is honored by
 construction.
 """
 
@@ -87,7 +88,7 @@ def _add_format_opt(parser):
         "--format",
         choices=["graph6", "json"],
         default=None,
-        help="input graph format (default: sniff by first byte)",
+        help="input graph format (default: sniff from the payload)",
     )
 
 
@@ -334,6 +335,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:
+        # the searches recurse to depth ~n; on large sparse inputs that
+        # outgrows the interpreter stack before any budget trips
+        print(
+            "error: recursion limit exceeded; the input is too large for this search",
+            file=sys.stderr,
+        )
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

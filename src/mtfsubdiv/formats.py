@@ -208,13 +208,16 @@ def to_graph_json(g: Graph) -> str:
 
 
 def parse_graph(payload: str | bytes, fmt: str | None = None) -> Graph:
-    """Parse a graph payload, sniffing the format by first byte when fmt
-    is None: '{' means JSON adjacency, anything else graph6.
+    """Parse a graph payload, sniffing the format when fmt is None: a
+    payload that starts with '{' and contains '"' is JSON adjacency,
+    anything else graph6.  The quote matters because '{' is also the
+    graph6 size byte of a 60-vertex graph, while graph6 bytes (63..126)
+    never include '"'.
     """
     text = payload.decode("ascii", errors="replace") if isinstance(payload, bytes) else payload
     if fmt is None:
         stripped = text.lstrip()
-        fmt = "json" if stripped.startswith("{") else "graph6"
+        fmt = "json" if stripped.startswith("{") and '"' in stripped else "graph6"
     if fmt == "json":
         return parse_graph_json(text)
     if fmt == "graph6":

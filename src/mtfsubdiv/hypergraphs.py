@@ -9,6 +9,7 @@ one exhaustively; ``max_dsw_size`` maximizes d.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -105,55 +106,54 @@ def packing_number(h: Hypergraph, budget: SearchBudget | None = None) -> int:
 # -- transversality -----------------------------------------------------
 
 
-def _cover_greedy_ub(masks: list[int], incidence: dict[int, int], uncovered: int) -> int:
-    count = 0
-    while uncovered:
-        pick = None
-        pick_gain = -1
-        for v, inc in incidence.items():
-            gain = (inc & uncovered).bit_count()
-            if gain > pick_gain or (gain == pick_gain and (pick is None or v < pick)):
-                pick, pick_gain = v, gain
-        uncovered &= ~incidence[pick]
-        count += 1
-    return count
+def _cover_masks(h: Hypergraph) -> tuple[list[int], list[int]]:
+    """Per-vertex masks of the edges containing the vertex, and per-edge
+    masks of the edges meeting the edge (itself included)."""
+    incidence = [0] * h.n
+    for i, e in enumerate(h.edges):
+        for v in e:
+            incidence[v] |= 1 << i
+    conflict = []
+    for e in h.edges:
+        mask = 0
+        for v in e:
+            mask |= incidence[v]
+        conflict.append(mask)
+    return incidence, conflict
 
 
-def _cover_lb(masks: list[int], uncovered: int) -> int:
-    # pairwise disjoint uncovered edges need one vertex each
-    taken = 0
+def _cover_lb(conflict: list[int], uncovered: int) -> int:
+    # pairwise disjoint uncovered edges need one vertex each: take edges in
+    # index order, each one disjoint from all taken before it
     count = 0
     rest = uncovered
     while rest:
         i = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        em = masks[i]
-        if not (em & taken):
-            taken |= em
-            count += 1
+        rest &= ~conflict[i]
+        count += 1
     return count
 
 
-def _vertex_masks(h: Hypergraph) -> tuple[list[int], dict[int, int]]:
-    """Per-edge vertex masks and per-vertex edge-incidence masks."""
-    vmasks = [sum(1 << v for v in e) for e in h.edges]
-    incidence: dict[int, int] = {}
-    for i, e in enumerate(h.edges):
-        for v in e:
-            incidence[v] = incidence.get(v, 0) | (1 << i)
-    return vmasks, incidence
-
-
 def _cover_branch(
-    h: Hypergraph,
+    sorted_edges: list[tuple[int, ...]],
+    incidence: list[int],
+    conflict: list[int],
     uncovered0: int,
-    allowed: set[int],
+    lo: int,
     limit: int,
     meter: _Meter,
 ) -> int | None:
-    """Smallest cover size ≤ limit using only allowed vertices, else None."""
-    vmasks, incidence = _vertex_masks(h)
-    # edge list masks indexed by edge id for the lower bound
+    """Smallest cover size ≤ limit using only vertices ≥ lo, else None."""
+    opts = [e[bisect_left(e, lo):] for e in sorted_edges]
+    # The branching edge is the first uncovered edge (by index) with at most
+    # one allowed vertex, else the first with the fewest.  Group the edges
+    # into masks by that count, ascending, so a node finds it with one AND
+    # per distinct count.
+    by_count: dict[int, int] = {}
+    for i, o in enumerate(opts):
+        c = max(len(o), 1)
+        by_count[c] = by_count.get(c, 0) | (1 << i)
+    levels = [by_count[c] for c in sorted(by_count)]
     best: list[int | None] = [None]
     cap = [limit]
 
@@ -164,24 +164,14 @@ def _cover_branch(
                 best[0] = used
                 cap[0] = used - 1
             return
-        if used + _cover_lb(vmasks, uncovered) > cap[0]:
+        if used + _cover_lb(conflict, uncovered) > cap[0]:
             return
-        # branch on the uncovered edge with fewest allowed vertices
-        pick = -1
-        pick_opts: list[int] | None = None
-        rest = uncovered
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            opts = [v for v in sorted(h.edges[i]) if v in allowed]
-            if pick_opts is None or len(opts) < len(pick_opts):
-                pick, pick_opts = i, opts
-                if len(opts) <= 1:
-                    break
-        if not pick_opts:
-            return
-        for v in pick_opts:
-            rec(uncovered & ~incidence.get(v, 0), used + 1)
+        for level in levels:
+            hit = uncovered & level
+            if hit:
+                break
+        for v in opts[(hit & -hit).bit_length() - 1]:
+            rec(uncovered & ~incidence[v], used + 1)
 
     rec(uncovered0, 0)
     return best[0]
@@ -202,15 +192,16 @@ def transversality(
         raise BadParameter("transversality needs at least one hyperedge")
     meter = meter_for(budget)
     all_edges = (1 << m) - 1
-    vmasks, incidence = _vertex_masks(h)
-    tau = _cover_branch(h, all_edges, set(range(h.n)), h.n, meter)
+    incidence, conflict = _cover_masks(h)
+    sorted_edges = [tuple(sorted(e)) for e in h.edges]
+    tau = _cover_branch(sorted_edges, incidence, conflict, all_edges, 0, h.n, meter)
     assert tau is not None
     chosen: list[int] = []
     uncovered = all_edges
     for v in range(h.n):
         if not uncovered:
             break
-        if not (incidence.get(v, 0) & uncovered):
+        if not (incidence[v] & uncovered):
             # v hits nothing new; no minimum transversal keeps it
             continue
         need = tau - len(chosen) - 1
@@ -218,8 +209,9 @@ def transversality(
         if not rest_uncovered:
             fits = need >= 0
         else:
-            allowed = set(range(v + 1, h.n))
-            span = _cover_branch(h, rest_uncovered, allowed, need, meter)
+            span = _cover_branch(
+                sorted_edges, incidence, conflict, rest_uncovered, v + 1, need, meter
+            )
             fits = span is not None and span <= need
         if fits:
             chosen.append(v)
@@ -367,18 +359,20 @@ def max_dsw_size(h: Hypergraph, budget: SearchBudget | None = None) -> int:
     """Largest d admitting a private-witness structure.
 
     The structure property is hereditary (dropping an edge only loosens the
-    privacy constraints), so the answer is searched by decreasing d from
-    the edge count; a single-edge choice is vacuously valid, so any
-    nonempty hypergraph scores at least 1.
+    privacy constraints), so d is searched upward from 2 under one meter
+    and the first d without a structure ends the search; a single-edge
+    choice is vacuously valid, so any nonempty hypergraph scores at least 1.
     """
     m = len(h.edges)
     if m == 0:
         return 0
     meter = meter_for(budget)
-    for d in range(m, 1, -1):
+    best = 1
+    for d in range(2, m + 1):
         found = _find_dsw(h, d, meter)
-        if found is not None:
-            problems = dsw_structure_violations(h, found)
-            assert not problems, problems
-            return d
-    return 1
+        if found is None:
+            break
+        problems = dsw_structure_violations(h, found)
+        assert not problems, problems
+        best = d
+    return best

@@ -14,7 +14,7 @@ from mtfsubdiv import (
 )
 from mtfsubdiv.cli import main
 
-from families import complete_graph
+from families import complete_graph, star_graph
 
 
 def run(capsys, *argv):
@@ -135,6 +135,14 @@ def test_analyze_budget_exhaustion_exit_code(capsys, tmp_path):
     assert code == 2
     rep = json.loads(out)
     assert rep["budget_exceeded"]
+
+
+def test_analyze_sniffs_graph6_of_sixty_vertices(capsys, tmp_path):
+    # the graph6 size byte of a 60-vertex graph is '{'
+    path = graph_file(tmp_path, "star60.g6", star_graph(60))
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert json.loads(out)["n"] == 60
 
 
 # -- pipeline -----------------------------------------------------------
@@ -261,6 +269,19 @@ def test_find_subdivision_budget(capsys, tmp_path):
     )
     assert code == 2
     assert "budget exceeded" in err
+
+
+def test_find_subdivision_recursion_limit_exits_2(capsys, tmp_path):
+    # the induced search on a 1500-cycle recurses deeper than the
+    # interpreter allows; that is no proof of absence, so not exit 1
+    host = graph_file(tmp_path, "c1500.g6", gen_cycle(1500))
+    pattern = graph_file(tmp_path, "c4.g6", gen_cycle(4))
+    code, out, err = run(
+        capsys, "find-subdivision", host, "--pattern", pattern, "--induced"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: recursion limit exceeded" in err
 
 
 # -- hypergraph ---------------------------------------------------------

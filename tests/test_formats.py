@@ -201,6 +201,14 @@ def test_parse_graph_sniffs_format():
         parse_graph("Bw", fmt="dot")
 
 
+def test_parse_graph_sniffs_graph6_starting_with_brace():
+    # n = 60 encodes as '{'; its neighbours check the boundary
+    for n in range(59, 64):
+        text = to_graph6(gen_cycle(n))
+        assert parse_graph(text) == gen_cycle(n)
+        assert parse_graph(text + "\n") == gen_cycle(n)
+
+
 # -- DOT ----------------------------------------------------------------
 
 

@@ -18,12 +18,14 @@ from mtfsubdiv import (
     Hypergraph,
     OutOfRange,
     SearchBudget,
+    SyntheticDswSpec,
     dsw_structure_violations,
     dsw_threshold,
     find_dsw_structure,
     gen_cycle,
     gen_petersen,
     gen_random_mtf,
+    gen_synthetic_dsw,
     max_dsw_size,
     neighborhood_hypergraph,
     packing_number,
@@ -200,6 +202,24 @@ def test_max_dsw_matches_oracle():
         ]
         h = Hypergraph(n, edges)
         assert max_dsw_size(h) == brute_max_dsw(h)
+
+
+def test_max_dsw_stops_at_first_infeasible_size(mtf_corpus):
+    # the upward search stops at the first d without a structure; the
+    # exhaustive search at d and d + 1 confirms that stop
+    for g in mtf_corpus:
+        h = neighborhood_hypergraph(g)
+        d = max_dsw_size(h)
+        if d >= 2:
+            assert find_dsw_structure(h, d) is not None
+        if d < len(h.edges):
+            assert find_dsw_structure(h, d + 1) is None
+
+
+def test_max_dsw_synthetic_d8_within_budget():
+    g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=8, padding=True))
+    h = neighborhood_hypergraph(g)
+    assert max_dsw_size(h, SearchBudget(max_nodes=250_000)) == 8
 
 
 def test_dsw_feasibility_oracle_agrees_on_found_structures():
