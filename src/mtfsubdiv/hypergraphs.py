@@ -98,9 +98,7 @@ def packing_number(h: Hypergraph, budget: SearchBudget | None = None) -> int:
     ]
     gi = Graph(m, inter)
     meter = meter_for(budget)
-    best = _mis_search(gi, (1 << m) - 1, 0, meter, label="packing_number")
-    assert best is not None
-    return len(best)
+    return len(_mis_search(gi, meter, label="packing_number"))
 
 
 # -- transversality -----------------------------------------------------

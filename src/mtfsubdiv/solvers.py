@@ -41,24 +41,67 @@ def _greedy_clique_size(g: Graph) -> int:
     return best
 
 
+class _Saturation:
+    """DSATUR state, updated in O(deg v) when a vertex v is colored or uncolored.
+
+    Vertices are relabelled by their position in a branching order sorted by
+    (-degree, id).  ``forbidden[i]`` has bit c set while some colored
+    neighbour of i has color c, and ``rank[i]`` is i's saturation (the
+    number of those bits) minus n while i itself is colored, so uncolored
+    ranks are the only non-negative ones.  Colorings are undone in reverse
+    order, so ``unassign`` only has to clear the bits that ``assign`` set.
+    """
+
+    __slots__ = ("adj", "n", "forbidden", "rank")
+
+    def __init__(self, g: Graph, order: list[int]):
+        pos = [0] * g.n
+        for i, v in enumerate(order):
+            pos[v] = i
+        self.adj = [tuple(pos[w] for w in g._adj[v]) for v in order]
+        self.n = g.n
+        self.forbidden = [0] * g.n
+        self.rank = [0] * g.n
+
+    def pick(self) -> int:
+        """The uncolored vertex of largest saturation, first in the order.
+
+        That is the vertex with the least key (-saturation, -degree, id).
+        """
+        rank = self.rank
+        return rank.index(max(rank))
+
+    def assign(self, v: int, c: int) -> list[int]:
+        """Color v with c; returns the neighbours that c newly became
+        forbidden for, which ``unassign`` needs."""
+        forbidden, rank = self.forbidden, self.rank
+        bit = 1 << c
+        rank[v] -= self.n
+        changed = [w for w in self.adj[v] if not forbidden[w] & bit]
+        for w in changed:
+            forbidden[w] |= bit
+            rank[w] += 1
+        return changed
+
+    def unassign(self, v: int, c: int, changed: list[int]) -> None:
+        """Undo the latest ``assign(v, c)``, which returned ``changed``."""
+        forbidden, rank = self.forbidden, self.rank
+        bit = 1 << c
+        rank[v] += self.n
+        for w in changed:
+            forbidden[w] ^= bit
+            rank[w] -= 1
+
+
 def _dsatur_upper_bound(g: Graph, order: list[int]) -> int:
     """Colors used by one DSATUR greedy pass (no backtracking)."""
-    color = [-1] * g.n
+    sat = _Saturation(g, order)
     used = 0
     for _ in range(g.n):
-        pick, pick_key = -1, None
-        for v in order:
-            if color[v] >= 0:
-                continue
-            sat = len({color[w] for w in g._adj[v] if color[w] >= 0})
-            key = (-sat, -len(g._adj[v]), v)
-            if pick_key is None or key < pick_key:
-                pick, pick_key = v, key
-        forbidden = {color[w] for w in g._adj[pick]}
-        c = 0
-        while c in forbidden:
-            c += 1
-        color[pick] = c
+        v = sat.pick()
+        f = sat.forbidden[v]
+        c = (~f & (f + 1)).bit_length() - 1  # least color not forbidden
+        sat.assign(v, c)
         used = max(used, c + 1)
     return used
 
@@ -69,7 +112,13 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
     Branching always picks the uncolored vertex with the largest saturation
     (distinct neighbor colors), breaking ties by descending degree then by
     id; at each vertex only colors 0..used are tried, so color classes are
-    symmetry-broken.  Raises BudgetExceeded when the search budget runs out.
+    symmetry-broken.  Saturations and forbidden colors are updated
+    incrementally (``_Saturation``) instead of being recomputed at every
+    node, and the depth-first search runs on an explicit stack, so its
+    depth is not bounded by Python's recursion limit.  Each stack frame
+    fixes its color limit min(used + 1, best - 1) when it is entered;
+    together with the branching order this fixes the search tree, and so
+    the node count.  Raises BudgetExceeded when the search budget runs out.
     """
     n = g.n
     if n == 0:
@@ -81,37 +130,39 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
     if best <= lower:
         return best
 
-    color = [-1] * n
-    best_holder = [best]
-
-    def extend(colored: int, used: int) -> None:
+    sat = _Saturation(g, order)
+    forbidden = sat.forbidden
+    # frame: [vertex, next color to try, colors used on entry, color limit,
+    # neighbours changed by the vertex's current color or None if uncolored];
+    # the vertices of all frames on the stack are colored while a child runs
+    stack: list[list] = []
+    used = 0  # colors used by the partial coloring of the node being entered
+    while True:
         meter.tick("chromatic_number")
-        if used >= best_holder[0]:
-            return
-        if colored == n:
-            best_holder[0] = used
-            return
-        pick, pick_key = -1, None
-        for v in order:
-            if color[v] >= 0:
-                continue
-            sat = len({color[w] for w in g._adj[v] if color[w] >= 0})
-            key = (-sat, -len(g._adj[v]), v)
-            if pick_key is None or key < pick_key:
-                pick, pick_key = v, key
-        forbidden = {color[w] for w in g._adj[pick] if color[w] >= 0}
-        # trying one fresh color (c == used) breaks color-class symmetry
-        for c in range(min(used + 1, best_holder[0] - 1)):
-            if c in forbidden:
-                continue
-            color[pick] = c
-            extend(colored + 1, max(used, c + 1))
-            color[pick] = -1
-            if best_holder[0] <= lower:
-                return
-
-    extend(0, 0)
-    return best_holder[0]
+        if used < best:
+            if len(stack) == n:
+                best = used
+                if best <= lower:
+                    return best
+            else:
+                stack.append([sat.pick(), 0, used, min(used + 1, best - 1), None])
+        # move to the next child of the deepest frame that has one left
+        while stack:
+            frame = stack[-1]
+            v, c, used, limit, changed = frame
+            if changed is not None:
+                sat.unassign(v, c - 1, changed)
+            # trying one fresh color (c == used) breaks color-class symmetry
+            free = ~forbidden[v] & ((1 << limit) - (1 << c))
+            if free:
+                c = (free & -free).bit_length() - 1
+                frame[1] = c + 1
+                frame[4] = sat.assign(v, c)
+                used = max(used, c + 1)
+                break
+            stack.pop()
+        else:
+            return best
 
 
 # -- clique number ------------------------------------------------------
@@ -166,43 +217,57 @@ def clique_number(g: Graph, budget: SearchBudget | None = None) -> int:
 # -- maximum independent set -------------------------------------------
 
 
-def _mis_search(
-    g: Graph, cand0: int, need: int, meter: _Meter, label: str = "max_independent_set"
-) -> list[int] | None:
-    """Depth-first maximum independent set search inside candidate mask cand0.
+def _covered_by_cliques(bits: list[int], cand: int, k: int) -> bool:
+    """Whether a greedy clique cover of the vertex mask cand needs at most
+    k cliques.
+
+    Each clique starts at the lowest uncovered vertex and grows through
+    the lowest common neighbour still uncovered.  An independent set meets
+    every clique at most once, so a cover by k cliques bounds α by k.
+    """
+    while cand:
+        if k <= 0:
+            return False
+        k -= 1
+        v = (cand & -cand).bit_length() - 1
+        cand &= ~(1 << v)
+        grow = cand & bits[v]
+        while grow:
+            u = (grow & -grow).bit_length() - 1
+            cand &= ~(1 << u)
+            grow &= bits[u]
+    return True
+
+
+def _mis_search(g: Graph, meter: _Meter, label: str = "max_independent_set") -> list[int]:
+    """Depth-first maximum independent set search.
 
     Branches on the lowest-id candidate, include before exclude, and only
     replaces the incumbent on strictly larger size.  Under that discipline
     the first maximum-size set reached is the lexicographically least one.
-    When ``need`` > 0 the search stops as soon as a set of that size is
-    found (decision mode); pass need=0 for full optimization.
+    A node is pruned when the chosen vertices plus a greedy clique cover of
+    the candidates cannot exceed the incumbent; such a subtree holds no
+    strictly larger set, so the prune keeps the answer unchanged.
     """
     best: list[int] = []
-    found = [False]
+    bits = g._bits
 
     def rec(chosen: list[int], cand: int) -> None:
-        if found[0]:
-            return
         meter.tick(label)
         if len(chosen) + cand.bit_count() <= len(best):
             return
         if not cand:
-            if len(chosen) > len(best):
-                best[:] = chosen
-                if need and len(best) >= need:
-                    found[0] = True
+            best[:] = chosen
+            return
+        if _covered_by_cliques(bits, cand, len(best) - len(chosen)):
             return
         v = (cand & -cand).bit_length() - 1
         chosen.append(v)
-        rec(chosen, cand & ~((1 << v) | g._bits[v]))
+        rec(chosen, cand & ~((1 << v) | bits[v]))
         chosen.pop()
-        if found[0]:
-            return
         rec(chosen, cand & (cand - 1))
 
-    rec([], cand0)
-    if need and len(best) < need:
-        return None
+    rec([], (1 << g.n) - 1)
     return best
 
 
@@ -216,9 +281,7 @@ def max_independent_set(g: Graph, budget: SearchBudget | None = None) -> frozens
     if g.n == 0:
         return frozenset()
     meter = meter_for(budget)
-    best = _mis_search(g, (1 << g.n) - 1, 0, meter)
-    assert best is not None
-    return frozenset(best)
+    return frozenset(_mis_search(g, meter))
 
 
 # -- polynomial stable set for triangle-free graphs ---------------------

@@ -70,6 +70,12 @@ def test_packing_named():
     assert packing_number(_h({0, 1, 2})) == 1
 
 
+def test_packing_long_cycle_within_budget():
+    # closed neighborhoods of C60 form a 4-regular intersection graph
+    h = neighborhood_hypergraph(gen_cycle(60))
+    assert packing_number(h, SearchBudget(max_nodes=10_000)) == 20
+
+
 def test_packing_matches_oracle():
     rng = random.Random(5)
     for _ in range(40):

@@ -48,6 +48,21 @@ def test_chromatic_matches_oracle():
         assert chromatic_number(g) == brute_chromatic(g)
 
 
+def test_chromatic_search_tree_is_pinned():
+    # 884 nodes is the exact size of the DSATUR search tree on
+    # Mycielski(Grötzsch) (n = 23, χ = 5); a changed branching order or
+    # color limit changes it
+    g = gen_mycielski(gen_mycielski(gen_cycle(5)))
+    assert chromatic_number(g, SearchBudget(max_nodes=884)) == 5
+    with pytest.raises(BudgetExceeded):
+        chromatic_number(g, SearchBudget(max_nodes=883))
+
+
+def test_chromatic_long_odd_cycle():
+    # the search runs to depth n, deeper than Python's recursion limit
+    assert chromatic_number(gen_cycle(1501)) == 3
+
+
 def test_clique_named():
     assert clique_number(Graph(0, [])) == 0
     assert clique_number(Graph(5, [])) == 1
@@ -78,6 +93,13 @@ def test_mis_named():
     assert len(max_independent_set(gen_cycle(5))) == 2
     assert max_independent_set(complete_graph(4)) == frozenset({0})
     assert len(max_independent_set(complete_bipartite(3, 8))) == 8
+
+
+def test_mis_long_cycle_within_budget():
+    # the clique-cover bound prunes what the candidate count cannot
+    got = max_independent_set(gen_cycle(60), SearchBudget(max_nodes=10_000))
+    assert len(got) == 30
+    assert got == frozenset(range(0, 60, 2))
 
 
 def test_budget_trips():
