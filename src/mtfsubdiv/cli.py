@@ -2,7 +2,8 @@
 
 Subcommands: gen, analyze, pipeline, find-subdivision, hypergraph.
 Exit codes: 0 success / witness found, 1 exhaustive search found nothing,
-2 budget or recursion limit exceeded, 3 input or usage error.  "-" as a
+2 budget or recursion limit exceeded, 3 input or usage error, 141 standard
+output closed by its reader (128 + SIGPIPE, as a shell reports).  "-" as a
 filename reads standard input; the format is sniffed (JSON when the
 payload starts with '{' and contains '"', else graph6) unless --format is
 given.  Output never contains ANSI escapes, so NO_COLOR is honored by
@@ -12,6 +13,7 @@ construction.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .budget import DEFAULT_BUDGET, SearchBudget
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_NOT_FOUND = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,7 +328,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: send what is still buffered to
+        # devnull, so that the interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -137,8 +137,76 @@ def _bfs_dist(host: Graph, target: int, allowed: set[int]) -> dict[int, int]:
     return dist
 
 
+def _automorphism_sends(
+    pattern: Graph, fixed: list[int], v: int, w: int, free: list[int], meter: _Meter
+) -> bool:
+    """Does some automorphism of ``pattern`` fix ``fixed`` pointwise and send v to w?
+
+    ``free`` lists the other vertices (all but ``fixed``, v included).  The
+    search backtracks over their images, v first, accepting an image only
+    if it is unused, has the same degree and agrees on adjacency with every
+    vertex mapped so far; it stops at the first full map.  Each unused image
+    tested ticks ``meter``, so the group is never listed and no work escapes
+    the budget.
+    """
+    order = [v] + [u for u in free if u != v]
+    same_degree = {
+        u: [x for x in free if pattern.degree(x) == pattern.degree(u)] for u in order
+    }
+    image = {x: x for x in fixed}
+    taken = set(fixed)
+    stack = [iter([w])]
+    while stack:
+        u = order[len(stack) - 1]
+        if u in image:  # back from the level below: undo this level's image
+            taken.remove(image.pop(u))
+        for x in stack[-1]:
+            if x in taken:
+                continue
+            meter.tick("find_subdivision")
+            if all(pattern.has_edge(u, y) == pattern.has_edge(x, iy) for y, iy in image.items()):
+                image[u] = x
+                taken.add(x)
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            return True
+        stack.append(iter(same_degree[order[len(stack)]]))
+    return False
+
+
+def _symmetry_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> list[tuple[int, ...]]:
+    """Grochow–Kellis symmetry-breaking conditions on branch images.
+
+    For the k-th vertex v of ``porder`` and every other vertex w in the
+    orbit of v under the automorphisms fixing ``porder[:k]`` pointwise, a
+    branch map phi must satisfy phi(v) < phi(w).  Such a w comes later in
+    ``porder``.  Returns ``below`` with ``below[w]`` the vertices whose
+    images must be smaller than w's image.  Of each orbit of injective
+    maps under Aut(pattern), exactly one map meets every condition.
+    """
+    below: list[list[int]] = [[] for _ in range(pattern.n)]
+    for k, v in enumerate(porder):
+        fixed, free = porder[:k], porder[k:]
+        for w in porder[k + 1 :]:
+            if pattern.degree(w) == pattern.degree(v) and _automorphism_sends(
+                pattern, fixed, v, w, free, meter
+            ):
+                below[w].append(v)
+    return [tuple(b) for b in below]
+
+
 class _SubdivSearch:
-    """Backtracking state for one find_subdivision call."""
+    """Backtracking state for one find_subdivision call.
+
+    Branch maps are tried one per orbit of Aut(pattern): the images must
+    meet the symmetry-breaking conditions of :func:`_symmetry_conditions`.
+    Relabelling a witness's paths by a pattern automorphism gives another
+    witness on the same host vertices, so the conditions never change
+    whether a witness exists.
+    """
 
     def __init__(self, pattern: Graph, host: Graph, induced: bool, meter: _Meter):
         self.p = pattern
@@ -151,6 +219,7 @@ class _SubdivSearch:
         self.paths: dict[tuple[int, int], tuple[int, ...]] = {}
         # pattern vertices in branching order: descending degree, ties by id
         self.porder = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+        self.below = _symmetry_conditions(pattern, self.porder, meter)
         self.pdeg = pattern.degrees()
         self.hdeg = host.degrees()
         self.adj = [sorted(host.neighbors(v)) for v in range(host.n)]
@@ -167,7 +236,10 @@ class _SubdivSearch:
                 return None
             return self._route(edge_order, 0)
         pv = self.porder[i]
-        for hv in range(self.h.n):
+        # the symmetry-breaking conditions: every vertex in below[pv] is
+        # already placed, and pv's image must exceed each of theirs
+        start = max((self.branch[u] + 1 for u in self.below[pv]), default=0)
+        for hv in range(start, self.h.n):
             if hv in self.branch_used or self.hdeg[hv] < self.pdeg[pv]:
                 continue
             self.meter.tick("find_subdivision")
@@ -253,22 +325,21 @@ class _SubdivSearch:
         allowed: set[int],
         dist: dict[int, int],
     ):
+        """Yield the host paths s → t of exactly ``length`` edges, in lex order.
+
+        Depth-first over an explicit stack of frames (vertex, remaining
+        length, candidate iterator), so a long path needs no Python
+        recursion.  One tick per vertex entered, s included.
+        """
         induced = self.induced
         h = self.h
+        tick = self.meter.tick
         path = [s]
         on_path = {s}
-
-        def step(x: int, remaining: int):
-            self.meter.tick("find_subdivision")
-            if remaining == 0:
-                if x == t:
-                    yield tuple(path)
-                return
-            candidates = self.adj[x]
-            if induced and x != s and h.has_edge(x, t):
-                # an interior adjacent to the target must close the path
-                # now, else the edge x-t would survive as a chord
-                candidates = [t] if remaining == 1 else []
+        tick("find_subdivision")
+        stack = [(s, length, iter(self.adj[s]))]
+        while stack:
+            x, remaining, candidates = stack[-1]
             for y in candidates:
                 if y == t:
                     if remaining != 1:
@@ -277,13 +348,29 @@ class _SubdivSearch:
                     continue
                 elif induced and not self._interior_ok(y, x, t, on_path):
                     continue
-                path.append(y)
-                on_path.add(y)
-                yield from step(y, remaining - 1)
-                on_path.remove(y)
-                path.pop()
-
-        yield from step(s, length)
+                break
+            else:
+                stack.pop()
+                if x != s:
+                    on_path.remove(x)
+                    path.pop()
+                continue
+            tick("find_subdivision")
+            if remaining == 1:
+                if y == t:
+                    path.append(t)
+                    yield tuple(path)
+                    path.pop()
+                continue
+            path.append(y)
+            on_path.add(y)
+            if induced and h.has_edge(y, t):
+                # an interior adjacent to the target must close the path
+                # now, else the edge y-t would survive as a chord
+                nxt = [t] if remaining == 2 else []
+            else:
+                nxt = self.adj[y]
+            stack.append((y, remaining - 1, iter(nxt)))
 
     def _interior_ok(self, y: int, pred: int, t: int, on_path: set[int]) -> bool:
         """Induced-mode filter for a prospective interior vertex y.
@@ -310,8 +397,10 @@ def find_subdivision(
     """Exact search for a (possibly induced) subdivision of pattern in host.
 
     Branch images are chosen in a deterministic order respecting degree
-    feasibility; pattern edges are then routed as internally disjoint
-    paths, tried shortest first, with full backtracking.  In induced mode
+    feasibility, one branch map per orbit of the pattern's automorphism
+    group (symmetry-breaking conditions on the images, Grochow & Kellis
+    2007); pattern edges are then routed as internally disjoint paths,
+    tried shortest first, with full backtracking.  In induced mode
     chord-creating choices are pruned as soon as they arise.  Returns the
     first witness in search order (always verified before returning), or
     None once the search space is exhausted.

@@ -2,19 +2,30 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from mtfsubdiv import (
     Graph,
+    SubdivisionWitness,
     gen_cycle,
     gen_petersen,
     is_maximal_triangle_free,
     parse_graph6,
     to_graph6,
     to_graph_json,
+    verify_witness,
 )
+from mtfsubdiv import cli
 from mtfsubdiv.cli import main
 
 from families import complete_graph, star_graph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -271,17 +282,68 @@ def test_find_subdivision_budget(capsys, tmp_path):
     assert "budget exceeded" in err
 
 
-def test_find_subdivision_recursion_limit_exits_2(capsys, tmp_path):
-    # the induced search on a 1500-cycle recurses deeper than the
-    # interpreter allows; that is no proof of absence, so not exit 1
-    host = graph_file(tmp_path, "c1500.g6", gen_cycle(1500))
+def test_find_subdivision_c4_in_long_cycle(capsys, tmp_path):
+    # the path of 1497 edges closing the cycle is enumerated on an explicit
+    # stack, so the search needs no Python recursion as deep as the path
+    host_graph = gen_cycle(1500)
+    host = graph_file(tmp_path, "c1500.g6", host_graph)
     pattern = graph_file(tmp_path, "c4.g6", gen_cycle(4))
     code, out, err = run(
-        capsys, "find-subdivision", host, "--pattern", pattern, "--induced"
+        capsys, "find-subdivision", host, "--pattern", pattern, "--induced", "--json"
     )
+    assert code == 0, err
+    doc = json.loads(out)
+    w = SubdivisionWitness(
+        gen_cycle(4),
+        host_graph,
+        {int(k): v for k, v in doc["branch_map"].items()},
+        {tuple(map(int, k.split("-"))): tuple(p) for k, p in doc["paths"].items()},
+        induced=True,
+    )
+    assert verify_witness(w, require_induced=True)
+
+
+def test_find_subdivision_recursion_limit_exits_2(capsys, tmp_path, monkeypatch):
+    # a search that outgrows the interpreter stack has proven nothing, so
+    # it must not exit 1; MIS and DSW still recurse to depth ~n
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "find_subdivision", too_deep)
+    host = graph_file(tmp_path, "c5.g6", gen_cycle(5))
+    pattern = graph_file(tmp_path, "k3.g6", complete_graph(3))
+    code, out, err = run(capsys, "find-subdivision", host, "--pattern", pattern)
     assert code == 2
     assert out == ""
     assert "error: recursion limit exceeded" in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_141(tmp_path, unbuffered):
+    # the reader is gone before the first write; buffered output would
+    # otherwise fail only in the interpreter's final flush
+    path = graph_file(tmp_path, "c60.g6", gen_cycle(60))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from mtfsubdiv.cli import main; sys.exit(main())",
+             "analyze", path, "--format", "graph6"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 141, err
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 # -- hypergraph ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Subdivision witnesses, exact search, derived graph, and lifting."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -23,8 +23,17 @@ from mtfsubdiv import (
     lift_to_induced_subdivision,
     verify_witness,
 )
+from mtfsubdiv.budget import meter_for
+from mtfsubdiv.subdivisions import _SubdivSearch
 
-from families import complete_graph, path_graph, paw_graph, random_graph, star_graph
+from families import (
+    complete_bipartite,
+    complete_graph,
+    path_graph,
+    paw_graph,
+    random_graph,
+    star_graph,
+)
 from oracles import brute_subdivision
 
 
@@ -301,6 +310,9 @@ def test_find_agrees_with_brute_force_on_small_hosts():
         gen_cycle(4),
         path_graph(4),
         Graph(4, [(0, 1), (2, 3)]),
+        gen_cycle(5),
+        star_graph(4),
+        Graph(3),
     ]
     hosts = [
         complete_graph(1),
@@ -324,6 +336,87 @@ def test_find_agrees_with_brute_force_on_small_hosts():
                 assert (w is not None) == expect, (pattern, host, induced)
                 if w is not None:
                     assert verify_witness(w, require_induced=induced)
+
+
+def clebsch_graph() -> Graph:
+    # the folded 5-cube: strongly regular (16, 5, 0, 2), triangle-free
+    return Graph(
+        16,
+        [(u, v) for u in range(16) for v in range(u) if bin(u ^ v).count("1") in (1, 4)],
+    )
+
+
+def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    edges = set(g.edges())
+    return [
+        perm
+        for perm in permutations(range(g.n))
+        if {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
+    ]
+
+
+def test_symmetry_conditions_keep_one_map_per_orbit():
+    patterns = [
+        complete_graph(3),
+        complete_graph(4),
+        gen_cycle(4),
+        gen_cycle(5),
+        path_graph(4),
+        star_graph(4),
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(3),
+        paw_graph(),
+        complete_bipartite(3, 3),
+    ]
+    rng = random.Random(4)
+    for pattern in patterns:
+        below = _SubdivSearch(pattern, pattern, False, meter_for(None)).below
+        auts = brute_automorphisms(pattern)
+        for _ in range(30):
+            phi = rng.sample(range(20), pattern.n)
+            kept = 0
+            for sigma in auts:
+                image = [phi[sigma[v]] for v in range(pattern.n)]
+                if all(image[u] < image[w] for w in range(pattern.n) for u in below[w]):
+                    kept += 1
+            assert kept == 1, (pattern.edges(), phi)
+
+
+def test_symmetry_conditions_on_large_symmetric_patterns():
+    # |Aut| is 10! and 9!; the conditions come from one small automorphism
+    # search per vertex pair, never from listing the group
+    meter = meter_for(None)
+    below = _SubdivSearch(Graph(10), Graph(10), False, meter).below
+    assert below == [tuple(range(w)) for w in range(10)]
+    below = _SubdivSearch(star_graph(10), star_graph(10), False, meter).below
+    assert below == [()] + [tuple(range(1, w)) for w in range(1, 10)]
+    assert meter.nodes < 1_000
+
+
+def test_find_k4_in_k55_search_tree_is_pinned():
+    pattern, host = complete_graph(4), complete_bipartite(5, 5)
+    nodes = 5_265
+    assert find_subdivision(
+        pattern, host, require_induced=True, budget=SearchBudget(max_nodes=nodes)
+    ) is None
+    with pytest.raises(BudgetExceeded):
+        find_subdivision(
+            pattern, host, require_induced=True, budget=SearchBudget(max_nodes=nodes - 1)
+        )
+
+
+def test_clebsch_has_no_induced_nine_cycle():
+    host = clebsch_graph()
+    budget = SearchBudget(max_nodes=500_000)
+    assert find_subdivision(gen_cycle(9), host, require_induced=True, budget=budget) is None
+    assert find_subdivision(gen_cycle(6), host, require_induced=True, budget=budget) is not None
+
+
+def test_clebsch_longest_induced_cycle_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    host = clebsch_graph()
+    longest = max(len(c) for c in nx.chordless_cycles(nx.Graph(host.edges())))
+    assert longest == 6
 
 
 # -- derived graph ------------------------------------------------------
