@@ -138,26 +138,24 @@ def _bfs_dist(host: Graph, target: int, allowed: set[int]) -> dict[int, int]:
 
 
 def _automorphism_sends(
-    pattern: Graph, fixed: list[int], v: int, w: int, free: list[int], meter: _Meter
+    pattern: Graph, fixed: list[int], free: list[int], w: int, meter: _Meter
 ) -> bool:
-    """Does some automorphism of ``pattern`` fix ``fixed`` pointwise and send v to w?
+    """Does some automorphism of ``pattern`` fix ``fixed`` pointwise and send free[0] to w?
 
-    ``free`` lists the other vertices (all but ``fixed``, v included).  The
-    search backtracks over their images, v first, accepting an image only
-    if it is unused, has the same degree and agrees on adjacency with every
-    vertex mapped so far; it stops at the first full map.  Each unused image
-    tested ticks ``meter``, so the group is never listed and no work escapes
-    the budget.
+    ``free`` lists the other vertices.  The search backtracks over their
+    images in that order, accepting an image only if it is unused, has the
+    same degree and agrees on adjacency with every vertex mapped so far; it
+    stops at the first full map.  Each unused image tested ticks ``meter``,
+    so the group is never listed and no work escapes the budget.
     """
-    order = [v] + [u for u in free if u != v]
     same_degree = {
-        u: [x for x in free if pattern.degree(x) == pattern.degree(u)] for u in order
+        u: [x for x in free if pattern.degree(x) == pattern.degree(u)] for u in free
     }
     image = {x: x for x in fixed}
     taken = set(fixed)
     stack = [iter([w])]
     while stack:
-        u = order[len(stack) - 1]
+        u = free[len(stack) - 1]
         if u in image:  # back from the level below: undo this level's image
             taken.remove(image.pop(u))
         for x in stack[-1]:
@@ -171,9 +169,9 @@ def _automorphism_sends(
         else:
             stack.pop()
             continue
-        if len(stack) == len(order):
+        if len(stack) == len(free):
             return True
-        stack.append(iter(same_degree[order[len(stack)]]))
+        stack.append(iter(same_degree[free[len(stack)]]))
     return False
 
 
@@ -189,10 +187,9 @@ def _symmetry_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> li
     """
     below: list[list[int]] = [[] for _ in range(pattern.n)]
     for k, v in enumerate(porder):
-        fixed, free = porder[:k], porder[k:]
         for w in porder[k + 1 :]:
             if pattern.degree(w) == pattern.degree(v) and _automorphism_sends(
-                pattern, fixed, v, w, free, meter
+                pattern, porder[:k], porder[k:], w, meter
             ):
                 below[w].append(v)
     return [tuple(b) for b in below]
