@@ -1,0 +1,8 @@
+"""Command-line entry point for ``python -m mtfsubdiv``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,20 +52,35 @@ class _Meter:
         """Count one search node; raise BudgetExceeded when over budget."""
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
-            raise BudgetExceeded(
-                f"{label}: node budget of {self.budget.max_nodes} exhausted",
-                nodes=self.nodes,
-                seconds=time.monotonic() - self._t0,
-            )
+            self._exhausted(label)
         if self.nodes >= self._next_time_check:
-            self._next_time_check = self.nodes + _TIME_CHECK_INTERVAL
-            elapsed = time.monotonic() - self._t0
-            if elapsed > self.budget.max_seconds:
-                raise BudgetExceeded(
-                    f"{label}: time budget of {self.budget.max_seconds}s exhausted",
-                    nodes=self.nodes,
-                    seconds=elapsed,
-                )
+            self._check_time(label)
+
+    def advance(self, count: int, label: str = "search") -> None:
+        """Count ``count`` nodes at once; raises where ``count`` ticks would."""
+        if self.nodes + count > self.budget.max_nodes:
+            self.nodes = self.budget.max_nodes + 1
+            self._exhausted(label)
+        self.nodes += count
+        if self.nodes >= self._next_time_check:
+            self._check_time(label)
+
+    def _exhausted(self, label: str) -> None:
+        raise BudgetExceeded(
+            f"{label}: node budget of {self.budget.max_nodes} exhausted",
+            nodes=self.nodes,
+            seconds=time.monotonic() - self._t0,
+        )
+
+    def _check_time(self, label: str) -> None:
+        self._next_time_check = self.nodes + _TIME_CHECK_INTERVAL
+        elapsed = time.monotonic() - self._t0
+        if elapsed > self.budget.max_seconds:
+            raise BudgetExceeded(
+                f"{label}: time budget of {self.budget.max_seconds}s exhausted",
+                nodes=self.nodes,
+                seconds=elapsed,
+            )
 
 
 def meter_for(budget: SearchBudget | None) -> _Meter:

@@ -85,32 +85,35 @@ def neighborhood_hypergraph(g: Graph) -> Hypergraph:
 def packing_number(h: Hypergraph, budget: SearchBudget | None = None) -> int:
     """Maximum number of pairwise-disjoint hyperedges (exact).
 
-    Computed as a maximum independent set in the edge-intersection graph.
+    Computed as a maximum independent set in the edge-intersection graph,
+    whose adjacency masks are the per-edge conflict masks less the edge
+    itself.
     """
     m = len(h.edges)
     if m == 0:
         raise BadParameter("packing number needs at least one hyperedge")
-    inter = [
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if h.edges[i] & h.edges[j]
-    ]
-    gi = Graph(m, inter)
+    _, conflict = _cover_masks(h)
+    adjacency = [mask & ~(1 << i) for i, mask in enumerate(conflict)]
     meter = meter_for(budget)
-    return len(_mis_search(gi, meter, label="packing_number"))
+    return len(_mis_search(adjacency, meter, label="packing_number"))
 
 
 # -- transversality -----------------------------------------------------
 
 
-def _cover_masks(h: Hypergraph) -> tuple[list[int], list[int]]:
-    """Per-vertex masks of the edges containing the vertex, and per-edge
-    masks of the edges meeting the edge (itself included)."""
+def _incidence_masks(h: Hypergraph) -> list[int]:
+    """Per-vertex masks of the edges containing the vertex."""
     incidence = [0] * h.n
     for i, e in enumerate(h.edges):
         for v in e:
             incidence[v] |= 1 << i
+    return incidence
+
+
+def _cover_masks(h: Hypergraph) -> tuple[list[int], list[int]]:
+    """Per-vertex masks of the edges containing the vertex, and per-edge
+    masks of the edges meeting the edge (itself included)."""
+    incidence = _incidence_masks(h)
     conflict = []
     for e in h.edges:
         mask = 0
@@ -283,52 +286,102 @@ def dsw_structure_violations(h: Hypergraph, s: DswStructure) -> list[str]:
     return problems
 
 
-def _find_dsw(h: Hypergraph, d: int, meter: _Meter) -> DswStructure | None:
-    m = len(h.edges)
+def _meeting(incidence: list[int], vertices: int, edges: int) -> int:
+    """The edges of ``edges`` that contain some vertex of ``vertices``."""
+    met = 0
+    while vertices and met != edges:
+        low = vertices & -vertices
+        met |= incidence[low.bit_length() - 1] & edges
+        vertices ^= low
+    return met
+
+
+def _not_containing(incidence: list[int], vertices: int, edges: int) -> int:
+    """The edges of ``edges`` that miss some vertex of ``vertices``."""
+    inside = edges
+    while vertices and inside:
+        low = vertices & -vertices
+        inside &= incidence[low.bit_length() - 1]
+        vertices ^= low
+    return edges & ~inside
+
+
+def _find_dsw(
+    masks: list[int], incidence: list[int], d: int, meter: _Meter
+) -> DswStructure | None:
+    """First d-edge structure in lexicographic order of edge indices, or None.
+
+    Forward checking: a node holds the mask ``cands`` of the later edges c
+    for which chosen + [c] is still a structure.  The property is
+    hereditary, so a child keeps only survivors of its parent's mask; each
+    child counts one tick per survivor it tests.  The chosen edges' state
+    is kept as vertex masks: ``solo[i]`` holds the vertices in chosen edge
+    i and in no other, ``pools`` the eligible witnesses of the position
+    pairs (0, 1), (0, 2), (1, 2), (0, 3), ... in that order.  Adding edge c
+    turns pool p into p & ~mask[c] and gives the pair (i, c) the pool
+    solo[i] & mask[c].  A later edge keeps a choice a structure iff it
+    meets every solo mask and contains no pool, so a child filters its
+    parent's survivors only by the masks that c created or changed.
+    """
+    m = len(masks)
     if d > m:
         return None
-    masks = h.edge_masks()
+    chosen: list[int] = []
 
     def extend(
-        chosen: list[int], pools: dict[tuple[int, int], int]
+        cands: int, solo: list[int], pools: list[int], union: int
     ) -> DswStructure | None:
-        if len(chosen) == d:
-            witnesses = {
-                pair: (pool & -pool).bit_length() - 1 for pair, pool in pools.items()
-            }
-            return DswStructure(tuple(chosen), witnesses)
-        start = chosen[-1] + 1 if chosen else 0
-        depth = len(chosen)
-        for nxt in range(start, m):
-            if m - nxt < d - depth:
-                break
-            meter.tick("find_dsw_structure")
-            new_pools: dict[tuple[int, int], int] = {}
-            ok = True
-            # adding e_nxt shrinks every existing pair's eligible pool
-            for pair, pool in pools.items():
-                p2 = pool & ~masks[nxt]
-                if not p2:
-                    ok = False
+        need = d - len(chosen)
+        while cands.bit_count() >= need:
+            low = cands & -cands
+            cands ^= low
+            c = low.bit_length() - 1
+            mc = masks[c]
+            keep = ~mc
+            if need == 1:
+                new_pools = [p & keep for p in pools] + [s & mc for s in solo]
+                pairs = [(i, j) for j in range(d) for i in range(j)]
+                witnesses = {
+                    pair: (p & -p).bit_length() - 1 for pair, p in zip(pairs, new_pools)
+                }
+                return DswStructure(tuple(chosen) + (c,), witnesses)
+            meter.advance(cands.bit_count(), "find_dsw_structure")
+            fresh = mc & ~union
+            survivors = _meeting(incidence, fresh, cands)
+            for p in pools:
+                if p & mc:
+                    survivors = _not_containing(incidence, p & keep, survivors)
+            for s in solo:
+                if survivors.bit_count() < need - 1:
                     break
-                new_pools[pair] = p2
-            if ok:
-                for ai, a_idx in enumerate(chosen):
-                    pool = masks[a_idx] & masks[nxt]
-                    for other in chosen:
-                        if other != a_idx:
-                            pool &= ~masks[other]
-                    if not pool:
-                        ok = False
-                        break
-                    new_pools[(ai, depth)] = pool
-            if ok:
-                found = extend(chosen + [nxt], new_pools)
+                q = s & mc
+                if not q & (q - 1):
+                    # the pool is one vertex, and no survivor may contain it
+                    survivors &= ~incidence[q.bit_length() - 1]
+                    continue
+                survivors = _not_containing(incidence, q, survivors)
+                # every survivor met s; now it must meet s & ~mask[c]
+                s &= keep
+                rest = survivors
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if not masks[low.bit_length() - 1] & s:
+                        survivors ^= low
+            if survivors.bit_count() >= need - 1:
+                chosen.append(c)
+                found = extend(
+                    survivors,
+                    [s & keep for s in solo] + [fresh],
+                    [p & keep for p in pools] + [s & mc for s in solo],
+                    union | mc,
+                )
                 if found is not None:
                     return found
+                chosen.pop()
         return None
 
-    return extend([], {})
+    return extend((1 << m) - 1, [], [], 0)
 
 
 def find_dsw_structure(
@@ -336,17 +389,19 @@ def find_dsw_structure(
 ) -> DswStructure | None:
     """Exhaustive search for a d-edge private-witness structure.
 
-    Enumerates d-subsets of hyperedge indices in lexicographic tuple order,
-    pruning a partial choice as soon as some pair's eligible pool
-    (e_i ∩ e_j) \\ ∪_{k≠i,j} e_k over the chosen edges becomes empty; the
-    per-pair witness is the smallest eligible vertex id.  Returns the first
-    structure in that order, or None; the result is re-checked by
-    :func:`dsw_structure_violations` before being returned.
+    Enumerates d-subsets of hyperedge indices in lexicographic tuple order
+    with forward checking: a partial choice carries the later edges that
+    would keep every pair's eligible pool (e_i ∩ e_j) \\ ∪_{k≠i,j} e_k
+    nonempty, a child keeps only those of its parent's that still do, and a
+    choice is pruned when too few remain to reach d.  One node is counted
+    per such test.  The per-pair witness is the smallest eligible vertex
+    id.  Returns the first structure in that order, or None; the result is
+    re-checked by :func:`dsw_structure_violations` before being returned.
     """
     if not isinstance(d, int) or d < 2:
         raise OutOfRange(f"structure search needs d >= 2, got {d!r}")
     meter = meter_for(budget)
-    found = _find_dsw(h, d, meter)
+    found = _find_dsw(h.edge_masks(), _incidence_masks(h), d, meter)
     if found is not None:
         problems = dsw_structure_violations(h, found)
         assert not problems, problems
@@ -360,14 +415,18 @@ def max_dsw_size(h: Hypergraph, budget: SearchBudget | None = None) -> int:
     privacy constraints), so d is searched upward from 2 under one meter
     and the first d without a structure ends the search; a single-edge
     choice is vacuously valid, so any nonempty hypergraph scores at least 1.
+    Each d runs the forward-checking search of :func:`find_dsw_structure`
+    on edge and incidence masks built once per call.
     """
     m = len(h.edges)
     if m == 0:
         return 0
     meter = meter_for(budget)
+    masks = h.edge_masks()
+    incidence = _incidence_masks(h)
     best = 1
     for d in range(2, m + 1):
-        found = _find_dsw(h, d, meter)
+        found = _find_dsw(masks, incidence, d, meter)
         if found is None:
             break
         problems = dsw_structure_violations(h, found)

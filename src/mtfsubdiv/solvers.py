@@ -8,6 +8,7 @@ identical answers (and identical witness sets where a witness is returned).
 from __future__ import annotations
 
 from math import isqrt
+from typing import Sequence
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import NotTriangleFree
@@ -239,8 +240,10 @@ def _covered_by_cliques(bits: list[int], cand: int, k: int) -> bool:
     return True
 
 
-def _mis_search(g: Graph, meter: _Meter, label: str = "max_independent_set") -> list[int]:
-    """Depth-first maximum independent set search.
+def _mis_search(
+    bits: Sequence[int], meter: _Meter, label: str = "max_independent_set"
+) -> list[int]:
+    """Depth-first maximum independent set search over adjacency bitmasks.
 
     Branches on the lowest-id candidate, include before exclude, and only
     replaces the incumbent on strictly larger size.  Under that discipline
@@ -250,7 +253,6 @@ def _mis_search(g: Graph, meter: _Meter, label: str = "max_independent_set") -> 
     strictly larger set, so the prune keeps the answer unchanged.
     """
     best: list[int] = []
-    bits = g._bits
 
     def rec(chosen: list[int], cand: int) -> None:
         meter.tick(label)
@@ -267,7 +269,7 @@ def _mis_search(g: Graph, meter: _Meter, label: str = "max_independent_set") -> 
         chosen.pop()
         rec(chosen, cand & (cand - 1))
 
-    rec([], (1 << g.n) - 1)
+    rec([], (1 << len(bits)) - 1)
     return best
 
 
@@ -281,7 +283,7 @@ def max_independent_set(g: Graph, budget: SearchBudget | None = None) -> frozens
     if g.n == 0:
         return frozenset()
     meter = meter_for(budget)
-    return frozenset(_mis_search(g, meter))
+    return frozenset(_mis_search(g._bits, meter))
 
 
 # -- polynomial stable set for triangle-free graphs ---------------------

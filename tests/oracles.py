@@ -117,6 +117,26 @@ def dsw_feasible(h: Hypergraph, chosen: tuple[int, ...]) -> bool:
     return True
 
 
+def brute_first_dsw(
+    h: Hypergraph, d: int
+) -> tuple[tuple[int, ...], dict[tuple[int, int], int]] | None:
+    """First feasible d-combination of edge indices in lexicographic order,
+    with the smallest private vertex of each position pair, or None."""
+    for chosen in combinations(range(len(h.edges)), d):
+        witnesses = {}
+        for a, b in combinations(range(d), 2):
+            cand = h.edges[chosen[a]] & h.edges[chosen[b]]
+            for k, e in enumerate(chosen):
+                if k not in (a, b):
+                    cand = cand - h.edges[e]
+            if not cand:
+                break
+            witnesses[(a, b)] = min(cand)
+        else:
+            return chosen, witnesses
+    return None
+
+
 def brute_max_dsw(h: Hypergraph) -> int:
     m = len(h.edges)
     if m == 0:

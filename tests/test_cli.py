@@ -305,7 +305,7 @@ def test_find_subdivision_c4_in_long_cycle(capsys, tmp_path):
 
 def test_find_subdivision_recursion_limit_exits_2(capsys, tmp_path, monkeypatch):
     # a search that outgrows the interpreter stack has proven nothing, so
-    # it must not exit 1; MIS and DSW still recurse to depth ~n
+    # it must not exit 1; MIS still recurses to depth ~n
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
@@ -344,6 +344,21 @@ def test_closed_stdout_pipe_exits_141(tmp_path, unbuffered):
     assert proc.returncode == 141, err
     assert "Traceback" not in err
     assert "Exception ignored" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    # a checkout without an installed package runs the CLI as a module
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtfsubdiv", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: mtfsubdiv ")
+    assert "find-subdivision" in proc.stdout
 
 
 # -- hypergraph ---------------------------------------------------------

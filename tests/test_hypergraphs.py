@@ -8,7 +8,13 @@ import random
 import pytest
 
 from families import complete_bipartite, star_graph
-from oracles import brute_domination, brute_max_dsw, brute_packing, dsw_feasible
+from oracles import (
+    brute_domination,
+    brute_first_dsw,
+    brute_max_dsw,
+    brute_packing,
+    dsw_feasible,
+)
 from mtfsubdiv import (
     BadParameter,
     BudgetExceeded,
@@ -140,6 +146,39 @@ def test_find_dsw_c5_lex_first():
     assert s3.witnesses == {(0, 1): 0, (0, 2): 4, (1, 2): 2}
 
 
+def _assert_lex_first(h: Hypergraph, d: int) -> None:
+    expected = brute_first_dsw(h, d)
+    found = find_dsw_structure(h, d)
+    if expected is None:
+        assert found is None, (h.edges, d)
+    else:
+        assert found is not None, (h.edges, d)
+        assert (found.edge_indices, found.witnesses) == expected, (h.edges, d)
+
+
+def test_find_dsw_matches_lex_first_oracle():
+    rng = random.Random(21)
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        edges = [
+            frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+            for _ in range(rng.randrange(1, 8))
+        ]
+        h = Hypergraph(n, edges)
+        for d in range(2, len(h.edges) + 2):
+            _assert_lex_first(h, d)
+
+
+def test_find_dsw_matches_lex_first_oracle_on_mtf_corpus(mtf_corpus):
+    # the oracle enumerates every d-subset, so every d up to m + 1 is
+    # checked on the small hosts and the first few sizes on the rest
+    for g in mtf_corpus:
+        h = neighborhood_hypergraph(g)
+        top = len(h.edges) + 1 if g.n <= 12 else min(4, len(h.edges))
+        for d in range(2, top + 1):
+            _assert_lex_first(h, d)
+
+
 def test_c5_named_structures_are_valid_but_not_first():
     # these appear along the search order later than the lex-first ones
     h = neighborhood_hypergraph(gen_cycle(5))
@@ -226,6 +265,23 @@ def test_max_dsw_synthetic_d8_within_budget():
     g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=8, padding=True))
     h = neighborhood_hypergraph(g)
     assert max_dsw_size(h, SearchBudget(max_nodes=250_000)) == 8
+
+
+def test_max_dsw_random_mtf_35_within_budget():
+    # the random n = 35 host of the benchmark's host_analyze workload at
+    # seed 1; forward checking finishes it in 65,488 nodes
+    h = neighborhood_hypergraph(gen_random_mtf(35, 1350))
+    assert max_dsw_size(h, SearchBudget(max_nodes=100_000)) == 6
+
+
+def test_max_dsw_search_tree_is_pinned():
+    # 47,925 extension tests decide N[synthetic d = 7]; a change in the
+    # order or in the pruning of the search moves this count
+    g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=7, padding=True))
+    h = neighborhood_hypergraph(g)
+    assert max_dsw_size(h, SearchBudget(max_nodes=47_925)) == 7
+    with pytest.raises(BudgetExceeded):
+        max_dsw_size(h, SearchBudget(max_nodes=47_924))
 
 
 def test_dsw_feasibility_oracle_agrees_on_found_structures():

@@ -1,6 +1,9 @@
-"""Property-based tests of the exact searches on small random graphs."""
+"""Property-based tests of the exact searches on small random graphs and
+hypergraphs."""
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import pytest
 
@@ -9,11 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_chromatic
 from mtfsubdiv import (
+    DswStructure,
     Graph,
+    Hypergraph,
     chromatic_number,
     clique_number,
+    dsw_structure_violations,
+    find_dsw_structure,
     find_subdivision,
+    max_dsw_size,
     max_independent_set,
+    packing_number,
+    transversality,
     verify_witness,
 )
 
@@ -61,3 +71,56 @@ def test_find_subdivision_invariant_under_pattern_relabelling(pattern, data, hos
     assert (found[0] is None) == (found[1] is None)
     for w in found:
         assert w is None or verify_witness(w, require_induced=induced)
+
+
+@st.composite
+def random_hypergraphs(draw, max_n: int = 8, max_m: int = 7) -> Hypergraph:
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edge = st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)
+    return Hypergraph(n, draw(st.lists(edge, min_size=1, max_size=max_m)))
+
+
+@st.composite
+def planted_hypergraphs(draw) -> Hypergraph:
+    # d edges sharing one private vertex per pair, grown by extra vertices,
+    # plus extra edges, in random order; random hypergraphs this small
+    # rarely hold a structure with d > 2
+    d = draw(st.integers(min_value=2, max_value=5))
+    pairs = list(combinations(range(d), 2))
+    n = len(pairs) + draw(st.integers(min_value=1, max_value=3))
+    extra = st.sets(st.integers(min_value=len(pairs), max_value=n - 1))
+    edges = [{k for k, p in enumerate(pairs) if i in p} | draw(extra) for i in range(d)]
+    edge = st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)
+    edges += draw(st.lists(edge, max_size=3))
+    return Hypergraph(n, draw(st.permutations(edges)))
+
+
+hypergraphs = st.one_of(random_hypergraphs(), planted_hypergraphs())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(hypergraphs, st.data())
+def test_hypergraph_solvers_invariant_under_relabelling(h, data):
+    perm = data.draw(st.permutations(range(h.n)))
+    order = data.draw(st.permutations(range(len(h.edges))))
+    moved = Hypergraph(h.n, [{perm[v] for v in h.edges[i]} for i in order])
+    relabelled = Hypergraph(h.n, [{perm[v] for v in e} for e in h.edges])
+    assert max_dsw_size(moved) == max_dsw_size(h)
+    assert packing_number(relabelled) == packing_number(h)
+    assert transversality(relabelled)[0] == transversality(h)[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(hypergraphs)
+def test_dsw_structure_is_hereditary(h):
+    d = max_dsw_size(h)
+    if d < 2:
+        return
+    s = find_dsw_structure(h, d)
+    for size in range(2, d):
+        for kept in combinations(range(d), size):
+            sub = DswStructure(
+                tuple(s.edge_indices[k] for k in kept),
+                {(a, b): s.witnesses[(kept[a], kept[b])] for a, b in combinations(range(size), 2)},
+            )
+            assert dsw_structure_violations(h, sub) == []
