@@ -4,7 +4,9 @@ Supported input formats: graph6 (bit-exact, including the three length
 encodings of the published format) and a JSON adjacency object
 {"n": int, "edges": [[u, v], ...]} with u < v, sorted, no duplicates.
 DOT is export-only.  Reports and witnesses serialize to JSON with a fixed
-field order, so identical inputs give byte-identical output.
+field order, so identical inputs give byte-identical output.  Both parsers
+reject a declared vertex count above ``MAX_VERTICES`` with RangeError
+before building anything.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ if TYPE_CHECKING:
     from .subdivisions import SubdivisionWitness
 
 __all__ = [
+    "MAX_VERTICES",
     "parse_graph6",
     "to_graph6",
     "parse_graph_json",
@@ -30,6 +33,19 @@ __all__ = [
 ]
 
 _HEADER = ">>graph6<<"
+
+# Largest vertex count the parsers accept.  An empty graph costs about
+# 0.5 kB per vertex, so this caps a parsed graph near 50 MB before its
+# edges, far past the size any exact search in this package can finish
+# on, while an unchecked header could ask for gigabytes.
+MAX_VERTICES = 100_000
+
+
+def _check_vertex_count(n: int, source: str) -> None:
+    if n > MAX_VERTICES:
+        raise RangeError(
+            f"{source} declares n = {n}, above the limit of {MAX_VERTICES} vertices"
+        )
 
 
 # -- graph6 -------------------------------------------------------------
@@ -80,7 +96,8 @@ def _encode_size(n: int) -> str:
 def parse_graph6(text: str | bytes) -> Graph:
     """Parse one graph6 string (optional '>>graph6<<' header, optional
     trailing newline) into a Graph, enforcing exact length and zero
-    padding.  Errors carry the byte offset of the offending byte.
+    padding.  Errors carry the byte offset of the offending byte.  A
+    header declaring more than ``MAX_VERTICES`` vertices raises RangeError.
     """
     if isinstance(text, str):
         try:
@@ -96,6 +113,7 @@ def parse_graph6(text: str | bytes) -> Graph:
     while data.endswith(b"\n") or data.endswith(b"\r"):
         data = data[:-1]
     n, pos = _decode_size(data, base)
+    _check_vertex_count(n, "graph6 header")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = data[pos : pos + nbytes]
@@ -163,7 +181,7 @@ def parse_graph_json(text: str) -> Graph:
     Structural violations (wrong keys, unsorted or duplicate edges,
     u ≥ v) raise ParseError; semantic edge violations (self-loops via
     u = v caught as u ≥ v upstream of range, endpoints outside 0..n-1)
-    raise RangeError.
+    raise RangeError, as does n above ``MAX_VERTICES``.
     """
     try:
         obj = json.loads(text)
@@ -178,6 +196,7 @@ def parse_graph_json(text: str) -> Graph:
     n = _require_int(obj["n"], "n")
     if n < 0:
         raise RangeError(f"n must be nonnegative, got {n}")
+    _check_vertex_count(n, "JSON graph")
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise ParseError("edges must be a list")

@@ -4,7 +4,8 @@ structures.
 A private-witness structure over a hypergraph is a choice of d hyperedges
 e_1..e_d together with, for every pair (i, j), a witness vertex lying in
 e_i ∩ e_j and in no other chosen edge.  ``find_dsw_structure`` searches for
-one exhaustively; ``max_dsw_size`` maximizes d.
+one exhaustively; ``max_dsw_structure`` finds one of the largest d, and
+``max_dsw_size`` reports that d.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "transversality",
     "dsw_threshold",
     "find_dsw_structure",
+    "max_dsw_structure",
     "max_dsw_size",
     "dsw_structure_violations",
 ]
@@ -306,6 +308,45 @@ def _not_containing(incidence: list[int], vertices: int, edges: int) -> int:
     return edges & ~inside
 
 
+def _still_open(
+    masks: list[int], edges: int, union: int, shrunk: list[int], solos: list[int], room: int
+) -> int:
+    """The edges of ``edges`` that meet every mask of ``shrunk`` and have
+    room for ``room`` more private witnesses; 0 as soon as at most ``room``
+    of them can be left, which is too few to complete the choice.
+
+    A completing edge j pairs with each of the ``room`` other edges still to
+    come, and those pairs need distinct witnesses outside every chosen edge
+    and, for each chosen edge i, distinct witnesses in ``solos[i]`` but not
+    in e_j.  So j needs |e_j \\ union| >= room and |s \\ e_j| >= room for
+    every solo s.
+    """
+    tight = solos if room else ()
+    outside = ~union
+    kept = edges
+    spare = edges.bit_count() - room
+    while edges:
+        low = edges & -edges
+        edges ^= low
+        mj = masks[low.bit_length() - 1]
+        if (mj & outside).bit_count() >= room:
+            for s in shrunk:
+                if not mj & s:
+                    break
+            else:
+                for s in tight:
+                    if (s & ~mj).bit_count() < room:
+                        break
+                else:
+                    continue
+        # j failed a test
+        kept ^= low
+        spare -= 1
+        if spare <= 0:
+            return 0
+    return kept
+
+
 def _find_dsw(
     masks: list[int], incidence: list[int], d: int, meter: _Meter
 ) -> DswStructure | None:
@@ -322,6 +363,13 @@ def _find_dsw(
     solo[i] & mask[c].  A later edge keeps a choice a structure iff it
     meets every solo mask and contains no pool, so a child filters its
     parent's survivors only by the masks that c created or changed.
+
+    Witness capacity: the witnesses of distinct pairs are distinct, so
+    with k edges still needed after c, a survivor j can complete the
+    choice only if |e_j \\ U| >= k - 1 (U the union of the chosen edges)
+    and |s \\ e_j| >= k - 1 for every solo mask s (:func:`_still_open`);
+    at the root, where nothing is chosen, every edge needs |e_j| >= d - 1.
+    Survivors that fail are dropped without further ticks.
     """
     m = len(masks)
     if d > m:
@@ -351,37 +399,43 @@ def _find_dsw(
             for p in pools:
                 if p & mc:
                     survivors = _not_containing(incidence, p & keep, survivors)
+            # every survivor met each solo s; it must now meet s & ~mask[c],
+            # which needs a test only where c took two or more vertices of s
+            shrunk = []
             for s in solo:
-                if survivors.bit_count() < need - 1:
-                    break
                 q = s & mc
                 if not q & (q - 1):
                     # the pool is one vertex, and no survivor may contain it
                     survivors &= ~incidence[q.bit_length() - 1]
-                    continue
-                survivors = _not_containing(incidence, q, survivors)
-                # every survivor met s; now it must meet s & ~mask[c]
-                s &= keep
-                rest = survivors
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    if not masks[low.bit_length() - 1] & s:
-                        survivors ^= low
-            if survivors.bit_count() >= need - 1:
-                chosen.append(c)
-                found = extend(
-                    survivors,
-                    [s & keep for s in solo] + [fresh],
-                    [p & keep for p in pools] + [s & mc for s in solo],
-                    union | mc,
+                else:
+                    survivors = _not_containing(incidence, q, survivors)
+                    shrunk.append(s & keep)
+            if survivors.bit_count() < need - 1:
+                continue
+            new_solo = [s & keep for s in solo] + [fresh]
+            if shrunk or need > 2:
+                survivors = _still_open(
+                    masks, survivors, union | mc, shrunk, new_solo, need - 2
                 )
-                if found is not None:
-                    return found
-                chosen.pop()
+                if survivors.bit_count() < need - 1:
+                    continue
+            chosen.append(c)
+            found = extend(
+                survivors,
+                new_solo,
+                [p & keep for p in pools] + [s & mc for s in solo],
+                union | mc,
+            )
+            if found is not None:
+                return found
+            chosen.pop()
         return None
 
-    return extend((1 << m) - 1, [], [], 0)
+    roomy = 0
+    for j, mask in enumerate(masks):
+        if mask.bit_count() >= d - 1:
+            roomy |= 1 << j
+    return extend(roomy, [], [], 0)
 
 
 def find_dsw_structure(
@@ -394,9 +448,13 @@ def find_dsw_structure(
     would keep every pair's eligible pool (e_i ∩ e_j) \\ ∪_{k≠i,j} e_k
     nonempty, a child keeps only those of its parent's that still do, and a
     choice is pruned when too few remain to reach d.  One node is counted
-    per such test.  The per-pair witness is the smallest eligible vertex
-    id.  Returns the first structure in that order, or None; the result is
-    re-checked by :func:`dsw_structure_violations` before being returned.
+    per such test.  Survivors are then cut by witness capacity: with k
+    edges still needed, an edge can complete the choice only if it has
+    k - 1 vertices outside every chosen edge and every chosen edge keeps
+    k - 1 private vertices outside it (the pair witnesses are distinct).
+    The per-pair witness is the smallest eligible vertex id.  Returns the
+    first structure in that order, or None; the result is re-checked by
+    :func:`dsw_structure_violations` before being returned.
     """
     if not isinstance(d, int) or d < 2:
         raise OutOfRange(f"structure search needs d >= 2, got {d!r}")
@@ -408,28 +466,41 @@ def find_dsw_structure(
     return found
 
 
-def max_dsw_size(h: Hypergraph, budget: SearchBudget | None = None) -> int:
-    """Largest d admitting a private-witness structure.
+def max_dsw_structure(
+    h: Hypergraph, budget: SearchBudget | None = None
+) -> DswStructure | None:
+    """A private-witness structure of the largest size d*, or None without edges.
 
     The structure property is hereditary (dropping an edge only loosens the
     privacy constraints), so d is searched upward from 2 under one meter
-    and the first d without a structure ends the search; a single-edge
-    choice is vacuously valid, so any nonempty hypergraph scores at least 1.
-    Each d runs the forward-checking search of :func:`find_dsw_structure`
-    on edge and incidence masks built once per call.
+    and the first d without a structure ends the search.  The result is
+    the structure :func:`find_dsw_structure` returns at d*: the first in
+    lexicographic order, with the same witness-capacity pruning.  A
+    single-edge choice is vacuously valid, so when no two edges form a
+    structure the result is edge 0 alone.  Edge and incidence masks are
+    built once per call.
     """
     m = len(h.edges)
     if m == 0:
-        return 0
+        return None
     meter = meter_for(budget)
     masks = h.edge_masks()
     incidence = _incidence_masks(h)
-    best = 1
+    best = DswStructure(edge_indices=(0,), witnesses={})
     for d in range(2, m + 1):
         found = _find_dsw(masks, incidence, d, meter)
         if found is None:
             break
         problems = dsw_structure_violations(h, found)
         assert not problems, problems
-        best = d
+        best = found
     return best
+
+
+def max_dsw_size(h: Hypergraph, budget: SearchBudget | None = None) -> int:
+    """Largest d admitting a private-witness structure: the size of
+    :func:`max_dsw_structure`'s result (upward search with witness-capacity
+    pruning), 0 for a hypergraph without edges and at least 1 otherwise.
+    """
+    best = max_dsw_structure(h, budget)
+    return 0 if best is None else best.d

@@ -23,6 +23,7 @@ from .errors import (
     NotMaximalTriangleFree,
     PreconditionViolated,
 )
+from .formats import witness_to_dict
 from .graphs import (
     Graph,
     average_degree,
@@ -32,8 +33,9 @@ from .graphs import (
 )
 from .hypergraphs import (
     DswStructure,
-    find_dsw_structure,
+    find_dsw_structure,  # noqa: F401  (bench/tracing.py wraps this name)
     max_dsw_size,
+    max_dsw_structure,
     neighborhood_hypergraph,
     packing_number,
     transversality,
@@ -260,8 +262,6 @@ class PipelineReport:
     witness: SubdivisionWitness | None
 
     def to_dict(self) -> dict:
-        from .formats import witness_to_dict
-
         return {
             "host": {"n": self.host_n, "m": self.host_m},
             "pattern": {"n": self.pattern_n, "m": self.pattern_m},
@@ -360,13 +360,10 @@ def run_pipeline(
     # stage 3: maximize d for a disjointly-witnessed family
     structure: DswStructure | None = None
     try:
-        d_max = max_dsw_size(h, budget)
-        if d_max >= 2:
-            structure = find_dsw_structure(h, d_max, budget)
-        else:
-            structure = DswStructure(edge_indices=(0,), witnesses={})
+        structure = max_dsw_structure(h, budget)
+        assert structure is not None  # h has one edge per host vertex
         stages["dsw"] = {
-            "d": d_max,
+            "d": structure.d,
             "edge_indices": list(structure.edge_indices),
             "witnesses": [
                 [i, j, y] for (i, j), y in sorted(structure.witnesses.items())
@@ -516,8 +513,6 @@ def run_pipeline(
                 g, s_set, surviving, gdp, mapping
             )
             check = verify_witness(route_witness, require_induced=True)
-            from .formats import witness_to_dict
-
             stages["lift"] = {
                 "witness": witness_to_dict(route_witness),
                 "verified": bool(check),
@@ -530,8 +525,6 @@ def run_pipeline(
     fallback_witness: SubdivisionWitness | None = None
     run_fallback = stall is not None or cross_check
     if run_fallback:
-        from .formats import witness_to_dict
-
         try:
             fallback_witness = find_subdivision(
                 f, g, require_induced=True, budget=budget

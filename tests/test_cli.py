@@ -109,6 +109,16 @@ def test_gen_rejects_bad_parameters(capsys):
     assert code == 3
 
 
+def test_oversized_declared_vertex_count_exits_3(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 3000000, "edges": []}\n')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == "" and "limit" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO("~~???~??\n"))  # n = 258,048
+    code, out, err = run(capsys, "hypergraph", "-")
+    assert code == 3 and out == "" and "limit" in err
+
+
 # -- analyze ------------------------------------------------------------
 
 

@@ -22,7 +22,7 @@ from mtfsubdiv import (
     to_graph_json,
     witness_to_dict,
 )
-from mtfsubdiv.formats import _decode_size, _encode_size
+from mtfsubdiv.formats import MAX_VERTICES, _decode_size, _encode_size
 
 from families import complete_graph, random_graph
 
@@ -184,6 +184,21 @@ def test_json_range_errors():
         parse_graph_json('{"n": 3, "edges": [[1, 1]]}')
     with pytest.raises(RangeError):
         parse_graph_json('{"n": 3, "edges": [[0, 3]]}')
+
+
+def test_declared_vertex_count_is_capped_before_allocation():
+    # without the cap an empty 3,000,000-vertex JSON graph took 1.37 GB
+    with pytest.raises(RangeError) as err:
+        parse_graph_json('{"n": 3000000, "edges": []}')
+    assert str(MAX_VERTICES) in str(err.value)
+    with pytest.raises(RangeError):
+        parse_graph(f'{{"n": {MAX_VERTICES + 1}, "edges": []}}')
+    # the smallest size the eight-byte graph6 field encodes, with no body
+    with pytest.raises(RangeError):
+        parse_graph6(_encode_size(258048))
+    with pytest.raises(RangeError):
+        parse_graph6(_encode_size(MAX_VERTICES + 1))
+    assert parse_graph_json(f'{{"n": {MAX_VERTICES}, "edges": []}}').n == MAX_VERTICES
 
 
 # -- sniffing -----------------------------------------------------------

@@ -4,6 +4,7 @@ disjointly-witnessed edge families."""
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -29,10 +30,12 @@ from mtfsubdiv import (
     dsw_threshold,
     find_dsw_structure,
     gen_cycle,
+    gen_mycielski,
     gen_petersen,
     gen_random_mtf,
     gen_synthetic_dsw,
     max_dsw_size,
+    max_dsw_structure,
     neighborhood_hypergraph,
     packing_number,
     transversality,
@@ -275,13 +278,54 @@ def test_max_dsw_random_mtf_35_within_budget():
 
 
 def test_max_dsw_search_tree_is_pinned():
-    # 47,925 extension tests decide N[synthetic d = 7]; a change in the
+    # 18,906 extension tests decide N[synthetic d = 7]; a change in the
     # order or in the pruning of the search moves this count
     g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=7, padding=True))
     h = neighborhood_hypergraph(g)
-    assert max_dsw_size(h, SearchBudget(max_nodes=47_925)) == 7
+    assert max_dsw_size(h, SearchBudget(max_nodes=18_906)) == 7
     with pytest.raises(BudgetExceeded):
-        max_dsw_size(h, SearchBudget(max_nodes=47_924))
+        max_dsw_size(h, SearchBudget(max_nodes=18_905))
+
+
+def test_max_dsw_decides_former_frontier():
+    # without witness-capacity pruning these searches ran out of this
+    # budget: they took 264,907, 231,760 and 334,929 nodes
+    mmg = gen_mycielski(gen_mycielski(gen_mycielski(gen_cycle(5))))
+    budget = SearchBudget(max_nodes=100_000)
+    assert max_dsw_size(neighborhood_hypergraph(mmg), budget) == 6
+    assert max_dsw_size(neighborhood_hypergraph(gen_random_mtf(40, 1400)), budget) == 7
+    assert max_dsw_size(neighborhood_hypergraph(gen_random_mtf(45, 1450)), budget) == 7
+
+
+def _dual_complete(d: int, missing: tuple[int, int] | None = None) -> Hypergraph:
+    # ground set: the pairs of {0..d-1}; edge i: the pairs containing i
+    pairs = [p for p in combinations(range(d), 2) if p != missing]
+    return Hypergraph(len(pairs), [[k for k, p in enumerate(pairs) if i in p] for i in range(d)])
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_max_dsw_on_dual_complete_graph_has_no_spare_capacity(d):
+    # each pair's only witness is the pair itself, so every edge has exactly
+    # the capacity a structure of all d edges needs; without one pair, its
+    # two edges cannot both be chosen
+    h = _dual_complete(d)
+    assert max_dsw_size(h) == d
+    s = max_dsw_structure(h)
+    assert s.edge_indices == tuple(range(d))
+    assert not dsw_structure_violations(h, s)
+    assert max_dsw_size(_dual_complete(d, missing=(0, d - 1))) == d - 1
+    assert max_dsw_size(_dual_complete(d, missing=(d - 2, d - 1))) == d - 1
+
+
+def test_max_dsw_structure_is_the_lex_first_structure_at_max_size(mtf_corpus):
+    assert max_dsw_structure(Hypergraph(2, [])) is None
+    assert max_dsw_structure(_h({0}, {1})) == DswStructure((0,), {})
+    for g in mtf_corpus[::5]:
+        h = neighborhood_hypergraph(g)
+        s = max_dsw_structure(h)
+        assert s.d == max_dsw_size(h)
+        if s.d >= 2:
+            assert s == find_dsw_structure(h, s.d)
 
 
 def test_dsw_feasibility_oracle_agrees_on_found_structures():
