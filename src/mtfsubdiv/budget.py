@@ -86,3 +86,13 @@ class _Meter:
 def meter_for(budget: SearchBudget | None) -> _Meter:
     """Meter for a fresh top-level call under ``budget`` (None means default)."""
     return _Meter(budget)
+
+
+def _guarded(exceeded: list[str], field: str, fn, *args):
+    """fn(*args), or None with ``field`` appended to ``exceeded`` when the
+    solve runs out of budget: one field of a partial statistics report."""
+    try:
+        return fn(*args)
+    except BudgetExceeded:
+        exceeded.append(field)
+        return None

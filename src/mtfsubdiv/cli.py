@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 
-from .budget import DEFAULT_BUDGET, SearchBudget
+from .budget import DEFAULT_BUDGET, SearchBudget, _guarded
 from .errors import BadParameter, BudgetExceeded, MtfError
 from .formats import canonical_json, parse_graph, to_dot, to_graph6, witness_to_dict
 from .generators import (
@@ -32,9 +32,8 @@ from .hypergraphs import (
     max_dsw_size,
     neighborhood_hypergraph,
     packing_number,
-    transversality,
 )
-from .pipeline import analyze, run_pipeline
+from .pipeline import _tau, analyze, run_pipeline
 from .subdivisions import find_subdivision
 
 EXIT_OK = 0
@@ -232,26 +231,19 @@ def _cmd_hypergraph(args) -> int:
     g = _load_graph(args.file, args.format)
     budget = _budget(args)
     h = neighborhood_hypergraph(g)
-    exceeded = False
+    exceeded: list[str] = []
+
+    def show(field: str, value) -> None:
+        print(f"{field}: {'budget-exceeded' if value is None else value}")
+
     print(f"edge_count: {len(h.edges)}")
-    try:
-        print(f"packing_number: {packing_number(h, budget)}")
-    except BudgetExceeded:
-        print("packing_number: budget-exceeded")
-        exceeded = True
-    try:
-        tau, witness = transversality(h, budget)
-        print(f"transversality: {tau}")
-        print(f"transversal: {sorted(witness)}")
-    except BudgetExceeded:
-        print("transversality: budget-exceeded")
-        exceeded = True
+    show("packing_number", _guarded(exceeded, "packing_number", packing_number, h, budget))
+    tau, transversal = _tau(exceeded, h, budget)
+    show("transversality", tau)
+    if tau is not None:
+        print(f"transversal: {transversal}")
     if args.dsw_max:
-        try:
-            print(f"max_dsw_size: {max_dsw_size(h, budget)}")
-        except BudgetExceeded:
-            print("max_dsw_size: budget-exceeded")
-            exceeded = True
+        show("max_dsw_size", _guarded(exceeded, "max_dsw_size", max_dsw_size, h, budget))
     return EXIT_BUDGET if exceeded else EXIT_OK
 
 

@@ -90,11 +90,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [len(s) for s in self._adj]
 
-    def neighbor_bits(self, v: int) -> int:
-        """Adjacency row of v as an int bitmask (used by the exact solvers)."""
-        self._check_vertex(v)
-        return self._bits[v]
-
     def _check_vertex(self, v: int) -> None:
         if not (isinstance(v, int) and 0 <= v < self.n):
             raise OutOfRange(f"vertex {v!r} outside [0, {self.n})")

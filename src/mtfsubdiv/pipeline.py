@@ -10,12 +10,12 @@ that reaches the report has been re-verified against the original host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable
 
-from .budget import DEFAULT_BUDGET, SearchBudget
+from .budget import DEFAULT_BUDGET, SearchBudget, _guarded
 from .errors import (
     BadParameter,
     BudgetExceeded,
@@ -32,7 +32,7 @@ from .graphs import (
     is_maximal_triangle_free,
 )
 from .hypergraphs import (
-    DswStructure,
+    Hypergraph,
     find_dsw_structure,  # noqa: F401  (bench/tracing.py wraps this name)
     max_dsw_size,
     max_dsw_structure,
@@ -85,15 +85,7 @@ class BoundsReport:
     instantiation_note: str
 
     def to_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "mader_avg_degree": self.mader_avg_degree,
-            "log_threshold": self.log_threshold,
-            "chi_threshold_exponent": self.chi_threshold_exponent,
-            "chi_threshold_formula": self.chi_threshold_formula,
-            "dsw_d_required": self.dsw_d_required,
-            "instantiation_note": self.instantiation_note,
-        }
+        return asdict(self)
 
 
 def compute_bounds(l: int) -> BoundsReport:
@@ -163,6 +155,12 @@ def is_proper_coloring(g: Graph, colors: list[int]) -> bool:
 # -- analysis report ----------------------------------------------------
 
 
+def _tau(exceeded: list[str], h: Hypergraph, budget: SearchBudget) -> tuple:
+    """τ(h) and its transversal, sorted; (None, None) when out of budget."""
+    pair = _guarded(exceeded, "transversality", transversality, h, budget)
+    return (None, None) if pair is None else (pair[0], sorted(pair[1]))
+
+
 def analyze(g: Graph, budget: SearchBudget | None = None) -> dict:
     """One-stop structured report of the host-side quantities.
 
@@ -173,37 +171,24 @@ def analyze(g: Graph, budget: SearchBudget | None = None) -> dict:
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
     exceeded: list[str] = []
-
-    def guarded(field: str, thunk):
-        try:
-            return thunk()
-        except BudgetExceeded:
-            exceeded.append(field)
-            return None
-
     n = g.n
     degs = g.degrees()
     min_deg = min(degs) if n else None
-    chi = guarded("chromatic_number", lambda: chromatic_number(g, budget))
-    omega = guarded("clique_number", lambda: clique_number(g, budget))
-    alpha = guarded("independence_number", lambda: len(max_independent_set(g, budget)))
+    chi = _guarded(exceeded, "chromatic_number", chromatic_number, g, budget)
+    omega = _guarded(exceeded, "clique_number", clique_number, g, budget)
+    mis = _guarded(exceeded, "independence_number", max_independent_set, g, budget)
     tf = g.n == 0 or find_triangle(g) is None
     mtf = is_maximal_triangle_free(g)
 
     packing = tau = transversal = dsw = None
     if n > 0:
         h = neighborhood_hypergraph(g)
-        packing = guarded("packing_number", lambda: packing_number(h, budget))
-        tau_pair = guarded("transversality", lambda: transversality(h, budget))
-        if tau_pair is not None:
-            tau, witness = tau_pair
-            transversal = sorted(witness)
-        dsw = guarded("max_dsw_size", lambda: max_dsw_size(h, budget))
+        packing = _guarded(exceeded, "packing_number", packing_number, h, budget)
+        tau, transversal = _tau(exceeded, h, budget)
+        dsw = _guarded(exceeded, "max_dsw_size", max_dsw_size, h, budget)
 
-    chi_le_2tau = None
-    if tf and chi is not None and tau is not None:
-        chi_le_2tau = chi <= 2 * tau
-
+    # the coloring inequality is only claimed for triangle-free hosts
+    known = tf and chi is not None and tau is not None
     return {
         "n": n,
         "m": g.m,
@@ -214,12 +199,12 @@ def analyze(g: Graph, budget: SearchBudget | None = None) -> dict:
         "maximal_triangle_free": mtf,
         "chromatic_number": chi,
         "clique_number": omega,
-        "independence_number": alpha,
+        "independence_number": None if mis is None else len(mis),
         "packing_number": packing,
         "transversality": tau,
         "transversal": transversal,
         "max_dsw_size": dsw,
-        "chi_le_2tau": chi_le_2tau,
+        "chi_le_2tau": chi <= 2 * tau if known else None,
         "budget_exceeded": exceeded,
     }
 
@@ -277,8 +262,131 @@ class PipelineReport:
         }
 
 
-def _empty_stages() -> dict:
-    return {key: None for key in _STAGE_KEYS}
+class _Stall(Exception):
+    """The route cannot go on; the message is the report's stall_reason."""
+
+
+def _solve(stage: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with running out of budget turned into a stall."""
+    try:
+        return fn(*args, **kwargs)
+    except BudgetExceeded:
+        raise _Stall(f"budget-exceeded:{stage}") from None
+
+
+def _stable_restriction(
+    g: Graph, budget: SearchBudget, stages: dict, stage: str, key: str, vertices: list[int]
+) -> list[int]:
+    """Stages 4 and 6: an exact maximum stable set among ``vertices``,
+    recorded against the floor(sqrt(|vertices|)) benchmark."""
+    benchmark = isqrt(len(vertices))
+    rec = stages[stage] = {
+        key: vertices,
+        "stable_set": None,
+        "size": None,
+        "benchmark": benchmark,
+        "meets_benchmark": None,
+    }
+    stable: list[int] = []
+    if vertices:
+        sub, submap = induced_subgraph(g, vertices)
+        local = _solve(stage.replace("_", "-"), max_independent_set, sub, budget)
+        stable = sorted(submap[i] for i in local)
+    rec.update(stable_set=stable, size=len(stable), meets_benchmark=len(stable) >= benchmark)
+    return stable
+
+
+# Every stage below writes the record a stall at that stage leaves, then
+# fills it in once its solve returns.
+# Look solvers up in this module at call time: bench/tracing.py swaps them here.
+
+
+def _route(
+    g: Graph, f: Graph, h: Hypergraph, budget: SearchBudget, stages: dict
+) -> SubdivisionWitness:
+    """Stages 3–9 of the route: the lifted witness, or raise _Stall."""
+    # stage 3: maximize d for a disjointly-witnessed family
+    dsw = stages["dsw"] = {
+        "d": None,
+        "edge_indices": None,
+        "witnesses": None,
+        "budget_exceeded": True,
+    }
+    structure = _solve("dsw", max_dsw_structure, h, budget)
+    witnessed = sorted(structure.witnesses.items())
+    dsw.update(
+        d=structure.d,
+        edge_indices=list(structure.edge_indices),
+        witnesses=[[i, j, y] for (i, j), y in witnessed],
+        budget_exceeded=False,
+    )
+
+    # stage 4: exact stable restriction of the origin vertices
+    origins = [h.origins[e] for e in structure.edge_indices]
+    s_set = _stable_restriction(g, budget, stages, "x_restriction", "x", sorted(origins))
+
+    # stage 5: keep only pairs inside S whose witness sees exactly the pair
+    s_frozen = frozenset(s_set)
+    surviving: dict[tuple[int, int], int] = {}
+    candidates, kept, discarded = [], [], []
+    for (i, j), y in witnessed:
+        u, v = sorted((origins[i], origins[j]))
+        if u not in s_frozen or v not in s_frozen:
+            continue
+        candidates.append([u, v, y])
+        if set(g.neighbors(y)) & s_frozen == {u, v}:
+            kept.append([u, v, y])
+            surviving[(u, v)] = y
+        else:
+            discarded.append([u, v, y])
+    stages["uniqueness"] = {
+        "candidate_pairs": candidates,
+        "surviving_pairs": kept,
+        "discarded_pairs": discarded,
+    }
+
+    # stage 6: exact stable restriction of the surviving witnesses
+    witness_vertices = sorted(set(surviving.values()))
+    y_prime = _stable_restriction(
+        g, budget, stages, "y_restriction", "witness_vertices", witness_vertices
+    )
+
+    # stage 7: derived graph on the surviving stable origin set
+    gprime, dmap = derived_graph(s_set, surviving, y_prime)
+    bounds = compute_bounds(f.n) if f.n >= 1 else None
+    avg = None if gprime.n == 0 else average_degree(gprime)
+    stages["derived"] = {
+        "n": gprime.n,
+        "m": gprime.m,
+        "mapping": list(dmap),
+        "average_degree": None if avg is None else str(avg),
+        "mader_avg_degree": None if bounds is None else bounds.mader_avg_degree,
+        "meets_mader": None if bounds is None or avg is None else avg >= bounds.mader_avg_degree,
+    }
+
+    # stage 8: exact subdivision search inside the derived graph
+    search = stages["search_in_derived"] = {"found": None, "budget_exceeded": True}
+    w_inner = _solve(
+        "derived-search", find_subdivision, f, gprime, require_induced=False, budget=budget
+    )
+    search.update(found=w_inner is not None, budget_exceeded=False)
+    if w_inner is None:
+        raise _Stall("pattern-subdivision-not-found-in-derived")
+
+    # stage 9: lift the used subgraph of the derived witness into g
+    used = sorted(w_inner.used_vertices())
+    pos = {v: k for k, v in enumerate(used)}
+    gdp = Graph(len(used), sorted((pos[u], pos[v]) for u, v in w_inner.path_edges()))
+    lift = stages["lift"] = {"witness": None, "verified": False}
+    try:
+        witness = lift_to_induced_subdivision(g, s_set, surviving, gdp, dict(enumerate(used)))
+    except PreconditionViolated as exc:
+        raise _Stall(f"lifting-precondition-{exc.condition}") from None
+    lift.update(
+        witness=witness_to_dict(witness),
+        verified=bool(verify_witness(witness, require_induced=True)),
+    )
+    return witness
 
 
 def run_pipeline(
@@ -314,263 +422,63 @@ def run_pipeline(
             "has no common neighbor"
         )
 
-    stages = _empty_stages()
-    stall: str | None = None
-    route_witness: SubdivisionWitness | None = None
-
+    stages = dict.fromkeys(_STAGE_KEYS)
     stages["maximality"] = {"triangle_free": True, "maximal_triangle_free": True}
 
     # stage 2: hypergraph statistics (informational; never stalls the route)
     h = neighborhood_hypergraph(g)
-    stat_exceeded: list[str] = []
-
-    def guarded(field: str, thunk):
-        try:
-            return thunk()
-        except BudgetExceeded:
-            stat_exceeded.append(field)
-            return None
-
-    packing = guarded("packing_number", lambda: packing_number(h, budget))
-    tau_pair = guarded("transversality", lambda: transversality(h, budget))
-    chi = guarded("chromatic_number", lambda: chromatic_number(g, budget))
-    tau = transversal = None
-    if tau_pair is not None:
-        tau, witness_set = tau_pair
-        transversal = sorted(witness_set)
-    chi_le_2tau = None
-    star_proper = None
-    if transversal is not None:
-        colors = star_cover_coloring(g, transversal)
-        star_proper = is_proper_coloring(g, colors)
-        if chi is not None:
-            chi_le_2tau = chi <= 2 * tau
+    exceeded: list[str] = []
+    packing = _guarded(exceeded, "packing_number", packing_number, h, budget)
+    tau, transversal = _tau(exceeded, h, budget)
+    chi = _guarded(exceeded, "chromatic_number", chromatic_number, g, budget)
     stages["hypergraph"] = {
         "edge_count": len(h.edges),
         "packing_number": packing,
         "transversality": tau,
         "transversal": transversal,
         "chromatic_number": chi,
-        "chi_le_2tau": chi_le_2tau,
+        "chi_le_2tau": None if tau is None or chi is None else chi <= 2 * tau,
         "star_cover_colors": None if tau is None else 2 * tau,
-        "star_cover_proper": star_proper,
-        "budget_exceeded": stat_exceeded,
+        "star_cover_proper": None
+        if tau is None
+        else is_proper_coloring(g, star_cover_coloring(g, transversal)),
+        "budget_exceeded": exceeded,
     }
 
-    # stage 3: maximize d for a disjointly-witnessed family
-    structure: DswStructure | None = None
     try:
-        structure = max_dsw_structure(h, budget)
-        assert structure is not None  # h has one edge per host vertex
-        stages["dsw"] = {
-            "d": structure.d,
-            "edge_indices": list(structure.edge_indices),
-            "witnesses": [
-                [i, j, y] for (i, j), y in sorted(structure.witnesses.items())
-            ],
-            "budget_exceeded": False,
-        }
-    except BudgetExceeded:
-        stages["dsw"] = {
-            "d": None,
-            "edge_indices": None,
-            "witnesses": None,
-            "budget_exceeded": True,
-        }
-        stall = "budget-exceeded:dsw"
-
-    surviving: dict[tuple[int, int], int] = {}
-    s_set: list[int] = []
-
-    if stall is None:
-        # stage 4: exact stable restriction of the origin vertices
-        assert structure is not None
-        origins = [h.origins[e] for e in structure.edge_indices]
-        x_vertices = sorted(origins)
-        sub, submap = induced_subgraph(g, x_vertices)
-        try:
-            s_local = max_independent_set(sub, budget)
-            s_set = sorted(submap[i] for i in s_local)
-            benchmark = isqrt(structure.d)
-            stages["x_restriction"] = {
-                "x": x_vertices,
-                "stable_set": s_set,
-                "size": len(s_set),
-                "benchmark": benchmark,
-                "meets_benchmark": len(s_set) >= benchmark,
-            }
-        except BudgetExceeded:
-            stages["x_restriction"] = {
-                "x": x_vertices,
-                "stable_set": None,
-                "size": None,
-                "benchmark": isqrt(structure.d),
-                "meets_benchmark": None,
-            }
-            stall = "budget-exceeded:x-restriction"
-
-    if stall is None:
-        # stage 5: keep only pairs inside S whose witness sees exactly the pair
-        assert structure is not None
-        origins = [h.origins[e] for e in structure.edge_indices]
-        s_frozen = frozenset(s_set)
-        candidates: list[tuple[int, int, int]] = []
-        kept: list[tuple[int, int, int]] = []
-        discarded: list[tuple[int, int, int]] = []
-        for (i, j), y in sorted(structure.witnesses.items()):
-            u, v = sorted((origins[i], origins[j]))
-            if u not in s_frozen or v not in s_frozen:
-                continue
-            candidates.append((u, v, y))
-            if set(g.neighbors(y)) & s_frozen == {u, v}:
-                kept.append((u, v, y))
-                surviving[(u, v)] = y
-            else:
-                discarded.append((u, v, y))
-        for (u, v), y in surviving.items():
-            assert len(set(g.neighbors(y)) & s_frozen) == 2
-        stages["uniqueness"] = {
-            "candidate_pairs": [list(c) for c in candidates],
-            "surviving_pairs": [list(c) for c in kept],
-            "discarded_pairs": [list(c) for c in discarded],
-        }
-
-    y_prime: list[int] = []
-    if stall is None:
-        # stage 6: exact stable restriction of the surviving witnesses
-        witness_vertices = sorted({y for y in surviving.values()})
-        if witness_vertices:
-            suby, subymap = induced_subgraph(g, witness_vertices)
-            try:
-                y_local = max_independent_set(suby, budget)
-                y_prime = sorted(subymap[i] for i in y_local)
-            except BudgetExceeded:
-                stall = "budget-exceeded:y-restriction"
-        benchmark = isqrt(len(witness_vertices))
-        if stall is None:
-            stages["y_restriction"] = {
-                "witness_vertices": witness_vertices,
-                "stable_set": y_prime,
-                "size": len(y_prime),
-                "benchmark": benchmark,
-                "meets_benchmark": len(y_prime) >= benchmark,
-            }
-        else:
-            stages["y_restriction"] = {
-                "witness_vertices": witness_vertices,
-                "stable_set": None,
-                "size": None,
-                "benchmark": benchmark,
-                "meets_benchmark": None,
-            }
-
-    gprime: Graph | None = None
-    dmap: tuple[int, ...] = ()
-    if stall is None:
-        # stage 7: derived graph on the surviving stable origin set
-        gprime, dmap = derived_graph(s_set, surviving, y_prime)
-        bounds = compute_bounds(f.n) if f.n >= 1 else None
-        avg = None if gprime.n == 0 else average_degree(gprime)
-        stages["derived"] = {
-            "n": gprime.n,
-            "m": gprime.m,
-            "mapping": list(dmap),
-            "average_degree": None if avg is None else str(avg),
-            "mader_avg_degree": None if bounds is None else bounds.mader_avg_degree,
-            "meets_mader": None
-            if (bounds is None or avg is None)
-            else avg >= bounds.mader_avg_degree,
-        }
-
-    w_inner: SubdivisionWitness | None = None
-    if stall is None:
-        # stage 8: exact subdivision search inside the derived graph
-        assert gprime is not None
-        try:
-            w_inner = find_subdivision(f, gprime, require_induced=False, budget=budget)
-            stages["search_in_derived"] = {
-                "found": w_inner is not None,
-                "budget_exceeded": False,
-            }
-            if w_inner is None:
-                stall = "pattern-subdivision-not-found-in-derived"
-        except BudgetExceeded:
-            stages["search_in_derived"] = {"found": None, "budget_exceeded": True}
-            stall = "budget-exceeded:derived-search"
-
-    if stall is None:
-        # stage 9: lift the used subgraph of the derived witness into g
-        assert w_inner is not None
-        used = sorted(w_inner.used_vertices())
-        pos = {v: k for k, v in enumerate(used)}
-        inner_edges = sorted(
-            (pos[u], pos[v]) for u, v in w_inner.path_edges()
-        )
-        gdp = Graph(len(used), inner_edges)
-        mapping = {k: used[k] for k in range(len(used))}
-        try:
-            route_witness = lift_to_induced_subdivision(
-                g, s_set, surviving, gdp, mapping
-            )
-            check = verify_witness(route_witness, require_induced=True)
-            stages["lift"] = {
-                "witness": witness_to_dict(route_witness),
-                "verified": bool(check),
-            }
-        except PreconditionViolated as exc:
-            stages["lift"] = {"witness": None, "verified": False}
-            stall = f"lifting-precondition-{exc.condition}"
+        route_witness, stall = _route(g, f, h, budget, stages), None
+    except _Stall as exc:
+        route_witness, stall = None, str(exc)
 
     # stage 10: direct induced search, as fallback or as cross-check
+    fallback = stages["fallback"] = {
+        "ran": False,
+        "found": None,
+        "verified": None,
+        "witness": None,
+        "budget_exceeded": False,
+    }
     fallback_witness: SubdivisionWitness | None = None
-    run_fallback = stall is not None or cross_check
-    if run_fallback:
+    if stall is not None or cross_check:
+        fallback["ran"] = True
         try:
-            fallback_witness = find_subdivision(
-                f, g, require_induced=True, budget=budget
-            )
-            fb_check = (
-                bool(verify_witness(fallback_witness, require_induced=True))
-                if fallback_witness is not None
-                else None
-            )
-            stages["fallback"] = {
-                "ran": True,
-                "found": fallback_witness is not None,
-                "verified": fb_check,
-                "witness": witness_to_dict(fallback_witness)
-                if fallback_witness
-                else None,
-                "budget_exceeded": False,
-            }
+            fallback_witness = find_subdivision(f, g, require_induced=True, budget=budget)
         except BudgetExceeded:
-            stages["fallback"] = {
-                "ran": True,
-                "found": None,
-                "verified": None,
-                "witness": None,
-                "budget_exceeded": True,
-            }
-    else:
-        stages["fallback"] = {
-            "ran": False,
-            "found": None,
-            "verified": None,
-            "witness": None,
-            "budget_exceeded": False,
-        }
+            fallback["budget_exceeded"] = True
+        else:
+            fallback["found"] = fallback_witness is not None
+            if fallback_witness is not None:
+                fallback.update(
+                    verified=bool(verify_witness(fallback_witness, require_induced=True)),
+                    witness=witness_to_dict(fallback_witness),
+                )
 
     if route_witness is not None:
-        verdict = "route-success"
-        final = route_witness
+        verdict, final = "route-success", route_witness
     elif fallback_witness is not None:
-        verdict = "fallback-success"
-        final = fallback_witness
-    elif run_fallback and stages["fallback"]["budget_exceeded"]:
-        verdict = "budget-exceeded"
-        final = None
+        verdict, final = "fallback-success", fallback_witness
     else:
-        verdict = "not-found"
+        verdict = "budget-exceeded" if fallback["budget_exceeded"] else "not-found"
         final = None
 
     return PipelineReport(

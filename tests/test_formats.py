@@ -55,6 +55,17 @@ def test_graph6_round_trip_random():
         assert back.n == g.n and back.edges() == g.edges()
 
 
+def test_graph6_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for seed, n in enumerate([0, 1, 2, 5, 6, 7, 12, 61, 62, 63, 64, 70]):
+        g = random_graph(n, 0.2, seed=seed)
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.edges())
+        assert (to_graph6(g) + "\n").encode("ascii") == nx.to_graph6_bytes(ref, header=False)
+        assert parse_graph6(nx.to_graph6_bytes(ref, header=False).decode("ascii")) == g
+
+
 def test_graph6_header_and_newlines():
     assert parse_graph6(">>graph6<<Bw").edges() == complete_graph(3).edges()
     assert parse_graph6("Bw\n").n == 3

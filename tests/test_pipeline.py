@@ -6,25 +6,31 @@ import pytest
 
 from mtfsubdiv import (
     BadParameter,
+    BudgetExceeded,
     EmptyGraph,
     Graph,
     NotMaximalTriangleFree,
+    PreconditionViolated,
     SearchBudget,
     SyntheticDswSpec,
     analyze,
     chromatic_number,
     compute_bounds,
+    find_subdivision,
     gen_cycle,
     gen_petersen,
     gen_random_mtf,
     gen_synthetic_dsw,
     is_proper_coloring,
+    max_independent_set,
     neighborhood_hypergraph,
     run_pipeline,
     star_cover_coloring,
     transversality,
     verify_witness,
+    witness_to_dict,
 )
+from mtfsubdiv import pipeline
 
 from families import complete_graph, path_graph
 
@@ -391,3 +397,145 @@ def test_pipeline_on_random_mtf_hosts_always_reaches_a_verdict():
         if rep.witness is not None:
             assert verify_witness(rep.witness, require_induced=True)
             assert rep.witness.host is g
+
+
+# -- pipeline: stall records --------------------------------------------
+
+# On N[synthetic d = 5] with K3 every route stage succeeds; each case below
+# forces one stage to stall and pins what the stall leaves in the report.
+
+ROUTE_STAGES = [
+    "dsw",
+    "x_restriction",
+    "uniqueness",
+    "y_restriction",
+    "derived",
+    "search_in_derived",
+    "lift",
+]
+
+
+def _stop_budget(*args, **kwargs):
+    raise BudgetExceeded("forced stop", nodes=1)
+
+
+def _stop_on_call(original, nth):
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == nth:
+            _stop_budget()
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+def _stop_plain_search(pattern, host, require_induced=False, budget=None):
+    if not require_induced:
+        _stop_budget()
+    return find_subdivision(pattern, host, require_induced, budget)
+
+
+def _stop_lift(*args, **kwargs):
+    raise PreconditionViolated("b", "forced stop")
+
+
+STALL_CASES = [
+    (
+        "dsw",
+        "max_dsw_structure",
+        lambda: _stop_budget,
+        "budget-exceeded:dsw",
+        [
+            ("d", None),
+            ("edge_indices", None),
+            ("witnesses", None),
+            ("budget_exceeded", True),
+        ],
+    ),
+    (
+        "x_restriction",
+        "max_independent_set",
+        lambda: _stop_on_call(max_independent_set, 1),
+        "budget-exceeded:x-restriction",
+        [
+            ("x", [0, 1, 2, 3, 4]),
+            ("stable_set", None),
+            ("size", None),
+            ("benchmark", 2),
+            ("meets_benchmark", None),
+        ],
+    ),
+    (
+        "y_restriction",
+        "max_independent_set",
+        lambda: _stop_on_call(max_independent_set, 2),
+        "budget-exceeded:y-restriction",
+        [
+            ("witness_vertices", list(range(5, 15))),
+            ("stable_set", None),
+            ("size", None),
+            ("benchmark", 3),
+            ("meets_benchmark", None),
+        ],
+    ),
+    (
+        "search_in_derived",
+        "find_subdivision",
+        lambda: _stop_plain_search,
+        "budget-exceeded:derived-search",
+        [("found", None), ("budget_exceeded", True)],
+    ),
+    (
+        "lift",
+        "lift_to_induced_subdivision",
+        lambda: _stop_lift,
+        "lifting-precondition-b",
+        [("witness", None), ("verified", False)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "stage, name, make, reason, record",
+    STALL_CASES,
+    ids=[case[0] for case in STALL_CASES],
+)
+def test_pipeline_stall_records(monkeypatch, stage, name, make, reason, record):
+    host, _, _ = gen_synthetic_dsw(SyntheticDswSpec(5, padding=True))
+    k3 = complete_graph(3)
+    direct = find_subdivision(k3, host, require_induced=True)
+    monkeypatch.setattr(pipeline, name, make())
+    rep = run_pipeline(host, k3)
+
+    assert rep.stall_reason == reason
+    assert list(rep.stages[stage].items()) == record
+    later = ROUTE_STAGES[ROUTE_STAGES.index(stage) + 1 :]
+    assert [rep.stages[key] for key in later] == [None] * len(later)
+    assert list(rep.stages["fallback"].items()) == [
+        ("ran", True),
+        ("found", True),
+        ("verified", True),
+        ("witness", witness_to_dict(direct)),
+        ("budget_exceeded", False),
+    ]
+    assert rep.verdict == "fallback-success"
+
+
+def test_pipeline_stall_record_when_fallback_runs_out_too(monkeypatch):
+    host, _, _ = gen_synthetic_dsw(SyntheticDswSpec(5, padding=True))
+    monkeypatch.setattr(pipeline, "find_subdivision", _stop_budget)
+    rep = run_pipeline(host, complete_graph(3))
+
+    assert rep.stall_reason == "budget-exceeded:derived-search"
+    assert rep.stages["lift"] is None
+    assert list(rep.stages["fallback"].items()) == [
+        ("ran", True),
+        ("found", None),
+        ("verified", None),
+        ("witness", None),
+        ("budget_exceeded", True),
+    ]
+    assert rep.verdict == "budget-exceeded"
+    assert rep.witness is None

@@ -23,6 +23,8 @@ from mtfsubdiv import (
     max_dsw_size,
     max_independent_set,
     packing_number,
+    parse_graph6,
+    to_graph6,
     transversality,
     verify_witness,
 )
@@ -34,6 +36,17 @@ def graphs(draw, max_n: int = 10) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 70) -> Graph:
+    # graph6 writes n < 63 in one byte and 63 ≤ n < 258048 in four
+    n = draw(st.integers(min_value=0, max_value=max_n) | st.sampled_from((62, 63)))
+    if n < 2:
+        return Graph(n)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.sets(pair.filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    return Graph(n, sorted({(min(e), max(e)) for e in edges}))
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -71,6 +84,12 @@ def test_find_subdivision_invariant_under_pattern_relabelling(pattern, data, hos
     assert (found[0] is None) == (found[1] is None)
     for w in found:
         assert w is None or verify_witness(w, require_induced=induced)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(sparse_graphs())
+def test_graph6_round_trip(g):
+    assert parse_graph6(to_graph6(g)) == g
 
 
 @st.composite
