@@ -340,8 +340,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:
-        # the searches recurse to depth ~n; on large sparse inputs that
-        # outgrows the interpreter stack before any budget trips
+        # the transversal search recurses to depth ~n; on large sparse
+        # inputs that outgrows the interpreter stack before any budget trips
         print(
             "error: recursion limit exceeded; the input is too large for this search",
             file=sys.stderr,

@@ -250,26 +250,31 @@ def _mis_search(
     the first maximum-size set reached is the lexicographically least one.
     A node is pruned when the chosen vertices plus a greedy clique cover of
     the candidates cannot exceed the incumbent; such a subtree holds no
-    strictly larger set, so the prune keeps the answer unchanged.
+    strictly larger set, so the prune keeps the answer unchanged.  The
+    search runs on an explicit stack of pending nodes, each the number of
+    chosen vertices it keeps and its candidate mask; the exclude child is
+    pushed below the include child, so nodes are visited in the recursive
+    preorder and the stack holds at most one exclude node per level.  Its
+    depth is therefore not bounded by Python's recursion limit.
     """
     best: list[int] = []
-
-    def rec(chosen: list[int], cand: int) -> None:
+    chosen: list[int] = []
+    stack = [(0, (1 << len(bits)) - 1)]
+    while stack:
+        k, cand = stack.pop()
+        del chosen[k:]
         meter.tick(label)
-        if len(chosen) + cand.bit_count() <= len(best):
-            return
+        if k + cand.bit_count() <= len(best):
+            continue
         if not cand:
-            best[:] = chosen
-            return
-        if _covered_by_cliques(bits, cand, len(best) - len(chosen)):
-            return
+            best = chosen[:]
+            continue
+        if _covered_by_cliques(bits, cand, len(best) - k):
+            continue
         v = (cand & -cand).bit_length() - 1
+        stack.append((k, cand & (cand - 1)))
         chosen.append(v)
-        rec(chosen, cand & ~((1 << v) | bits[v]))
-        chosen.pop()
-        rec(chosen, cand & (cand - 1))
-
-    rec([], (1 << len(bits)) - 1)
+        stack.append((k + 1, cand & ~((1 << v) | bits[v])))
     return best
 
 

@@ -10,7 +10,6 @@ subdivided pattern exactly, with no chords.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -124,16 +123,31 @@ def verify_witness(w: SubdivisionWitness, require_induced: bool) -> WitnessCheck
 # -- exact search -------------------------------------------------------
 
 
-def _bfs_dist(host: Graph, target: int, allowed: set[int]) -> dict[int, int]:
-    """BFS distances to target inside the allowed vertex set."""
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        x = queue.popleft()
-        for y in host.neighbors(x):
-            if y in allowed and y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
+def _bfs_dist(bits: tuple[int, ...], n: int, target: int, allowed: int) -> list[int]:
+    """BFS distances to target inside the vertex mask ``allowed``.
+
+    ``bits`` are the host's adjacency masks.  The search runs layer by
+    layer on masks; a vertex it does not reach gets distance n, which
+    exceeds every distance in the graph.
+    """
+    dist = [n] * n
+    dist[target] = 0
+    seen = frontier = 1 << target
+    d = 0
+    while frontier:
+        d += 1
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= bits[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & allowed & ~seen
+        seen |= frontier
+        layer = frontier
+        while layer:
+            low = layer & -layer
+            dist[low.bit_length() - 1] = d
+            layer ^= low
     return dist
 
 
@@ -203,6 +217,13 @@ class _SubdivSearch:
     Relabelling a witness's paths by a pattern automorphism gives another
     witness on the same host vertices, so the conditions never change
     whether a witness exists.
+
+    Host state is kept as vertex bitmasks over the host's adjacency masks
+    ``host._bits``: ``branch_used`` holds the branch images, ``interiors``
+    the interiors of the paths routed so far, and ``owner[hv]`` the pattern
+    vertex placed on the host vertex hv (read only while hv is in
+    ``branch_used``).  Every vertex the loops handle comes from the host
+    itself, so no per-call vertex check is made.
     """
 
     def __init__(self, pattern: Graph, host: Graph, induced: bool, meter: _Meter):
@@ -210,16 +231,20 @@ class _SubdivSearch:
         self.h = host
         self.induced = induced
         self.meter = meter
+        self.bits = host._bits
+        self.pbits = pattern._bits
+        self.full = (1 << host.n) - 1
         self.branch: dict[int, int] = {}
-        self.branch_used: set[int] = set()
-        self.interiors: set[int] = set()
+        self.owner = [0] * host.n
+        self.branch_used = 0
+        self.interiors = 0
         self.paths: dict[tuple[int, int], tuple[int, ...]] = {}
         # pattern vertices in branching order: descending degree, ties by id
         self.porder = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
         self.below = _symmetry_conditions(pattern, self.porder, meter)
         self.pdeg = pattern.degrees()
         self.hdeg = host.degrees()
-        self.adj = [sorted(host.neighbors(v)) for v in range(host.n)]
+        self.adj = [sorted(nbrs) for nbrs in host._adj]
 
     def run(self) -> SubdivisionWitness | None:
         return self._assign(0)
@@ -237,40 +262,46 @@ class _SubdivSearch:
         # already placed, and pv's image must exceed each of theirs
         start = max((self.branch[u] + 1 for u in self.below[pv]), default=0)
         for hv in range(start, self.h.n):
-            if hv in self.branch_used or self.hdeg[hv] < self.pdeg[pv]:
+            if self.branch_used >> hv & 1 or self.hdeg[hv] < self.pdeg[pv]:
                 continue
             self.meter.tick("find_subdivision")
             if self.induced and not self._branch_compatible(pv, hv):
                 continue
             self.branch[pv] = hv
-            self.branch_used.add(hv)
+            self.owner[hv] = pv
+            self.branch_used |= 1 << hv
             found = self._assign(i + 1)
             if found is not None:
                 return found
             del self.branch[pv]
-            self.branch_used.remove(hv)
+            self.branch_used ^= 1 << hv
         return None
 
     def _branch_compatible(self, pv: int, hv: int) -> bool:
         # two branch images may be host-adjacent only along a pattern edge,
         # which is then forced to route as exactly that host edge
-        for qv, qim in self.branch.items():
-            if self.h.has_edge(hv, qim) and not self.p.has_edge(pv, qv):
+        pbits, owner = self.pbits[pv], self.owner
+        placed = self.bits[hv] & self.branch_used
+        while placed:
+            low = placed & -placed
+            if not pbits >> owner[low.bit_length() - 1] & 1:
                 return False
+            placed ^= low
         return True
 
     # path routing ------------------------------------------------------
 
     def _edge_order(self) -> list[tuple[int, int]] | None:
         """Pattern edges sorted by host BFS distance of their images."""
+        n = self.h.n
         order = []
         for (a, b) in self.p.edges():
             s, t = self.branch[a], self.branch[b]
-            allowed = set(range(self.h.n)) - (self.branch_used - {s, t})
-            dist = _bfs_dist(self.h, t, allowed)
-            if s not in dist:
+            allowed = self.full & ~(self.branch_used & ~((1 << s) | (1 << t)))
+            d = _bfs_dist(self.bits, n, t, allowed)[s]
+            if d == n:
                 return None
-            order.append((dist[s], (a, b)))
+            order.append((d, (a, b)))
         order.sort()
         return [e for _, e in order]
 
@@ -284,14 +315,19 @@ class _SubdivSearch:
             return witness
         a, b = edge_order[k]
         s, t = self.branch[a], self.branch[b]
+        interiors = self.interiors
         for path in self._candidate_paths(s, t):
             self.paths[(a, b)] = path
-            interior = set(path[1:-1])
-            self.interiors |= interior
+            inner = interiors
+            for v in path[1:-1]:
+                inner |= 1 << v
+            self.interiors = inner
             found = self._route(edge_order, k + 1)
             if found is not None:
                 return found
-            self.interiors -= interior
+            # restored before the generator resumes: _paths_of_length
+            # relies on it
+            self.interiors = interiors
             del self.paths[(a, b)]
         return None
 
@@ -302,54 +338,63 @@ class _SubdivSearch:
         In induced mode, host-adjacent endpoints force the direct edge, and
         an interior may touch no used vertex besides its path neighbors.
         """
-        if self.induced and self.h.has_edge(s, t):
+        if self.induced and self.bits[s] >> t & 1:
             yield (s, t)
             return
-        blocked = (self.branch_used - {s, t}) | self.interiors
-        allowed = set(range(self.h.n)) - blocked
-        dist = _bfs_dist(self.h, t, allowed)
-        if s not in dist:
+        n = self.h.n
+        blocked = (self.branch_used & ~((1 << s) | (1 << t))) | self.interiors
+        allowed = self.full & ~blocked
+        dist = _bfs_dist(self.bits, n, t, allowed)
+        if dist[s] == n:
             return
-        max_len = len(allowed) - 1
+        max_len = allowed.bit_count() - 1
         for length in range(max(1, dist[s]), max_len + 1):
             yield from self._paths_of_length(s, t, length, allowed, dist)
 
-    def _paths_of_length(
-        self,
-        s: int,
-        t: int,
-        length: int,
-        allowed: set[int],
-        dist: dict[int, int],
-    ):
+    def _paths_of_length(self, s: int, t: int, length: int, allowed: int, dist: list[int]):
         """Yield the host paths s → t of exactly ``length`` edges, in lex order.
 
         Depth-first over an explicit stack of frames (vertex, remaining
-        length, candidate iterator), so a long path needs no Python
-        recursion.  One tick per vertex entered, s included.
+        length, candidate iterator, induced-mode blocker mask), so a long
+        path needs no Python recursion.  One tick per vertex entered, s
+        included.
+
+        In induced mode a prospective interior y may be adjacent, among
+        everything placed so far (branch images, interiors of routed paths,
+        the current partial path), only to its predecessor x; adjacency to
+        the target t is tolerated because the step below then forces
+        immediate closure at t.  The frame of x holds that blocker mask.
+        The branch images and routed interiors are read once here: between
+        two paths yielded by this generator ``_route`` may extend
+        ``self.interiors``, but it restores them before it resumes the
+        generator, so the snapshot stays exact.
         """
         induced = self.induced
-        h = self.h
+        bits = self.bits
+        adj = self.adj
         tick = self.meter.tick
+        placed = (self.branch_used | self.interiors) & ~(1 << t)
         path = [s]
-        on_path = {s}
+        on_path = 1 << s
+        free = allowed & ~on_path  # allowed vertices not on the path
         tick("find_subdivision")
-        stack = [(s, length, iter(self.adj[s]))]
+        stack = [(s, length, iter(adj[s]), placed & ~on_path)]
         while stack:
-            x, remaining, candidates = stack[-1]
+            x, remaining, candidates, blockers = stack[-1]
             for y in candidates:
                 if y == t:
                     if remaining != 1:
                         continue
-                elif y not in allowed or y in on_path or dist.get(y, 1 << 30) > remaining:
+                elif not free >> y & 1 or dist[y] > remaining:
                     continue
-                elif induced and not self._interior_ok(y, x, t, on_path):
+                elif induced and bits[y] & blockers:
                     continue
                 break
             else:
                 stack.pop()
                 if x != s:
-                    on_path.remove(x)
+                    on_path ^= 1 << x
+                    free ^= 1 << x
                     path.pop()
                 continue
             tick("find_subdivision")
@@ -360,29 +405,15 @@ class _SubdivSearch:
                     path.pop()
                 continue
             path.append(y)
-            on_path.add(y)
-            if induced and h.has_edge(y, t):
+            on_path |= 1 << y
+            free ^= 1 << y
+            if induced and bits[y] >> t & 1:
                 # an interior adjacent to the target must close the path
                 # now, else the edge y-t would survive as a chord
                 nxt = [t] if remaining == 2 else []
             else:
-                nxt = self.adj[y]
-            stack.append((y, remaining - 1, iter(nxt)))
-
-    def _interior_ok(self, y: int, pred: int, t: int, on_path: set[int]) -> bool:
-        """Induced-mode filter for a prospective interior vertex y.
-
-        Among everything placed so far (branch images, interiors of routed
-        paths, the current partial path) y may be adjacent only to its
-        predecessor.  Adjacency to the target t is tolerated here because
-        the step above then forces immediate closure at t.
-        """
-        for z in self.h.neighbors(y):
-            if z == pred or z == t:
-                continue
-            if z in on_path or z in self.branch_used or z in self.interiors:
-                return False
-        return True
+                nxt = adj[y]
+            stack.append((y, remaining - 1, iter(nxt), (on_path | placed) & ~(1 << y)))
 
 
 def find_subdivision(

@@ -315,7 +315,8 @@ def test_find_subdivision_c4_in_long_cycle(capsys, tmp_path):
 
 def test_find_subdivision_recursion_limit_exits_2(capsys, tmp_path, monkeypatch):
     # a search that outgrows the interpreter stack has proven nothing, so
-    # it must not exit 1; MIS still recurses to depth ~n
+    # it must not exit 1; the transversal search (_cover_branch) is the
+    # only solver left that recurses to depth ~n
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 

@@ -85,6 +85,15 @@ def test_packing_long_cycle_within_budget():
     assert packing_number(h, SearchBudget(max_nodes=10_000)) == 20
 
 
+def test_packing_on_c3000_runs_on_an_explicit_stack():
+    # the MIS search under packing_number is 2,001 levels deep, past
+    # Python's default recursion limit; the node count pins the search tree
+    h = neighborhood_hypergraph(gen_cycle(3000))
+    assert packing_number(h, SearchBudget(max_nodes=2_001)) == 1000
+    with pytest.raises(BudgetExceeded):
+        packing_number(h, SearchBudget(max_nodes=2_000))
+
+
 def test_packing_matches_oracle():
     rng = random.Random(5)
     for _ in range(40):

@@ -102,6 +102,58 @@ def test_mis_long_cycle_within_budget():
     assert got == frozenset(range(0, 60, 2))
 
 
+def test_mis_on_c3000_runs_on_an_explicit_stack():
+    # the search is 3,001 levels deep, past Python's default recursion
+    # limit; the node count pins the search tree
+    g = gen_cycle(3000)
+    got = max_independent_set(g, SearchBudget(max_nodes=3_001))
+    assert len(got) == 1500
+    assert got == frozenset(range(0, 3000, 2))
+    with pytest.raises(BudgetExceeded):
+        max_independent_set(g, SearchBudget(max_nodes=3_000))
+
+
+def _nx_graph(nx, g: Graph):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _nx_colorable(h, k: int) -> bool:
+    """Backtracking proper k-coloring of the networkx graph h, vertices in id order."""
+    colors: dict[int, int] = {}
+
+    def place(v: int) -> bool:
+        if v == h.number_of_nodes():
+            return True
+        taken = {colors[u] for u in h[v] if u in colors}
+        for c in range(k):
+            if c not in taken:
+                colors[v] = c
+                if place(v + 1):
+                    return True
+                del colors[v]
+        return False
+
+    return place(0)
+
+
+def test_solvers_match_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 13):
+        for p in (0.2, 0.5, 0.8):
+            for seed in range(3):
+                g = random_graph(n, p, 100 * n + seed)
+                h = _nx_graph(nx, g)
+                _, alpha = nx.max_weight_clique(nx.complement(h), weight=None)
+                _, omega = nx.max_weight_clique(h, weight=None)
+                chi = chromatic_number(g)
+                assert len(max_independent_set(g)) == alpha, (n, p, seed)
+                assert clique_number(g) == omega, (n, p, seed)
+                assert _nx_colorable(h, chi) and not _nx_colorable(h, chi - 1), (n, p, seed)
+
+
 def test_budget_trips():
     g = random_graph(40, 0.5, 3)
     tiny = SearchBudget(max_nodes=5, max_seconds=60.0)

@@ -18,6 +18,7 @@ from mtfsubdiv import (
     derived_graph,
     find_subdivision,
     gen_cycle,
+    gen_mycielski,
     gen_petersen,
     gen_synthetic_dsw,
     lift_to_induced_subdivision,
@@ -403,6 +404,47 @@ def test_find_k4_in_k55_search_tree_is_pinned():
         find_subdivision(
             pattern, host, require_induced=True, budget=SearchBudget(max_nodes=nodes - 1)
         )
+
+
+def _pinned_search(pattern, host, induced, nodes):
+    """The witness of a search that finishes in exactly ``nodes`` nodes."""
+    budget = SearchBudget(max_nodes=nodes)
+    w = find_subdivision(pattern, host, require_induced=induced, budget=budget)
+    with pytest.raises(BudgetExceeded):
+        find_subdivision(
+            pattern, host, require_induced=induced, budget=SearchBudget(max_nodes=nodes - 1)
+        )
+    return w
+
+
+def test_find_c5_in_k66_search_tree_is_pinned():
+    assert _pinned_search(gen_cycle(5), complete_bipartite(6, 6), True, 3_360) is None
+
+
+def test_find_plain_k4_in_petersen_search_tree_is_pinned():
+    w = _pinned_search(complete_graph(4), gen_petersen(), False, 41)
+    assert w.branch_map == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert w.paths == {
+        (0, 1): (0, 1),
+        (1, 2): (1, 2),
+        (2, 3): (2, 3),
+        (0, 3): (0, 4, 3),
+        (0, 2): (0, 5, 7, 2),
+        (1, 3): (1, 6, 8, 3),
+    }
+
+
+def test_find_induced_k4_in_groetzsch_search_tree_is_pinned():
+    w = _pinned_search(complete_graph(4), gen_mycielski(gen_cycle(5)), True, 33)
+    assert w.branch_map == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert w.paths == {
+        (0, 1): (0, 1),
+        (1, 2): (1, 2),
+        (2, 3): (2, 3),
+        (0, 2): (0, 6, 2),
+        (0, 3): (0, 4, 3),
+        (1, 3): (1, 7, 3),
+    }
 
 
 def test_clebsch_has_no_induced_nine_cycle():
