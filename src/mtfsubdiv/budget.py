@@ -36,7 +36,7 @@ class _Meter:
     """Mutable node/time counter shared by the recursions of one search.
 
     A single meter may span several internal searches (for example the
-    upward search over d in ``max_dsw_size``) so that the budget covers the
+    upward search over d in ``max_dsw_structure``) so that the budget covers the
     whole user-facing call.
     """
 

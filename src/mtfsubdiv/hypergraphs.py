@@ -37,19 +37,15 @@ class Hypergraph:
     """Hypergraph over ground set {0..n-1} with an ordered edge list.
 
     Edge order is significant (it defines the e_i indexing) and duplicate
-    edges are allowed.  ``origins`` optionally tags edge i with the vertex
-    of a source graph it came from; neighborhood hypergraphs set it to the
-    identity.
+    edges are allowed.  The exact searches read three bitmask tables,
+    built once here: ``masks[i]`` holds the vertices of edge i,
+    ``incidence[v]`` the edges containing vertex v, and ``conflict[i]``
+    the edges meeting edge i (itself included).
     """
 
-    __slots__ = ("n", "edges", "origins")
+    __slots__ = ("n", "edges", "masks", "incidence", "conflict")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[Iterable[int]],
-        origins: Sequence[int] | None = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         if not isinstance(n, int) or n < 0:
             raise BadParameter(f"ground-set size must be a non-negative integer, got {n!r}")
         es = []
@@ -63,14 +59,19 @@ class Hypergraph:
             es.append(fs)
         self.n = n
         self.edges: tuple[frozenset[int], ...] = tuple(es)
-        if origins is not None:
-            origins = tuple(origins)
-            if len(origins) != len(self.edges):
-                raise BadParameter("origins must tag every edge")
-        self.origins = origins
-
-    def edge_masks(self) -> list[int]:
-        return [sum(1 << v for v in e) for e in self.edges]
+        self.masks: tuple[int, ...] = tuple(sum(1 << v for v in e) for e in es)
+        incidence = [0] * n
+        for i, e in enumerate(es):
+            for v in e:
+                incidence[v] |= 1 << i
+        self.incidence: tuple[int, ...] = tuple(incidence)
+        conflict = []
+        for e in es:
+            mask = 0
+            for v in e:
+                mask |= incidence[v]
+            conflict.append(mask)
+        self.conflict: tuple[int, ...] = tuple(conflict)
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, edges={len(self.edges)})"
@@ -81,7 +82,7 @@ def neighborhood_hypergraph(g: Graph) -> Hypergraph:
     if g.n == 0:
         raise EmptyGraph("neighborhood hypergraph needs at least one vertex")
     edges = [set(g.neighbors(v)) | {v} for v in range(g.n)]
-    return Hypergraph(g.n, edges, origins=range(g.n))
+    return Hypergraph(g.n, edges)
 
 
 def packing_number(h: Hypergraph, budget: SearchBudget | None = None) -> int:
@@ -94,8 +95,7 @@ def packing_number(h: Hypergraph, budget: SearchBudget | None = None) -> int:
     m = len(h.edges)
     if m == 0:
         raise BadParameter("packing number needs at least one hyperedge")
-    _, conflict = _cover_masks(h)
-    adjacency = [mask & ~(1 << i) for i, mask in enumerate(conflict)]
+    adjacency = [mask & ~(1 << i) for i, mask in enumerate(h.conflict)]
     meter = meter_for(budget)
     return len(_mis_search(adjacency, meter, label="packing_number"))
 
@@ -103,29 +103,7 @@ def packing_number(h: Hypergraph, budget: SearchBudget | None = None) -> int:
 # -- transversality -----------------------------------------------------
 
 
-def _incidence_masks(h: Hypergraph) -> list[int]:
-    """Per-vertex masks of the edges containing the vertex."""
-    incidence = [0] * h.n
-    for i, e in enumerate(h.edges):
-        for v in e:
-            incidence[v] |= 1 << i
-    return incidence
-
-
-def _cover_masks(h: Hypergraph) -> tuple[list[int], list[int]]:
-    """Per-vertex masks of the edges containing the vertex, and per-edge
-    masks of the edges meeting the edge (itself included)."""
-    incidence = _incidence_masks(h)
-    conflict = []
-    for e in h.edges:
-        mask = 0
-        for v in e:
-            mask |= incidence[v]
-        conflict.append(mask)
-    return incidence, conflict
-
-
-def _cover_lb(conflict: list[int], uncovered: int) -> int:
+def _cover_lb(conflict: Sequence[int], uncovered: int) -> int:
     # pairwise disjoint uncovered edges need one vertex each: take edges in
     # index order, each one disjoint from all taken before it
     count = 0
@@ -138,15 +116,15 @@ def _cover_lb(conflict: list[int], uncovered: int) -> int:
 
 
 def _cover_branch(
+    h: Hypergraph,
     sorted_edges: list[tuple[int, ...]],
-    incidence: list[int],
-    conflict: list[int],
     uncovered0: int,
     lo: int,
     limit: int,
     meter: _Meter,
 ) -> int | None:
     """Smallest cover size ≤ limit using only vertices ≥ lo, else None."""
+    incidence, conflict = h.incidence, h.conflict
     opts = [e[bisect_left(e, lo):] for e in sorted_edges]
     # The branching edge is the first uncovered edge (by index) with at most
     # one allowed vertex, else the first with the fewest.  Group the edges
@@ -195,9 +173,9 @@ def transversality(
         raise BadParameter("transversality needs at least one hyperedge")
     meter = meter_for(budget)
     all_edges = (1 << m) - 1
-    incidence, conflict = _cover_masks(h)
+    incidence = h.incidence
     sorted_edges = [tuple(sorted(e)) for e in h.edges]
-    tau = _cover_branch(sorted_edges, incidence, conflict, all_edges, 0, h.n, meter)
+    tau = _cover_branch(h, sorted_edges, all_edges, 0, h.n, meter)
     assert tau is not None
     chosen: list[int] = []
     uncovered = all_edges
@@ -212,9 +190,7 @@ def transversality(
         if not rest_uncovered:
             fits = need >= 0
         else:
-            span = _cover_branch(
-                sorted_edges, incidence, conflict, rest_uncovered, v + 1, need, meter
-            )
+            span = _cover_branch(h, sorted_edges, rest_uncovered, v + 1, need, meter)
             fits = span is not None and span <= need
         if fits:
             chosen.append(v)
@@ -288,7 +264,7 @@ def dsw_structure_violations(h: Hypergraph, s: DswStructure) -> list[str]:
     return problems
 
 
-def _meeting(incidence: list[int], vertices: int, edges: int) -> int:
+def _meeting(incidence: Sequence[int], vertices: int, edges: int) -> int:
     """The edges of ``edges`` that contain some vertex of ``vertices``."""
     met = 0
     while vertices and met != edges:
@@ -298,7 +274,7 @@ def _meeting(incidence: list[int], vertices: int, edges: int) -> int:
     return met
 
 
-def _not_containing(incidence: list[int], vertices: int, edges: int) -> int:
+def _not_containing(incidence: Sequence[int], vertices: int, edges: int) -> int:
     """The edges of ``edges`` that miss some vertex of ``vertices``."""
     inside = edges
     while vertices and inside:
@@ -309,7 +285,7 @@ def _not_containing(incidence: list[int], vertices: int, edges: int) -> int:
 
 
 def _still_open(
-    masks: list[int], edges: int, union: int, shrunk: list[int], solos: list[int], room: int
+    masks: Sequence[int], edges: int, union: int, shrunk: list[int], solos: list[int], room: int
 ) -> int:
     """The edges of ``edges`` that meet every mask of ``shrunk`` and have
     room for ``room`` more private witnesses; 0 as soon as at most ``room``
@@ -348,7 +324,7 @@ def _still_open(
 
 
 def _find_dsw(
-    masks: list[int], incidence: list[int], d: int, meter: _Meter
+    masks: Sequence[int], incidence: Sequence[int], d: int, meter: _Meter
 ) -> DswStructure | None:
     """First d-edge structure in lexicographic order of edge indices, or None.
 
@@ -459,7 +435,7 @@ def find_dsw_structure(
     if not isinstance(d, int) or d < 2:
         raise OutOfRange(f"structure search needs d >= 2, got {d!r}")
     meter = meter_for(budget)
-    found = _find_dsw(h.edge_masks(), _incidence_masks(h), d, meter)
+    found = _find_dsw(h.masks, h.incidence, d, meter)
     if found is not None:
         problems = dsw_structure_violations(h, found)
         assert not problems, problems
@@ -477,18 +453,15 @@ def max_dsw_structure(
     the structure :func:`find_dsw_structure` returns at d*: the first in
     lexicographic order, with the same witness-capacity pruning.  A
     single-edge choice is vacuously valid, so when no two edges form a
-    structure the result is edge 0 alone.  Edge and incidence masks are
-    built once per call.
+    structure the result is edge 0 alone.
     """
     m = len(h.edges)
     if m == 0:
         return None
     meter = meter_for(budget)
-    masks = h.edge_masks()
-    incidence = _incidence_masks(h)
     best = DswStructure(edge_indices=(0,), witnesses={})
     for d in range(2, m + 1):
-        found = _find_dsw(masks, incidence, d, meter)
+        found = _find_dsw(h.masks, h.incidence, d, meter)
         if found is None:
             break
         problems = dsw_structure_violations(h, found)

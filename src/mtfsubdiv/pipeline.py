@@ -321,8 +321,9 @@ def _route(
         budget_exceeded=False,
     )
 
-    # stage 4: exact stable restriction of the origin vertices
-    origins = [h.origins[e] for e in structure.edge_indices]
+    # stage 4: exact stable restriction of the origin vertices (edge i of
+    # N[·] is N[i], so the chosen edge indices are the origins)
+    origins = structure.edge_indices
     s_set = _stable_restriction(g, budget, stages, "x_restriction", "x", sorted(origins))
 
     # stage 5: keep only pairs inside S whose witness sees exactly the pair

@@ -1,6 +1,8 @@
 """Budgeted exact solvers: chromatic number, clique number, independent sets.
 
-All three NP-hard solvers are complete branch-and-bound searches with
+Chromatic number is a DSATUR branch-and-bound; clique number and maximum
+independent set share one independent-set search, the clique number
+running it on the complement.  Both searches are complete, with
 deterministic branching orders, so repeated runs on the same input produce
 identical answers (and identical witness sets where a witness is returned).
 """
@@ -26,7 +28,7 @@ __all__ = [
 
 
 def _greedy_clique_size(g: Graph) -> int:
-    """Size of a greedily grown clique; a quick lower bound for χ and ω."""
+    """Size of a greedily grown clique; a quick lower bound for χ."""
     best = 0
     order = sorted(range(g.n), key=lambda v: (-len(g._adj[v]), v))
     for start in order[: min(g.n, 16)]:
@@ -170,49 +172,15 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
 
 
 def clique_number(g: Graph, budget: SearchBudget | None = None) -> int:
-    """Exact maximum clique size via branch-and-bound with coloring bound."""
-    n = g.n
-    if n == 0:
-        return 0
-    meter = meter_for(budget)
-    best_holder = [max(1, _greedy_clique_size(g))]
+    """Exact maximum clique size: a maximum independent set of the complement.
 
-    def color_bound(cand: int) -> int:
-        # greedy coloring of the candidate set; class count bounds the clique
-        classes: list[int] = []
-        rest = cand
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            placed = False
-            for i, cls in enumerate(classes):
-                if not (cls & g._bits[v]):
-                    classes[i] = cls | (1 << v)
-                    placed = True
-                    break
-            if not placed:
-                classes.append(1 << v)
-        return len(classes)
-
-    def expand(size: int, cand: int) -> None:
-        meter.tick("clique_number")
-        if not cand:
-            if size > best_holder[0]:
-                best_holder[0] = size
-            return
-        if size + cand.bit_count() <= best_holder[0]:
-            return
-        if size + color_bound(cand) <= best_holder[0]:
-            return
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            if size + cand.bit_count() <= best_holder[0]:
-                return
-            expand(size + 1, cand & g._bits[v])
-            cand &= cand - 1
-
-    expand(0, (1 << n) - 1)
-    return best_holder[0]
+    Runs :func:`_mis_search` on the complement's adjacency masks, so the
+    greedy clique cover that bounds α there is a greedy coloring bound
+    here, and the search runs on its explicit stack.
+    """
+    full = (1 << g.n) - 1
+    complement = [full & ~(bits | 1 << v) for v, bits in enumerate(g._bits)]
+    return len(_mis_search(complement, meter_for(budget), label="clique_number"))
 
 
 # -- maximum independent set -------------------------------------------

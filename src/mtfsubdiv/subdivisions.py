@@ -233,6 +233,7 @@ class _SubdivSearch:
         self.meter = meter
         self.bits = host._bits
         self.pbits = pattern._bits
+        self.pedges = pattern.edges()
         self.full = (1 << host.n) - 1
         self.branch: dict[int, int] = {}
         self.owner = [0] * host.n
@@ -295,7 +296,7 @@ class _SubdivSearch:
         """Pattern edges sorted by host BFS distance of their images."""
         n = self.h.n
         order = []
-        for (a, b) in self.p.edges():
+        for (a, b) in self.pedges:
             s, t = self.branch[a], self.branch[b]
             allowed = self.full & ~(self.branch_used & ~((1 << s) | (1 << t)))
             d = _bfs_dist(self.bits, n, t, allowed)[s]

@@ -51,7 +51,6 @@ def test_neighborhood_hypergraph_shapes():
     assert len(h.edges) == 5
     assert all(len(e) == 3 for e in h.edges)
     assert h.edges[0] == frozenset({4, 0, 1})
-    assert h.origins == tuple(range(5))
 
     k1 = neighborhood_hypergraph(Graph(1, []))
     assert k1.edges == (frozenset({0}),)
@@ -71,6 +70,34 @@ def test_hypergraph_validation():
         Hypergraph(3, [frozenset()])
     with pytest.raises(OutOfRange):
         Hypergraph(3, [frozenset({3})])
+
+
+def _assert_tables(h: Hypergraph) -> None:
+    m = len(h.edges)
+    assert h.masks == tuple(sum(1 << v for v in e) for e in h.edges)
+    assert h.incidence == tuple(
+        sum(1 << i for i in range(m) if v in h.edges[i]) for v in range(h.n)
+    )
+    assert h.conflict == tuple(
+        sum(1 << j for j in range(m) if h.edges[i] & h.edges[j]) for i in range(m)
+    )
+    assert all(c >> i & 1 for i, c in enumerate(h.conflict))
+
+
+def test_bitmask_tables_match_the_edges():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randrange(0, 10)
+        edges = [
+            frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+            for _ in range(rng.randrange(0, 8) if n else 0)
+        ]
+        _assert_tables(Hypergraph(n, edges))
+    for g in (Graph(1, []), gen_cycle(7), gen_petersen(), gen_random_mtf(20, 3)):
+        h = neighborhood_hypergraph(g)
+        _assert_tables(h)
+        assert h.masks == tuple(g._bits[v] | 1 << v for v in range(g.n))
+        assert h.incidence == h.masks
 
 
 def test_packing_named():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from families import complete_bipartite, complete_graph, random_graph, star_graph
@@ -75,6 +77,15 @@ def test_clique_matches_oracle():
     for seed in range(50):
         g = random_graph(9, 0.5, seed)
         assert clique_number(g) == brute_clique(g)
+
+
+def test_clique_number_of_a_deep_clique_runs_on_an_explicit_stack():
+    # K1100 plus 16 hubs joined to the same 1,200 leaves: the high-degree
+    # hubs mislead any greedy start, and the search into the clique is
+    # 1,100 levels deep, past Python's default recursion limit
+    hubs, leaves = range(1100, 1116), range(1116, 2316)
+    g = Graph(2316, list(combinations(range(1100), 2)) + [(h, x) for h in hubs for x in leaves])
+    assert clique_number(g) == 1100
 
 
 def test_mis_matches_oracle_and_is_lex_least():
