@@ -340,8 +340,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:
-        # the transversal search recurses to depth ~n; on large sparse
-        # inputs that outgrows the interpreter stack before any budget trips
+        # every exact search runs on an explicit stack; should one still
+        # outgrow the interpreter stack, it has proven nothing: exit 2
         print(
             "error: recursion limit exceeded; the input is too large for this search",
             file=sys.stderr,

@@ -123,7 +123,21 @@ def _cover_branch(
     limit: int,
     meter: _Meter,
 ) -> int | None:
-    """Smallest cover size ≤ limit using only vertices ≥ lo, else None."""
+    """Smallest cover size ≤ limit using only vertices ≥ lo, else None.
+
+    Depth-first branch and bound over ``(uncovered, used)`` nodes on an
+    explicit stack, one tick per node.  A node branches on one uncovered
+    edge, trying each of its allowed vertices; children are pushed in
+    reverse so they are entered in that order, and the bound ``cap`` (one
+    below the best cover found so far) is read when a node is entered.
+    With room for two or more vertices, a node is pruned when ``used`` plus
+    the disjoint-edge bound of :func:`_cover_lb` exceeds ``cap``.  With room
+    for one, the node makes no children: a single vertex v closes the cover
+    iff it hits every uncovered edge, so it lies in the branching edge and
+    ``uncovered & ~incidence[v]`` is 0.  On a maximal triangle-free host
+    any two closed neighborhoods meet (the diameter is at most 2), so
+    ``_cover_lb`` is always 1 there and that test is the whole last level.
+    """
     incidence, conflict = h.incidence, h.conflict
     opts = [e[bisect_left(e, lo):] for e in sorted_edges]
     # The branching edge is the first uncovered edge (by index) with at most
@@ -135,27 +149,36 @@ def _cover_branch(
         c = max(len(o), 1)
         by_count[c] = by_count.get(c, 0) | (1 << i)
     levels = [by_count[c] for c in sorted(by_count)]
-    best: list[int | None] = [None]
-    cap = [limit]
-
-    def rec(uncovered: int, used: int) -> None:
+    best: int | None = None
+    cap = limit
+    stack = [(uncovered0, 0)]
+    while stack:
+        uncovered, used = stack.pop()
         meter.tick("transversality")
         if not uncovered:
-            if best[0] is None or used < best[0]:
-                best[0] = used
-                cap[0] = used - 1
-            return
-        if used + _cover_lb(conflict, uncovered) > cap[0]:
-            return
+            if best is None or used < best:
+                best = used
+                cap = used - 1
+            continue
+        # an uncovered edge needs one more vertex, and disjoint ones one each
+        room = cap - used
+        if room < 1 or (room > 1 and used + _cover_lb(conflict, uncovered) > cap):
+            continue
         for level in levels:
             hit = uncovered & level
             if hit:
                 break
-        for v in opts[(hit & -hit).bit_length() - 1]:
-            rec(uncovered & ~incidence[v], used + 1)
-
-    rec(uncovered0, 0)
-    return best[0]
+        choices = opts[(hit & -hit).bit_length() - 1]
+        if room == 1:
+            for v in choices:
+                if not uncovered & ~incidence[v]:
+                    best = used + 1
+                    cap = used
+                    break
+            continue
+        for v in reversed(choices):
+            stack.append((uncovered & ~incidence[v], used + 1))
+    return best
 
 
 def transversality(
@@ -163,7 +186,10 @@ def transversality(
 ) -> tuple[int, frozenset[int]]:
     """Exact minimum transversal size with one witness set.
 
-    The witness is the lexicographically least among all minimum
+    The optimum comes from one branch and bound (:func:`_cover_branch`:
+    an explicit stack, so no recursion as deep as τ, and a last cover
+    level closed by one mask test per allowed vertex of the branching
+    edge).  The witness is the lexicographically least among all minimum
     transversals, fixed by computing the optimum size first and then
     growing the witness vertex by vertex, keeping v exactly when some
     minimum transversal extends {kept, v} using only larger vertices.

@@ -103,6 +103,17 @@ def brute_packing(h: Hypergraph) -> int:
     return 0
 
 
+def brute_transversal(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
+    """(minimum hitting-set size, lexicographically least minimum hitting
+    set) of a hypergraph with at least one edge."""
+    for k in range(0, h.n + 1):
+        for c in combinations(range(h.n), k):
+            cs = set(c)
+            if all(e & cs for e in h.edges):
+                return k, c
+    raise AssertionError("unreachable: the whole ground set hits every edge")
+
+
 def dsw_feasible(h: Hypergraph, chosen: tuple[int, ...]) -> bool:
     """A chosen edge family admits private pair witnesses iff every pair's
     candidate set (intersection minus all other chosen edges) is nonempty;

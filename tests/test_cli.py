@@ -158,6 +158,17 @@ def test_analyze_budget_exhaustion_exit_code(capsys, tmp_path):
     assert rep["budget_exceeded"]
 
 
+def test_analyze_long_cycle_reports_budget_not_recursion(capsys, tmp_path):
+    # τ(N[C1200]) = 400 puts the cover search at least 400 levels deep; it
+    # must run out of its node budget inside a partial report, not of stack
+    path = graph_file(tmp_path, "c1200.g6", gen_cycle(1200))
+    code, out, err = run(capsys, "analyze", path, "--budget-nodes", "20000")
+    assert code == 2, err
+    rep = json.loads(out)
+    assert rep["budget_exceeded"] == ["transversality", "max_dsw_size"]
+    assert rep["transversality"] is None and rep["packing_number"] == 400
+
+
 def test_analyze_sniffs_graph6_of_sixty_vertices(capsys, tmp_path):
     # the graph6 size byte of a 60-vertex graph is '{'
     path = graph_file(tmp_path, "star60.g6", star_graph(60))
@@ -315,8 +326,8 @@ def test_find_subdivision_c4_in_long_cycle(capsys, tmp_path):
 
 def test_find_subdivision_recursion_limit_exits_2(capsys, tmp_path, monkeypatch):
     # a search that outgrows the interpreter stack has proven nothing, so
-    # it must not exit 1; the transversal search (_cover_branch) is the
-    # only solver left that recurses to depth ~n
+    # it must not exit 1; every exact search runs on an explicit stack, and
+    # this mapping stays as the safety net for one that does not
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 

@@ -14,6 +14,7 @@ from oracles import (
     brute_first_dsw,
     brute_max_dsw,
     brute_packing,
+    brute_transversal,
     dsw_feasible,
 )
 from mtfsubdiv import (
@@ -147,6 +148,42 @@ def test_transversality_matches_domination_oracle():
         k, lex_witness = brute_domination(g)
         assert tau == k
         assert tuple(sorted(witness)) == lex_witness, "lex-least witness"
+
+
+def test_transversality_matches_brute_force_on_general_hypergraphs():
+    # general hypergraphs, unlike closed neighborhoods of MTF hosts, have
+    # disjoint edges, so the disjoint-edge bound prunes with room for two
+    # or more vertices; the lex-least witness is grown by searches that
+    # only use vertices above the last one kept
+    rng = random.Random(10)
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        edges = [
+            frozenset(rng.sample(range(n), rng.randrange(1, min(n, 4) + 1)))
+            for _ in range(rng.randrange(1, 11))
+        ]
+        h = Hypergraph(n, edges)
+        tau, witness = transversality(h)
+        assert (tau, tuple(sorted(witness))) == brute_transversal(h)
+
+
+def test_transversality_search_tree_is_pinned():
+    # 1,707 nodes decide N[synthetic d = 7]; a change in the branching order
+    # or in the pruning of the search, or a last cover level made of
+    # children again, moves this count
+    g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=7, padding=True))
+    h = neighborhood_hypergraph(g)
+    assert transversality(h, SearchBudget(max_nodes=1_707))[0] == 5
+    with pytest.raises(BudgetExceeded):
+        transversality(h, SearchBudget(max_nodes=1_706))
+
+
+def test_transversality_on_c1200_runs_on_an_explicit_stack():
+    # τ(N[C1200]) = 400 puts the cover search at least 400 levels deep; it
+    # must run into its node budget, not into the interpreter's recursion limit
+    h = neighborhood_hypergraph(gen_cycle(1200))
+    with pytest.raises(BudgetExceeded):
+        transversality(h, SearchBudget(max_nodes=20_000))
 
 
 def test_transversality_at_least_packing():
