@@ -206,13 +206,7 @@ def _cmd_pipeline(args) -> int:
 def _cmd_find_subdivision(args) -> int:
     host = _load_graph(args.hostfile, args.format)
     pattern = _load_graph(args.pattern, args.format)
-    try:
-        w = find_subdivision(
-            pattern, host, require_induced=args.induced, budget=_budget(args)
-        )
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    w = find_subdivision(pattern, host, require_induced=args.induced, budget=_budget(args))
     if w is None:
         print("not-found")
         return EXIT_NOT_FOUND
@@ -340,8 +334,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:
-        # every exact search runs on an explicit stack; should one still
-        # outgrow the interpreter stack, it has proven nothing: exit 2
+        # the solvers run on explicit stacks, but the subdivision search
+        # recurses to depth |V(pattern)| + |E(pattern)| and the DSW search
+        # to depth d; a search that outgrows the interpreter stack has
+        # proven nothing: exit 2
         print(
             "error: recursion limit exceeded; the input is too large for this search",
             file=sys.stderr,

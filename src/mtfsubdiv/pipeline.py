@@ -327,6 +327,7 @@ def _route(
     s_set = _stable_restriction(g, budget, stages, "x_restriction", "x", sorted(origins))
 
     # stage 5: keep only pairs inside S whose witness sees exactly the pair
+    # (all of them: a private witness lies in no other chosen neighbourhood, and S is stable)
     s_frozen = frozenset(s_set)
     surviving: dict[tuple[int, int], int] = {}
     candidates, kept, discarded = [], [], []

@@ -218,12 +218,16 @@ class _SubdivSearch:
     witness on the same host vertices, so the conditions never change
     whether a witness exists.
 
+    Pattern edges are routed along chordless host paths only, in both
+    modes: any witness can be shortened to one whose paths are chordless,
+    because a chord cuts a path to a sub-path with fewer interior vertices.
+
     Host state is kept as vertex bitmasks over the host's adjacency masks
-    ``host._bits``: ``branch_used`` holds the branch images, ``interiors``
-    the interiors of the paths routed so far, and ``owner[hv]`` the pattern
-    vertex placed on the host vertex hv (read only while hv is in
-    ``branch_used``).  Every vertex the loops handle comes from the host
-    itself, so no per-call vertex check is made.
+    ``host._bits``: ``branch_used`` holds the branch images, the routing
+    calls pass the interiors of the paths routed so far down as a mask, and
+    ``owner[hv]`` is the pattern vertex placed on the host vertex hv (read
+    only while hv is in ``branch_used``).  Every vertex the loops handle
+    comes from the host itself, so no per-call vertex check is made.
     """
 
     def __init__(self, pattern: Graph, host: Graph, induced: bool, meter: _Meter):
@@ -238,7 +242,6 @@ class _SubdivSearch:
         self.branch: dict[int, int] = {}
         self.owner = [0] * host.n
         self.branch_used = 0
-        self.interiors = 0
         self.paths: dict[tuple[int, int], tuple[int, ...]] = {}
         # pattern vertices in branching order: descending degree, ties by id
         self.porder = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
@@ -255,9 +258,14 @@ class _SubdivSearch:
     def _assign(self, i: int) -> SubdivisionWitness | None:
         if i == len(self.porder):
             edge_order = self._edge_order()
-            if edge_order is None:
+            if edge_order is None or not self._route(edge_order, 0, 0):
                 return None
-            return self._route(edge_order, 0)
+            witness = SubdivisionWitness(
+                self.p, self.h, dict(self.branch), dict(self.paths), self.induced
+            )
+            check = verify_witness(witness, self.induced)
+            assert check.ok, check.reason
+            return witness
         pv = self.porder[i]
         # the symmetry-breaking conditions: every vertex in below[pv] is
         # already placed, and pv's image must exceed each of theirs
@@ -306,75 +314,62 @@ class _SubdivSearch:
         order.sort()
         return [e for _, e in order]
 
-    def _route(self, edge_order: list[tuple[int, int]], k: int) -> SubdivisionWitness | None:
+    def _route(self, edge_order: list[tuple[int, int]], k: int, interiors: int) -> bool:
+        """Route edge_order[k:] into ``self.paths``.
+
+        ``interiors`` masks the interiors of the paths routed so far.  Every
+        edge is rewritten before the paths are read, so a failed try needs
+        no undo.
+        """
         if k == len(edge_order):
-            witness = SubdivisionWitness(
-                self.p, self.h, dict(self.branch), dict(self.paths), self.induced
-            )
-            check = verify_witness(witness, self.induced)
-            assert check.ok, check.reason
-            return witness
+            return True
         a, b = edge_order[k]
-        s, t = self.branch[a], self.branch[b]
-        interiors = self.interiors
-        for path in self._candidate_paths(s, t):
+        for path in self._candidate_paths(self.branch[a], self.branch[b], interiors):
             self.paths[(a, b)] = path
             inner = interiors
             for v in path[1:-1]:
                 inner |= 1 << v
-            self.interiors = inner
-            found = self._route(edge_order, k + 1)
-            if found is not None:
-                return found
-            # restored before the generator resumes: _paths_of_length
-            # relies on it
-            self.interiors = interiors
-            del self.paths[(a, b)]
-        return None
+            if self._route(edge_order, k + 1, inner):
+                return True
+        return False
 
-    def _candidate_paths(self, s: int, t: int):
-        """Yield candidate host paths from s to t, shortest first, then lex.
+    def _candidate_paths(self, s: int, t: int, interiors: int):
+        """Yield the chordless host paths from s to t, shortest first, then lex.
 
-        Interiors avoid all branch images and previously placed interiors.
-        In induced mode, host-adjacent endpoints force the direct edge, and
-        an interior may touch no used vertex besides its path neighbors.
+        Host-adjacent endpoints force the direct edge.  Interiors avoid all
+        branch images and the routed ``interiors``; in induced mode they are
+        also adjacent to none of those vertices but their path neighbours.
         """
-        if self.induced and self.bits[s] >> t & 1:
+        if self.bits[s] >> t & 1:
             yield (s, t)
             return
         n = self.h.n
-        blocked = (self.branch_used & ~((1 << s) | (1 << t))) | self.interiors
-        allowed = self.full & ~blocked
+        allowed = self.full & ~((self.branch_used & ~((1 << s) | (1 << t))) | interiors)
         dist = _bfs_dist(self.bits, n, t, allowed)
         if dist[s] == n:
             return
-        max_len = allowed.bit_count() - 1
-        for length in range(max(1, dist[s]), max_len + 1):
-            yield from self._paths_of_length(s, t, length, allowed, dist)
+        placed = (self.branch_used | interiors) & ~(1 << t) if self.induced else 0
+        for length in range(max(1, dist[s]), allowed.bit_count()):
+            yield from self._paths_of_length(s, t, length, allowed, dist, placed)
 
-    def _paths_of_length(self, s: int, t: int, length: int, allowed: int, dist: list[int]):
-        """Yield the host paths s → t of exactly ``length`` edges, in lex order.
+    def _paths_of_length(
+        self, s: int, t: int, length: int, allowed: int, dist: list[int], placed: int
+    ):
+        """Yield the chordless host paths s → t of exactly ``length`` edges, in lex order.
 
         Depth-first over an explicit stack of frames (vertex, remaining
-        length, candidate iterator, induced-mode blocker mask), so a long
-        path needs no Python recursion.  One tick per vertex entered, s
-        included.
+        length, candidate iterator, blocker mask), so a long path needs no
+        Python recursion.  One tick per vertex entered, s included.
 
-        In induced mode a prospective interior y may be adjacent, among
-        everything placed so far (branch images, interiors of routed paths,
-        the current partial path), only to its predecessor x; adjacency to
-        the target t is tolerated because the step below then forces
-        immediate closure at t.  The frame of x holds that blocker mask.
-        The branch images and routed interiors are read once here: between
-        two paths yielded by this generator ``_route`` may extend
-        ``self.interiors``, but it restores them before it resumes the
-        generator, so the snapshot stays exact.
+        A prospective interior y may be adjacent, among the current partial
+        path and the vertex mask ``placed``, only to its predecessor x;
+        adjacency to the target t is tolerated because the step below then
+        forces immediate closure at t.  The frame of x holds that blocker
+        mask.
         """
-        induced = self.induced
         bits = self.bits
         adj = self.adj
         tick = self.meter.tick
-        placed = (self.branch_used | self.interiors) & ~(1 << t)
         path = [s]
         on_path = 1 << s
         free = allowed & ~on_path  # allowed vertices not on the path
@@ -386,9 +381,7 @@ class _SubdivSearch:
                 if y == t:
                     if remaining != 1:
                         continue
-                elif not free >> y & 1 or dist[y] > remaining:
-                    continue
-                elif induced and bits[y] & blockers:
+                elif not free >> y & 1 or dist[y] > remaining or bits[y] & blockers:
                     continue
                 break
             else:
@@ -408,7 +401,7 @@ class _SubdivSearch:
             path.append(y)
             on_path |= 1 << y
             free ^= 1 << y
-            if induced and bits[y] >> t & 1:
+            if bits[y] >> t & 1:
                 # an interior adjacent to the target must close the path
                 # now, else the edge y-t would survive as a chord
                 nxt = [t] if remaining == 2 else []
@@ -428,11 +421,11 @@ def find_subdivision(
     Branch images are chosen in a deterministic order respecting degree
     feasibility, one branch map per orbit of the pattern's automorphism
     group (symmetry-breaking conditions on the images, Grochow & Kellis
-    2007); pattern edges are then routed as internally disjoint paths,
-    tried shortest first, with full backtracking.  In induced mode
-    chord-creating choices are pruned as soon as they arise.  Returns the
-    first witness in search order (always verified before returning), or
-    None once the search space is exhausted.
+    2007); pattern edges are then routed as internally disjoint chordless
+    paths, tried shortest first, with full backtracking.  In induced mode
+    chords to other used vertices are pruned as soon as they arise.
+    Returns the first witness in search order (always verified before
+    returning), or None once the search space is exhausted.
     """
     if pattern.n > host.n:
         return None

@@ -326,8 +326,8 @@ def test_find_subdivision_c4_in_long_cycle(capsys, tmp_path):
 
 def test_find_subdivision_recursion_limit_exits_2(capsys, tmp_path, monkeypatch):
     # a search that outgrows the interpreter stack has proven nothing, so
-    # it must not exit 1; every exact search runs on an explicit stack, and
-    # this mapping stays as the safety net for one that does not
+    # it must not exit 1; the subdivision search still recurses over the
+    # pattern's vertices and edges, and the DSW search over d
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 

@@ -399,6 +399,19 @@ def test_pipeline_on_random_mtf_hosts_always_reaches_a_verdict():
             assert rep.witness.host is g
 
 
+def test_pipeline_never_discards_a_pair_or_stalls_in_lifting():
+    # a private witness lies in no other chosen neighbourhood and S is
+    # stable, so stage 5 keeps every pair and the lifting preconditions hold
+    hosts = [gen_synthetic_dsw(SyntheticDswSpec(d, padding=True))[0] for d in (5, 6, 7)]
+    hosts += [gen_random_mtf(8 + seed, seed) for seed in range(12)]
+    for g in hosts:
+        for f in (complete_graph(3), gen_cycle(4), complete_graph(4)):
+            rep = run_pipeline(g, f)
+            if rep.stages["uniqueness"] is not None:
+                assert rep.stages["uniqueness"]["discarded_pairs"] == []
+            assert not (rep.stall_reason or "").startswith("lifting-precondition")
+
+
 # -- pipeline: stall records --------------------------------------------
 
 # On N[synthetic d = 5] with K3 every route stage succeeds; each case below

@@ -20,6 +20,7 @@ from mtfsubdiv import (
     gen_cycle,
     gen_mycielski,
     gen_petersen,
+    gen_random_mtf,
     gen_synthetic_dsw,
     lift_to_induced_subdivision,
     verify_witness,
@@ -422,7 +423,7 @@ def test_find_c5_in_k66_search_tree_is_pinned():
 
 
 def test_find_plain_k4_in_petersen_search_tree_is_pinned():
-    w = _pinned_search(complete_graph(4), gen_petersen(), False, 41)
+    w = _pinned_search(complete_graph(4), gen_petersen(), False, 35)
     assert w.branch_map == {0: 0, 1: 1, 2: 2, 3: 3}
     assert w.paths == {
         (0, 1): (0, 1),
@@ -432,6 +433,16 @@ def test_find_plain_k4_in_petersen_search_tree_is_pinned():
         (0, 2): (0, 5, 7, 2),
         (1, 3): (1, 6, 8, 3),
     }
+
+
+def test_find_plain_k33_in_random_mtf_routes_chordless_paths_only():
+    # only chordless paths are routed, so this plain search stays far under
+    # its budget; routing every path, chords included, takes 6.4M nodes
+    host = gen_random_mtf(15, 650)
+    budget = SearchBudget(max_nodes=200_000)
+    w = find_subdivision(complete_bipartite(3, 3), host, require_induced=False, budget=budget)
+    assert w is not None
+    assert verify_witness(w, require_induced=False)
 
 
 def test_find_induced_k4_in_groetzsch_search_tree_is_pinned():
