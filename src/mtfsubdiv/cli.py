@@ -120,27 +120,31 @@ def _cmd_gen(args) -> int:
                 f"family {fam!r} takes {k} positional parameter(s), got {len(params)}"
             )
 
+    def ints(k: int) -> list[int]:
+        want(k)
+        try:
+            return [int(p) for p in params]
+        except ValueError:
+            raise BadParameter(
+                f"family {fam!r} takes integer parameters, got {' '.join(params)}"
+            ) from None
+
     if fam == "cycle":
-        want(1)
-        g = gen_cycle(int(params[0]))
+        g = gen_cycle(*ints(1))
     elif fam == "petersen":
         want(0)
         g = gen_petersen()
     elif fam == "kneser":
-        want(2)
-        g = gen_kneser(int(params[0]), int(params[1]))
+        g = gen_kneser(*ints(2))
     elif fam == "mycielski":
         want(1)
         g = gen_mycielski(_load_graph(params[0], args.format))
     elif fam == "random-mtf":
-        want(1)
-        g = gen_random_mtf(int(params[0]), args.seed)
+        g = gen_random_mtf(*ints(1), args.seed)
     else:
-        want(1)
+        (d,) = ints(1)
         pairs = _parse_pairs(args.pairs) if args.pairs else None
-        spec = SyntheticDswSpec(
-            d=int(params[0]), pattern_edges=pairs, padding=args.padded
-        )
+        spec = SyntheticDswSpec(d=d, pattern_edges=pairs, padding=args.padded)
         g, _, _ = gen_synthetic_dsw(spec)
     print(to_graph6(g))
     return EXIT_OK

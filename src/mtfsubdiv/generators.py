@@ -10,8 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import BadParameter
+from .formats import MAX_VERTICES
 from .graphs import Graph, is_maximal_triangle_free
 
 __all__ = [
@@ -25,10 +27,17 @@ __all__ = [
 ]
 
 
+def _check_vertex_count(n: int, what: str) -> None:
+    # generators take the parsers' limit, checked before anything is built
+    if n > MAX_VERTICES:
+        raise BadParameter(f"{what} would have {n} vertices, above the limit of {MAX_VERTICES}")
+
+
 def gen_cycle(n: int) -> Graph:
-    """Cycle C_n for n ≥ 3."""
+    """Cycle C_n for 3 ≤ n ≤ ``MAX_VERTICES``."""
     if not isinstance(n, int) or n < 3:
         raise BadParameter(f"cycle needs n >= 3, got {n!r}")
+    _check_vertex_count(n, f"cycle C{n}")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -46,13 +55,13 @@ def gen_kneser(n: int, k: int) -> Graph:
     """Kneser graph: vertices are the k-subsets of [n], edges join disjoint sets.
 
     Vertices are indexed by the lexicographic order of the subsets; each
-    vertex is labeled with its subset for report readability.
+    vertex is labeled with its subset for report readability.  C(n, k) may
+    not exceed ``MAX_VERTICES``.
     """
     if not (isinstance(n, int) and isinstance(k, int)) or k < 1 or n < 2 * k:
         raise BadParameter(f"kneser needs 1 <= k and n >= 2k, got n={n!r}, k={k!r}")
+    _check_vertex_count(comb(n, k), f"kneser({n},{k})")
     subsets = list(combinations(range(n), k))
-    if len(subsets) > 100_000:
-        raise BadParameter(f"kneser({n},{k}) would have {len(subsets)} vertices")
     edges = [
         (i, j)
         for i, j in combinations(range(len(subsets)), 2)
@@ -131,6 +140,11 @@ class SyntheticDswSpec:
     def normalized_pairs(self) -> list[tuple[int, int]]:
         if not isinstance(self.d, int) or self.d < 2:
             raise BadParameter(f"synthetic spec needs d >= 2, got {self.d!r}")
+        # d x-vertices, a witness per pair, and with padding a w_i per x_i
+        # and at most one hub
+        n_pairs = comb(self.d, 2) if self.pattern_edges is None else len(self.pattern_edges)
+        n_padding = self.d + 1 if self.padding else 0
+        _check_vertex_count(self.d + n_pairs + n_padding, f"synthetic-dsw with d={self.d}")
         if self.pattern_edges is None:
             return list(combinations(range(self.d), 2))
         pairs = set()

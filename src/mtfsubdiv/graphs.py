@@ -67,9 +67,6 @@ class Graph:
         """Number of edges."""
         return self._m
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as sorted (u, v) pairs with u < v."""
         return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]

@@ -115,24 +115,23 @@ def _cover_lb(conflict: Sequence[int], uncovered: int) -> int:
     return count
 
 
-def _cover_branch(
+def _covers(
     h: Hypergraph,
     sorted_edges: list[tuple[int, ...]],
-    uncovered0: int,
+    uncovered: int,
     lo: int,
-    limit: int,
+    k: int,
     meter: _Meter,
-) -> int | None:
-    """Smallest cover size ≤ limit using only vertices ≥ lo, else None.
+) -> bool:
+    """Whether at most k vertices ≥ lo cover the edges of ``uncovered``.
 
-    Depth-first branch and bound over ``(uncovered, used)`` nodes on an
-    explicit stack, one tick per node.  A node branches on one uncovered
-    edge, trying each of its allowed vertices; children are pushed in
-    reverse so they are entered in that order, and the bound ``cap`` (one
-    below the best cover found so far) is read when a node is entered.
+    Depth-first search over ``(uncovered, used)`` nodes on an explicit
+    stack, one tick per node, returning at the first cover found.  A node
+    branches on one uncovered edge, trying each of its allowed vertices;
+    children are pushed in reverse so they are entered in that order.
     With room for two or more vertices, a node is pruned when ``used`` plus
-    the disjoint-edge bound of :func:`_cover_lb` exceeds ``cap``.  With room
-    for one, the node makes no children: a single vertex v closes the cover
+    the disjoint-edge bound of :func:`_cover_lb` exceeds k.  With room for
+    one, the node makes no children: a single vertex v closes the cover
     iff it hits every uncovered edge, so it lies in the branching edge and
     ``uncovered & ~incidence[v]`` is 0.  On a maximal triangle-free host
     any two closed neighborhoods meet (the diameter is at most 2), so
@@ -149,20 +148,15 @@ def _cover_branch(
         c = max(len(o), 1)
         by_count[c] = by_count.get(c, 0) | (1 << i)
     levels = [by_count[c] for c in sorted(by_count)]
-    best: int | None = None
-    cap = limit
-    stack = [(uncovered0, 0)]
+    stack = [(uncovered, 0)]
     while stack:
         uncovered, used = stack.pop()
         meter.tick("transversality")
         if not uncovered:
-            if best is None or used < best:
-                best = used
-                cap = used - 1
-            continue
+            return True
         # an uncovered edge needs one more vertex, and disjoint ones one each
-        room = cap - used
-        if room < 1 or (room > 1 and used + _cover_lb(conflict, uncovered) > cap):
+        room = k - used
+        if room < 1 or (room > 1 and used + _cover_lb(conflict, uncovered) > k):
             continue
         for level in levels:
             hit = uncovered & level
@@ -172,13 +166,11 @@ def _cover_branch(
         if room == 1:
             for v in choices:
                 if not uncovered & ~incidence[v]:
-                    best = used + 1
-                    cap = used
-                    break
+                    return True
             continue
         for v in reversed(choices):
             stack.append((uncovered & ~incidence[v], used + 1))
-    return best
+    return False
 
 
 def transversality(
@@ -186,13 +178,14 @@ def transversality(
 ) -> tuple[int, frozenset[int]]:
     """Exact minimum transversal size with one witness set.
 
-    The optimum comes from one branch and bound (:func:`_cover_branch`:
-    an explicit stack, so no recursion as deep as τ, and a last cover
-    level closed by one mask test per allowed vertex of the branching
-    edge).  The witness is the lexicographically least among all minimum
-    transversals, fixed by computing the optimum size first and then
-    growing the witness vertex by vertex, keeping v exactly when some
-    minimum transversal extends {kept, v} using only larger vertices.
+    Both the optimum and the witness come from one cover test
+    (:func:`_covers`: an explicit stack, so no recursion as deep as τ, and
+    a last cover level closed by one mask test per allowed vertex of the
+    branching edge).  τ is the least k, from the disjoint-edge bound
+    upward, for which k vertices cover every edge.  The witness is the
+    lexicographically least among all minimum transversals, grown vertex
+    by vertex: v is kept exactly when the edges that the kept vertices and
+    v leave uncovered can be covered by τ - |kept| - 1 vertices above v.
     """
     m = len(h.edges)
     if m == 0:
@@ -201,8 +194,9 @@ def transversality(
     all_edges = (1 << m) - 1
     incidence = h.incidence
     sorted_edges = [tuple(sorted(e)) for e in h.edges]
-    tau = _cover_branch(h, sorted_edges, all_edges, 0, h.n, meter)
-    assert tau is not None
+    tau = _cover_lb(h.conflict, all_edges)
+    while not _covers(h, sorted_edges, all_edges, 0, tau, meter):
+        tau += 1
     chosen: list[int] = []
     uncovered = all_edges
     for v in range(h.n):
@@ -211,16 +205,10 @@ def transversality(
         if not (incidence[v] & uncovered):
             # v hits nothing new; no minimum transversal keeps it
             continue
-        need = tau - len(chosen) - 1
-        rest_uncovered = uncovered & ~incidence[v]
-        if not rest_uncovered:
-            fits = need >= 0
-        else:
-            span = _cover_branch(h, sorted_edges, rest_uncovered, v + 1, need, meter)
-            fits = span is not None and span <= need
-        if fits:
+        rest = uncovered & ~incidence[v]
+        if _covers(h, sorted_edges, rest, v + 1, tau - len(chosen) - 1, meter):
             chosen.append(v)
-            uncovered = rest_uncovered
+            uncovered = rest
     assert len(chosen) == tau and not uncovered
     return tau, frozenset(chosen)
 

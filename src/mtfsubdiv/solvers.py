@@ -32,12 +32,10 @@ def _greedy_clique_size(g: Graph) -> int:
     best = 0
     order = sorted(range(g.n), key=lambda v: (-len(g._adj[v]), v))
     for start in order[: min(g.n, 16)]:
-        clique_mask = 1 << start
         size = 1
         cand = g._bits[start]
         while cand:
             v = (cand & -cand).bit_length() - 1
-            clique_mask |= 1 << v
             size += 1
             cand &= g._bits[v]
         best = max(best, size)
@@ -96,19 +94,6 @@ class _Saturation:
             rank[w] -= 1
 
 
-def _dsatur_upper_bound(g: Graph, order: list[int]) -> int:
-    """Colors used by one DSATUR greedy pass (no backtracking)."""
-    sat = _Saturation(g, order)
-    used = 0
-    for _ in range(g.n):
-        v = sat.pick()
-        f = sat.forbidden[v]
-        c = (~f & (f + 1)).bit_length() - 1  # least color not forbidden
-        sat.assign(v, c)
-        used = max(used, c + 1)
-    return used
-
-
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
     """Exact chromatic number by DSATUR-style branch-and-bound.
 
@@ -121,7 +106,10 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
     depth is not bounded by Python's recursion limit.  Each stack frame
     fixes its color limit min(used + 1, best - 1) when it is entered;
     together with the branching order this fixes the search tree, and so
-    the node count.  Raises BudgetExceeded when the search budget runs out.
+    the node count.  No coloring bounds the first descent, so its leaf is
+    the greedy DSATUR coloring, and the search stops there when that
+    matches the greedy clique bound.  Raises BudgetExceeded when the search
+    budget runs out.
     """
     n = g.n
     if n == 0:
@@ -129,10 +117,7 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
     meter = meter_for(budget)
     order = sorted(range(n), key=lambda v: (-len(g._adj[v]), v))
     lower = max(1, _greedy_clique_size(g))
-    best = _dsatur_upper_bound(g, order)
-    if best <= lower:
-        return best
-
+    best = n + 1
     sat = _Saturation(g, order)
     forbidden = sat.forbidden
     # frame: [vertex, next color to try, colors used on entry, color limit,

@@ -417,6 +417,12 @@ def test_usage_errors_exit_3(capsys):
     assert run(capsys, "analyze")[0] == 3
     assert run(capsys, "find-subdivision", "x.g6")[0] == 3
     assert run(capsys, "gen", "cycle", "5", "--no-such-flag")[0] == 3
+    assert run(capsys, "gen", "cycle", "abc")[0] == 3
+    assert run(capsys, "gen", "kneser", "5", "x")[0] == 3
+    assert run(capsys, "gen", "random-mtf", "1e3")[0] == 3
+    assert run(capsys, "gen", "synthetic-dsw", "two")[0] == 3
+    assert run(capsys, "gen", "kneser", "40", "20")[0] == 3
+    assert run(capsys, "gen", "cycle", "99999999999")[0] == 3
 
 
 def test_missing_file_exits_3(capsys):

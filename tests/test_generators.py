@@ -22,6 +22,7 @@ from mtfsubdiv import (
     is_triangle_free,
     neighborhood_hypergraph,
 )
+from mtfsubdiv.formats import MAX_VERTICES
 
 
 def test_cycle():
@@ -30,6 +31,20 @@ def test_cycle():
     assert g.degrees() == [2] * 5
     with pytest.raises(BadParameter):
         gen_cycle(2)
+
+
+def test_oversized_generators_are_rejected_before_building():
+    # each count is computed arithmetically; building any of these graphs
+    # would take far more memory than the test machine has
+    for build in (
+        lambda: gen_cycle(MAX_VERTICES + 1),
+        lambda: gen_cycle(10**11),
+        lambda: gen_kneser(40, 20),
+        lambda: gen_synthetic_dsw(SyntheticDswSpec(d=1000)),
+        lambda: gen_synthetic_dsw(SyntheticDswSpec(d=10**9, pattern_edges=frozenset({(0, 1)}))),
+    ):
+        with pytest.raises(BadParameter, match="above the limit"):
+            build()
 
 
 def test_petersen_shape():

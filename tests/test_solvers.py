@@ -51,13 +51,22 @@ def test_chromatic_matches_oracle():
 
 
 def test_chromatic_search_tree_is_pinned():
-    # 884 nodes is the exact size of the DSATUR search tree on
-    # Mycielski(Grötzsch) (n = 23, χ = 5); a changed branching order or
-    # color limit changes it
+    # 913 nodes is the exact size of the DSATUR search tree on
+    # Mycielski(Grötzsch) (n = 23, χ = 5), its greedy first descent
+    # included; a changed branching order or color limit changes it
     g = gen_mycielski(gen_mycielski(gen_cycle(5)))
-    assert chromatic_number(g, SearchBudget(max_nodes=884)) == 5
+    assert chromatic_number(g, SearchBudget(max_nodes=913)) == 5
     with pytest.raises(BudgetExceeded):
-        chromatic_number(g, SearchBudget(max_nodes=883))
+        chromatic_number(g, SearchBudget(max_nodes=912))
+
+
+def test_chromatic_greedy_descent_is_metered():
+    # the greedy DSATUR coloring of C100 already meets the clique bound of
+    # 2, but finding it is the search's first descent of 101 nodes, which
+    # the budget counts
+    with pytest.raises(BudgetExceeded):
+        chromatic_number(gen_cycle(100), SearchBudget(max_nodes=50))
+    assert chromatic_number(gen_cycle(100), SearchBudget(max_nodes=101)) == 2
 
 
 def test_chromatic_long_odd_cycle():
