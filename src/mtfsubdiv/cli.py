@@ -338,10 +338,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:
-        # the solvers run on explicit stacks, but the subdivision search
-        # recurses to depth |V(pattern)| + |E(pattern)| and the DSW search
-        # to depth d; a search that outgrows the interpreter stack has
-        # proven nothing: exit 2
+        # the solvers and the subdivision search run on explicit stacks;
+        # only the DSW search still recurses, to depth d.  A search that
+        # outgrows the interpreter stack has proven nothing: exit 2
         print(
             "error: recursion limit exceeded; the input is too large for this search",
             file=sys.stderr,

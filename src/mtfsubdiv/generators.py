@@ -17,6 +17,7 @@ from .formats import MAX_VERTICES
 from .graphs import Graph, is_maximal_triangle_free
 
 __all__ = [
+    "MAX_KNESER_EDGES",
     "SyntheticDswSpec",
     "gen_cycle",
     "gen_petersen",
@@ -25,6 +26,12 @@ __all__ = [
     "gen_random_mtf",
     "gen_synthetic_dsw",
 ]
+
+
+# the edge limit of gen_kneser, checked before building: Kneser(24, 3)
+# (2,024 vertices, 1,345,960 edges) fits, Kneser(60, 3) (~5·10^8 edges)
+# does not
+MAX_KNESER_EDGES = 2_000_000
 
 
 def _check_vertex_count(n: int, what: str) -> None:
@@ -56,16 +63,25 @@ def gen_kneser(n: int, k: int) -> Graph:
 
     Vertices are indexed by the lexicographic order of the subsets; each
     vertex is labeled with its subset for report readability.  C(n, k) may
-    not exceed ``MAX_VERTICES``.
+    not exceed ``MAX_VERTICES``, nor the edge count C(n, k)·C(n-k, k)/2
+    ``MAX_KNESER_EDGES``; both are computed before anything is built.
+    Disjointness is tested on subset bitmasks.
     """
     if not (isinstance(n, int) and isinstance(k, int)) or k < 1 or n < 2 * k:
         raise BadParameter(f"kneser needs 1 <= k and n >= 2k, got n={n!r}, k={k!r}")
     _check_vertex_count(comb(n, k), f"kneser({n},{k})")
+    n_edges = comb(n, k) * comb(n - k, k) // 2
+    if n_edges > MAX_KNESER_EDGES:
+        raise BadParameter(
+            f"kneser({n},{k}) would have {n_edges} edges, above the limit of {MAX_KNESER_EDGES}"
+        )
     subsets = list(combinations(range(n), k))
+    masks = [sum(1 << x for x in s) for s in subsets]
     edges = [
         (i, j)
-        for i, j in combinations(range(len(subsets)), 2)
-        if not set(subsets[i]) & set(subsets[j])
+        for i, mi in enumerate(masks)
+        for j in range(i + 1, len(masks))
+        if not mi & masks[j]
     ]
     labels = ["{" + ",".join(map(str, s)) + "}" for s in subsets]
     return Graph(len(subsets), edges, labels)

@@ -12,12 +12,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, EmptyGraph, OutOfRange
 from .graphs import Graph
 from .solvers import _mis_search
+
+# symmetry is imported where it is used: without a bytecode cache, its
+# compilation would lengthen the start-up of every command, and a command
+# that runs no search never needs it
+if TYPE_CHECKING:
+    from . import symmetry
 
 __all__ = [
     "Hypergraph",
@@ -338,7 +344,11 @@ def _still_open(
 
 
 def _find_dsw(
-    masks: Sequence[int], incidence: Sequence[int], d: int, meter: _Meter
+    masks: Sequence[int],
+    incidence: Sequence[int],
+    d: int,
+    meter: _Meter,
+    lex: symmetry.LexLeader | None,
 ) -> DswStructure | None:
     """First d-edge structure in lexicographic order of edge indices, or None.
 
@@ -360,7 +370,20 @@ def _find_dsw(
     and |s \\ e_j| >= k - 1 for every solo mask s (:func:`_still_open`);
     at the root, where nothing is chosen, every edge needs |e_j| >= d - 1.
     Survivors that fail are dropped without further ticks.
+
+    Symmetry: with two or more edges still needed, a candidate c is tried
+    only if it is the least edge of its orbit under the pointwise
+    stabiliser of the chosen edges in the hypergraph's automorphism group
+    (``lex``; without it the search raises ``_StartOver`` once the meter
+    reaches ``symmetry.START_AFTER`` nodes).  Say σ fixes the chosen edges
+    and σ(c) < c.  Then σ maps every structure that extends chosen + [c]
+    to a structure whose sorted index tuple is lexicographically smaller,
+    so the first structure in lexicographic order, which is the least of
+    its orbit, is never cut.  The last edge needs no test: the first
+    survivor completes that first structure.
     """
+    from .symmetry import START_AFTER
+
     m = len(masks)
     if d > m:
         return None
@@ -370,10 +393,18 @@ def _find_dsw(
         cands: int, solo: list[int], pools: list[int], union: int
     ) -> DswStructure | None:
         need = d - len(chosen)
+        if lex is None:
+            if meter.nodes >= START_AFTER:
+                raise _StartOver
+            least = None
+        else:
+            least = lex.least(tuple(chosen)) if need > 1 else None
         while cands.bit_count() >= need:
             low = cands & -cands
             cands ^= low
             c = low.bit_length() - 1
+            if least is not None and least[c] != c:
+                continue
             mc = masks[c]
             keep = ~mc
             if need == 1:
@@ -428,6 +459,46 @@ def _find_dsw(
     return extend(roomy, [], [], 0)
 
 
+class _StartOver(Exception):
+    """A DSW search without symmetry has run long enough to start over with it."""
+
+
+class _DswSearch:
+    """The searches of one user-facing call, under one meter.
+
+    Each runs without symmetry until the meter reaches
+    ``symmetry.START_AFTER`` nodes; the call then finds the hypergraph's
+    automorphism group (that of its two-coloured incidence graph, so N[G]
+    and any other hypergraph take the same path) and starts that search
+    over with lex-leader pruning, which every later search keeps.  The
+    nodes already spent stay counted.  Starting over, rather than pruning
+    from the middle of the search, keeps the chosen edges on the chain's
+    base: the stabiliser of a prefix off the base needs a new chain.
+    """
+
+    def __init__(self, h: Hypergraph, meter: _Meter):
+        self.h = h
+        self.meter = meter
+        self.lex: symmetry.LexLeader | None = None
+
+    def find(self, d: int) -> DswStructure | None:
+        h, meter = self.h, self.meter
+        while True:
+            try:
+                found = _find_dsw(h.masks, h.incidence, d, meter, self.lex)
+                break
+            except _StartOver:
+                from . import symmetry
+
+                label = "find_dsw_structure"
+                group = symmetry.hypergraph_automorphisms(h.n, h.edges, meter, label)
+                self.lex = symmetry.LexLeader(group, meter, label)
+        if found is not None:
+            problems = dsw_structure_violations(h, found)
+            assert not problems, problems
+        return found
+
+
 def find_dsw_structure(
     h: Hypergraph, d: int, budget: SearchBudget | None = None
 ) -> DswStructure | None:
@@ -442,18 +513,23 @@ def find_dsw_structure(
     edges still needed, an edge can complete the choice only if it has
     k - 1 vertices outside every chosen edge and every chosen edge keeps
     k - 1 private vertices outside it (the pair witnesses are distinct).
-    The per-pair witness is the smallest eligible vertex id.  Returns the
-    first structure in that order, or None; the result is re-checked by
-    :func:`dsw_structure_violations` before being returned.
+    The per-pair witness is the smallest eligible vertex id.
+
+    Symmetry: a search that runs past ``symmetry.START_AFTER`` nodes starts
+    over with the automorphism group of the hypergraph's incidence graph
+    and tries an edge only if it is the least of its orbit under the
+    stabiliser of the edges chosen before it (lex-leader pruning).  This
+    is exact and changes no answer: an automorphism maps structures to
+    structures, so the first structure in lexicographic order, being the
+    least of its orbit, passes every test, and the same structure, with
+    the same witnesses, is returned.
+
+    Returns the first structure in that order, or None; the result is
+    re-checked by :func:`dsw_structure_violations` before being returned.
     """
     if not isinstance(d, int) or d < 2:
         raise OutOfRange(f"structure search needs d >= 2, got {d!r}")
-    meter = meter_for(budget)
-    found = _find_dsw(h.masks, h.incidence, d, meter)
-    if found is not None:
-        problems = dsw_structure_violations(h, found)
-        assert not problems, problems
-    return found
+    return _DswSearch(h, meter_for(budget)).find(d)
 
 
 def max_dsw_structure(
@@ -465,21 +541,22 @@ def max_dsw_structure(
     privacy constraints), so d is searched upward from 2 under one meter
     and the first d without a structure ends the search.  The result is
     the structure :func:`find_dsw_structure` returns at d*: the first in
-    lexicographic order, with the same witness-capacity pruning.  A
-    single-edge choice is vacuously valid, so when no two edges form a
-    structure the result is edge 0 alone.
+    lexicographic order, with the same witness-capacity and lex-leader
+    pruning, which is exact for the same reason.  The group is found at
+    most once per call, and the searches for later d reuse it and the
+    stabilisers already computed.  A single-edge choice is vacuously
+    valid, so when no two edges form a structure the result is edge 0
+    alone.
     """
     m = len(h.edges)
     if m == 0:
         return None
-    meter = meter_for(budget)
     best = DswStructure(edge_indices=(0,), witnesses={})
+    search = _DswSearch(h, meter_for(budget))
     for d in range(2, m + 1):
-        found = _find_dsw(h.masks, h.incidence, d, meter)
+        found = search.find(d)
         if found is None:
             break
-        problems = dsw_structure_violations(h, found)
-        assert not problems, problems
         best = found
     return best
 

@@ -11,11 +11,17 @@ subdivided pattern exactly, with no chords.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, InconsistentWitnesses, OutOfRange, PreconditionViolated
 from .graphs import Graph
+
+# symmetry is imported where it is used: without a bytecode cache, its
+# compilation would lengthen the start-up of every command, and a command
+# that runs no search never needs it
+if TYPE_CHECKING:
+    from . import symmetry
 
 __all__ = [
     "SubdivisionWitness",
@@ -151,72 +157,57 @@ def _bfs_dist(bits: tuple[int, ...], n: int, target: int, allowed: int) -> list[
     return dist
 
 
-def _automorphism_sends(
-    pattern: Graph, fixed: list[int], free: list[int], w: int, meter: _Meter
-) -> bool:
-    """Does some automorphism of ``pattern`` fix ``fixed`` pointwise and send free[0] to w?
-
-    ``free`` lists the other vertices.  The search backtracks over their
-    images in that order, accepting an image only if it is unused, has the
-    same degree and agrees on adjacency with every vertex mapped so far; it
-    stops at the first full map.  Each unused image tested ticks ``meter``,
-    so the group is never listed and no work escapes the budget.
-    """
-    same_degree = {
-        u: [x for x in free if pattern.degree(x) == pattern.degree(u)] for u in free
-    }
-    image = {x: x for x in fixed}
-    taken = set(fixed)
-    stack = [iter([w])]
-    while stack:
-        u = free[len(stack) - 1]
-        if u in image:  # back from the level below: undo this level's image
-            taken.remove(image.pop(u))
-        for x in stack[-1]:
-            if x in taken:
-                continue
-            meter.tick("find_subdivision")
-            if all(pattern.has_edge(u, y) == pattern.has_edge(x, iy) for y, iy in image.items()):
-                image[u] = x
-                taken.add(x)
-                break
-        else:
-            stack.pop()
-            continue
-        if len(stack) == len(free):
-            return True
-        stack.append(iter(same_degree[free[len(stack)]]))
-    return False
-
-
-def _symmetry_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> list[tuple[int, ...]]:
+def _pattern_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> list[tuple[int, ...]]:
     """Grochow–Kellis symmetry-breaking conditions on branch images.
 
     For the k-th vertex v of ``porder`` and every other vertex w in the
     orbit of v under the automorphisms fixing ``porder[:k]`` pointwise, a
     branch map phi must satisfy phi(v) < phi(w).  Such a w comes later in
-    ``porder``.  Returns ``below`` with ``below[w]`` the vertices whose
-    images must be smaller than w's image.  Of each orbit of injective
-    maps under Aut(pattern), exactly one map meets every condition.
+    ``porder``.  These orbits are the basic orbits of Aut(pattern) along the
+    base ``porder``: the pattern is relabelled so that ``porder`` is its
+    vertex order, and the individualisation–refinement search, whose first
+    path takes the least non-singleton vertex at every level, returns its
+    stabiliser chain along that base (a vertex it skips is fixed, so its
+    orbit is itself).  Returns ``below`` with ``below[w]`` the vertices
+    whose images must be smaller than w's image.  Of each orbit of
+    injective maps under Aut(pattern), exactly one map meets every
+    condition.
     """
+    from . import symmetry
+
+    rank = {v: i for i, v in enumerate(porder)}
+    adj = [[rank[u] for u in pattern._adj[v]] for v in porder]
+    group = symmetry.graph_automorphisms(adj, meter, "find_subdivision")
     below: list[list[int]] = [[] for _ in range(pattern.n)]
-    for k, v in enumerate(porder):
-        for w in porder[k + 1 :]:
-            if pattern.degree(w) == pattern.degree(v) and _automorphism_sends(
-                pattern, porder[:k], porder[k:], w, meter
-            ):
-                below[w].append(v)
+    for level in group.levels:
+        for w in level.orbit:
+            if w != level.base:
+                below[porder[w]].append(porder[level.base])
     return [tuple(b) for b in below]
 
 
 class _SubdivSearch:
     """Backtracking state for one find_subdivision call.
 
-    Branch maps are tried one per orbit of Aut(pattern): the images must
-    meet the symmetry-breaking conditions of :func:`_symmetry_conditions`.
-    Relabelling a witness's paths by a pattern automorphism gives another
-    witness on the same host vertices, so the conditions never change
-    whether a witness exists.
+    Branch maps are tuples of host vertices, the images of the pattern
+    vertices in ``porder``, tried in lexicographic order.  Two filters cut
+    them, one per symmetry group:
+
+    - pattern side: the images must meet the symmetry-breaking conditions
+      of :func:`_pattern_conditions`, so one map per orbit of Aut(pattern)
+      is tried;
+    - host side: the image c at position k must be the least vertex of its
+      orbit under the pointwise stabiliser, in Aut(host), of the first k
+      images (lex-leader pruning), once the call has counted
+      ``symmetry.START_AFTER`` nodes.
+
+    Say a witness exists.  Its branch maps form an orbit under
+    Aut(host) × Aut(pattern), acting by phi ↦ σ∘phi∘π⁻¹, and every map in
+    it is a witness's: relabelling a witness by σ and π gives another.
+    The least tuple of that orbit passes both filters, since a failed
+    condition names a σ or a π that makes it smaller.  It is also the
+    least tuple that meets the pattern conditions alone, so the search
+    returns the same branch map as without the host filter.
 
     Pattern edges are routed along chordless host paths only, in both
     modes: any witness can be shortened to one whose paths are chordless,
@@ -224,10 +215,12 @@ class _SubdivSearch:
 
     Host state is kept as vertex bitmasks over the host's adjacency masks
     ``host._bits``: ``branch_used`` holds the branch images, the routing
-    calls pass the interiors of the paths routed so far down as a mask, and
+    passes the interiors of the paths routed so far down as a mask, and
     ``owner[hv]`` is the pattern vertex placed on the host vertex hv (read
     only while hv is in ``branch_used``).  Every vertex the loops handle
     comes from the host itself, so no per-call vertex check is made.
+    Assignment and routing both run on explicit stacks, so a pattern of
+    any size needs no deep recursion.
     """
 
     def __init__(self, pattern: Graph, host: Graph, induced: bool, meter: _Meter):
@@ -245,46 +238,97 @@ class _SubdivSearch:
         self.paths: dict[tuple[int, int], tuple[int, ...]] = {}
         # pattern vertices in branching order: descending degree, ties by id
         self.porder = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
-        self.below = _symmetry_conditions(pattern, self.porder, meter)
+        self.below = _pattern_conditions(pattern, self.porder, meter)
         self.pdeg = pattern.degrees()
         self.hdeg = host.degrees()
         self.adj = [sorted(nbrs) for nbrs in host._adj]
 
     def run(self) -> SubdivisionWitness | None:
-        return self._assign(0)
+        for _ in self._branch_maps():
+            edge_order = self._edge_order()
+            if edge_order is not None and self._route(edge_order):
+                witness = SubdivisionWitness(
+                    self.p, self.h, dict(self.branch), dict(self.paths), self.induced
+                )
+                check = verify_witness(witness, self.induced)
+                assert check.ok, check.reason
+                return witness
+        return None
 
     # branch-vertex assignment ------------------------------------------
 
-    def _assign(self, i: int) -> SubdivisionWitness | None:
-        if i == len(self.porder):
-            edge_order = self._edge_order()
-            if edge_order is None or not self._route(edge_order, 0, 0):
-                return None
-            witness = SubdivisionWitness(
-                self.p, self.h, dict(self.branch), dict(self.paths), self.induced
-            )
-            check = verify_witness(witness, self.induced)
-            assert check.ok, check.reason
-            return witness
-        pv = self.porder[i]
-        # the symmetry-breaking conditions: every vertex in below[pv] is
-        # already placed, and pv's image must exceed each of theirs
-        start = max((self.branch[u] + 1 for u in self.below[pv]), default=0)
-        for hv in range(start, self.h.n):
+    def _branch_maps(self):
+        """Set ``self.branch`` to each branch map in search order, yielding after each.
+
+        An explicit stack of levels: ``image[i]`` is the host vertex placed
+        at level i (-1 for none) and ``groups[i]`` the pointwise stabiliser
+        in Aut(host) of the images above level i, None once it is trivial.
+        The search runs without the group until the call has counted
+        ``symmetry.START_AFTER`` nodes.  The group is then found with the
+        current path as its chain's base, which makes the stabilisers along
+        the path free, and every level prunes from then on.
+        """
+        from . import symmetry
+
+        porder, n = self.porder, self.h.n
+        size = len(porder)
+        if size == 0:
+            yield
+            return
+        meter, label = self.meter, "find_subdivision"
+        armed = True
+        groups: list[symmetry.Group | None] = [None] * size
+        image = [-1] * size
+        nxt = [0] * size
+        nxt[0] = self._first_image(porder[0])
+        i = 0
+        while i >= 0:
+            if armed and meter.nodes >= symmetry.START_AFTER:
+                armed = False
+                group = symmetry.graph_automorphisms(self.h._adj, meter, label, image[:i])
+                groups[0] = symmetry.nontrivial(group)
+                for j in range(i):
+                    groups[j + 1] = symmetry.stabiliser(groups[j], image[j], meter, label)
+            pv = porder[i]
+            if image[i] >= 0:
+                # back at this level: lift its image
+                del self.branch[pv]
+                self.branch_used ^= 1 << image[i]
+                image[i] = -1
+            hv = self._next_image(pv, nxt[i], groups[i], n)
+            if hv < 0:
+                i -= 1
+                continue
+            nxt[i] = hv + 1
+            image[i] = hv
+            self.branch[pv] = hv
+            self.owner[hv] = pv
+            self.branch_used |= 1 << hv
+            if i + 1 == size:
+                yield
+                continue
+            groups[i + 1] = symmetry.stabiliser(groups[i], hv, meter, label)
+            i += 1
+            nxt[i] = self._first_image(porder[i])
+
+    def _first_image(self, pv: int) -> int:
+        # the pattern conditions: every vertex in below[pv] is already
+        # placed, and pv's image must exceed each of theirs
+        return max((self.branch[u] + 1 for u in self.below[pv]), default=0)
+
+    def _next_image(self, pv: int, lo: int, group: symmetry.Group | None, n: int) -> int:
+        """The first host vertex from ``lo`` up that pv may take, or -1."""
+        least = None if group is None else group.least()
+        for hv in range(lo, n):
             if self.branch_used >> hv & 1 or self.hdeg[hv] < self.pdeg[pv]:
+                continue
+            if least is not None and least[hv] != hv:
                 continue
             self.meter.tick("find_subdivision")
             if self.induced and not self._branch_compatible(pv, hv):
                 continue
-            self.branch[pv] = hv
-            self.owner[hv] = pv
-            self.branch_used |= 1 << hv
-            found = self._assign(i + 1)
-            if found is not None:
-                return found
-            del self.branch[pv]
-            self.branch_used ^= 1 << hv
-        return None
+            return hv
+        return -1
 
     def _branch_compatible(self, pv: int, hv: int) -> bool:
         # two branch images may be host-adjacent only along a pattern edge,
@@ -314,23 +358,36 @@ class _SubdivSearch:
         order.sort()
         return [e for _, e in order]
 
-    def _route(self, edge_order: list[tuple[int, int]], k: int, interiors: int) -> bool:
-        """Route edge_order[k:] into ``self.paths``.
+    def _route(self, edge_order: list[tuple[int, int]]) -> bool:
+        """Route every edge of ``edge_order`` into ``self.paths``.
 
-        ``interiors`` masks the interiors of the paths routed so far.  Every
-        edge is rewritten before the paths are read, so a failed try needs
-        no undo.
+        Depth-first over an explicit stack with one candidate-path iterator
+        per routed edge; ``interiors[k]`` masks the interiors of the paths
+        of the first k edges.  Every edge is rewritten before the paths are
+        read, so a failed try needs no undo.
         """
-        if k == len(edge_order):
+        if not edge_order:
             return True
-        a, b = edge_order[k]
-        for path in self._candidate_paths(self.branch[a], self.branch[b], interiors):
-            self.paths[(a, b)] = path
-            inner = interiors
+        branch = self.branch
+        a, b = edge_order[0]
+        iters = [self._candidate_paths(branch[a], branch[b], 0)]
+        interiors = [0]
+        while iters:
+            path = next(iters[-1], None)
+            if path is None:
+                iters.pop()
+                interiors.pop()
+                continue
+            k = len(iters) - 1
+            self.paths[edge_order[k]] = path
+            if k + 1 == len(edge_order):
+                return True
+            inner = interiors[k]
             for v in path[1:-1]:
                 inner |= 1 << v
-            if self._route(edge_order, k + 1, inner):
-                return True
+            a, b = edge_order[k + 1]
+            iters.append(self._candidate_paths(branch[a], branch[b], inner))
+            interiors.append(inner)
         return False
 
     def _candidate_paths(self, s: int, t: int, interiors: int):
@@ -418,14 +475,28 @@ def find_subdivision(
 ) -> SubdivisionWitness | None:
     """Exact search for a (possibly induced) subdivision of pattern in host.
 
-    Branch images are chosen in a deterministic order respecting degree
-    feasibility, one branch map per orbit of the pattern's automorphism
-    group (symmetry-breaking conditions on the images, Grochow & Kellis
-    2007); pattern edges are then routed as internally disjoint chordless
-    paths, tried shortest first, with full backtracking.  In induced mode
-    chords to other used vertices are pruned as soon as they arise.
-    Returns the first witness in search order (always verified before
-    returning), or None once the search space is exhausted.
+    Branch maps, the tuples of images of the pattern vertices in a fixed
+    order, are tried in lexicographic order, subject to degree feasibility
+    and two symmetry filters: one map per orbit of the pattern's
+    automorphism group (symmetry-breaking conditions on the images,
+    Grochow & Kellis 2007), and, on searches that run past
+    ``symmetry.START_AFTER`` nodes, lex-leader pruning under the host's
+    automorphism group (an image must be the least vertex of its orbit
+    under the stabiliser of the images before it).  Pattern edges are then
+    routed as internally disjoint chordless paths, tried shortest first,
+    with full backtracking.  In induced mode chords to other used vertices
+    are pruned as soon as they arise.
+
+    Exactness: automorphisms of host and pattern map witnesses to
+    witnesses, and the least branch map of such an orbit passes both
+    filters, so found/not-found is that of the unfiltered search.  That
+    least map is also the first map meeting the pattern conditions, so
+    the host filter does not change which witness is returned.  The
+    witness is still only "the first in search order": any change to that
+    order or to the pattern conditions may return a different one, and
+    callers should rely on its verification, not on which witness it is.
+    Returns the first witness (always verified before returning), or None
+    once the search space is exhausted.
     """
     if pattern.n > host.n:
         return None

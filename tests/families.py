@@ -25,6 +25,14 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
+def clebsch_graph() -> Graph:
+    # the folded 5-cube: strongly regular (16, 5, 0, 2), triangle-free
+    return Graph(
+        16,
+        [(u, v) for u in range(16) for v in range(u) if bin(u ^ v).count("1") in (1, 4)],
+    )
+
+
 def paw_graph() -> Graph:
     # triangle with a pendant vertex
     return Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])

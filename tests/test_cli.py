@@ -61,6 +61,13 @@ def test_gen_petersen_and_kneser(capsys):
     assert g.n == 10 and g.m == 15 and g.degrees() == [3] * 10
 
 
+def test_gen_kneser_above_the_edge_limit_is_a_usage_error(capsys):
+    # 34,220 vertices pass the vertex limit; ~5·10^8 edges do not
+    code, out, err = run(capsys, "gen", "kneser", "60", "3")
+    assert code == 3 and out == ""
+    assert "above the limit" in err
+
+
 def test_gen_random_mtf_is_seeded(capsys):
     code, out1, _ = run(capsys, "gen", "random-mtf", "12", "--seed", "3")
     assert code == 0
@@ -165,8 +172,11 @@ def test_analyze_long_cycle_reports_budget_not_recursion(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", path, "--budget-nodes", "20000")
     assert code == 2, err
     rep = json.loads(out)
-    assert rep["budget_exceeded"] == ["transversality", "max_dsw_size"]
+    assert rep["budget_exceeded"] == ["transversality"]
     assert rep["transversality"] is None and rep["packing_number"] == 400
+    # the rotations and reflections of C1200 leave the DSW search one edge
+    # to try first, so its proof that no three edges form a structure fits
+    assert rep["max_dsw_size"] == 2
 
 
 def test_analyze_sniffs_graph6_of_sixty_vertices(capsys, tmp_path):

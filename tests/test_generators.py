@@ -3,6 +3,10 @@ synthetic disjointly-witnessed hosts."""
 
 from __future__ import annotations
 
+import time
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from oracles import bfs_girth, is_isomorphic_small
@@ -23,6 +27,7 @@ from mtfsubdiv import (
     neighborhood_hypergraph,
 )
 from mtfsubdiv.formats import MAX_VERTICES
+from mtfsubdiv.generators import MAX_KNESER_EDGES
 
 
 def test_cycle():
@@ -67,6 +72,28 @@ def test_kneser_matching():
     assert g.degrees() == [1] * 6
     with pytest.raises(BadParameter):
         gen_kneser(3, 2)  # needs n >= 2k
+
+
+def test_kneser_edge_list_is_unchanged_on_small_cases():
+    # the edges come in the order of the former set-based pair test
+    for n, k in ((5, 2), (6, 2), (7, 3), (8, 3), (9, 4), (6, 1)):
+        subsets = list(combinations(range(n), k))
+        expected = [
+            (i, j)
+            for i, j in combinations(range(len(subsets)), 2)
+            if not set(subsets[i]) & set(subsets[j])
+        ]
+        g = gen_kneser(n, k)
+        assert g.edges() == expected
+        assert g.m == comb(n, k) * comb(n - k, k) // 2
+
+
+def test_kneser_edge_limit_is_checked_before_building():
+    assert gen_kneser(24, 3).m == 1_345_960 <= MAX_KNESER_EDGES
+    start = time.perf_counter()
+    with pytest.raises(BadParameter, match="edges, above the limit"):
+        gen_kneser(60, 3)  # 34,220 vertices, within the vertex limit
+    assert time.perf_counter() - start < 0.1
 
 
 def test_mycielski_of_k2_is_c5():

@@ -351,13 +351,24 @@ def test_max_dsw_random_mtf_35_within_budget():
 
 
 def test_max_dsw_search_tree_is_pinned():
-    # 18,906 extension tests decide N[synthetic d = 7]; a change in the
-    # order or in the pruning of the search moves this count
+    # 2,565 extension tests and symmetry nodes decide N[synthetic d = 7]
+    # (18,906 without the host's symmetry); a change in the order or in the
+    # pruning of the search moves this count
     g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=7, padding=True))
     h = neighborhood_hypergraph(g)
-    assert max_dsw_size(h, SearchBudget(max_nodes=18_906)) == 7
+    assert max_dsw_size(h, SearchBudget(max_nodes=2_565)) == 7
     with pytest.raises(BudgetExceeded):
-        max_dsw_size(h, SearchBudget(max_nodes=18_905))
+        max_dsw_size(h, SearchBudget(max_nodes=2_564))
+
+
+def test_max_dsw_synthetic_d9_search_tree_is_pinned():
+    # without the host's symmetry this took 203,801 nodes, 99 % of them the
+    # proof that no ten edges form a structure; S_9 permutes the x_i
+    g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=9, padding=True))
+    h = neighborhood_hypergraph(g)
+    assert max_dsw_size(h, SearchBudget(max_nodes=3_114)) == 9
+    with pytest.raises(BudgetExceeded):
+        max_dsw_size(h, SearchBudget(max_nodes=3_113))
 
 
 def test_max_dsw_decides_former_frontier():

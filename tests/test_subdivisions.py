@@ -1,6 +1,7 @@
 """Subdivision witnesses, exact search, derived graph, and lifting."""
 
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -29,6 +30,7 @@ from mtfsubdiv.budget import meter_for
 from mtfsubdiv.subdivisions import _SubdivSearch
 
 from families import (
+    clebsch_graph,
     complete_bipartite,
     complete_graph,
     path_graph,
@@ -340,14 +342,6 @@ def test_find_agrees_with_brute_force_on_small_hosts():
                     assert verify_witness(w, require_induced=induced)
 
 
-def clebsch_graph() -> Graph:
-    # the folded 5-cube: strongly regular (16, 5, 0, 2), triangle-free
-    return Graph(
-        16,
-        [(u, v) for u in range(16) for v in range(u) if bin(u ^ v).count("1") in (1, 4)],
-    )
-
-
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     edges = set(g.edges())
     return [
@@ -385,8 +379,8 @@ def test_symmetry_conditions_keep_one_map_per_orbit():
 
 
 def test_symmetry_conditions_on_large_symmetric_patterns():
-    # |Aut| is 10! and 9!; the conditions come from one small automorphism
-    # search per vertex pair, never from listing the group
+    # |Aut| is 10! and 9!; the conditions come from the stabiliser chain of
+    # one individualisation-refinement search, never from listing the group
     meter = meter_for(None)
     below = _SubdivSearch(Graph(10), Graph(10), False, meter).below
     assert below == [tuple(range(w)) for w in range(10)]
@@ -395,9 +389,62 @@ def test_symmetry_conditions_on_large_symmetric_patterns():
     assert meter.nodes < 1_000
 
 
+def test_symmetry_conditions_equal_their_definition():
+    # below[w] holds v = porder[k] exactly when an automorphism fixing
+    # porder[:k] pointwise sends v to w, as the former per-pair automorphism
+    # search decided; checked against the whole group on the patterns of the
+    # tests above and a few more
+    patterns = [
+        complete_graph(3),
+        complete_graph(4),
+        gen_cycle(4),
+        gen_cycle(5),
+        path_graph(4),
+        star_graph(4),
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(3),
+        paw_graph(),
+        complete_bipartite(3, 3),
+        gen_cycle(6),
+        path_graph(5),
+        complete_bipartite(2, 3),
+        Graph(8, [(u, u ^ 1 << i) for u in range(8) for i in range(3) if u < u ^ 1 << i]),
+        Graph(5, [(0, 1), (2, 3)]),
+    ]
+    for pattern in patterns:
+        search = _SubdivSearch(pattern, pattern, False, meter_for(None))
+        auts = brute_automorphisms(pattern)
+        porder = search.porder
+        expected: list[list[int]] = [[] for _ in range(pattern.n)]
+        for k, v in enumerate(porder):
+            fixing = [a for a in auts if all(a[u] == u for u in porder[:k])]
+            for w in porder[k + 1 :]:
+                if any(a[v] == w for a in fixing):
+                    expected[w].append(v)
+        assert search.below == [tuple(b) for b in expected], pattern.edges()
+
+
+def test_find_long_cycle_runs_on_explicit_stacks():
+    # 600 branch levels and 600 routed edges: the assignment and the routing
+    # would both recurse far past the interpreter's limit
+    host = gen_cycle(1500)
+    w = find_subdivision(gen_cycle(600), host, require_induced=True)
+    assert w is not None and verify_witness(w, require_induced=True)
+
+
+def test_find_c100_in_c200_pattern_side_is_cheap():
+    # the pattern conditions used to cost one automorphism search per pair of
+    # pattern vertices, 333,300 nodes and 21 s for C100
+    start = time.perf_counter()
+    w = find_subdivision(gen_cycle(100), gen_cycle(200), require_induced=True)
+    assert time.perf_counter() - start < 1.0
+    assert w is not None and verify_witness(w, require_induced=True)
+
+
 def test_find_k4_in_k55_search_tree_is_pinned():
+    # 2,000 nodes without the host's symmetry, then 69 with it
     pattern, host = complete_graph(4), complete_bipartite(5, 5)
-    nodes = 5_265
+    nodes = 2_069
     assert find_subdivision(
         pattern, host, require_induced=True, budget=SearchBudget(max_nodes=nodes)
     ) is None
@@ -419,11 +466,11 @@ def _pinned_search(pattern, host, induced, nodes):
 
 
 def test_find_c5_in_k66_search_tree_is_pinned():
-    assert _pinned_search(gen_cycle(5), complete_bipartite(6, 6), True, 3_360) is None
+    assert _pinned_search(gen_cycle(5), complete_bipartite(6, 6), True, 2_077) is None
 
 
 def test_find_plain_k4_in_petersen_search_tree_is_pinned():
-    w = _pinned_search(complete_graph(4), gen_petersen(), False, 35)
+    w = _pinned_search(complete_graph(4), gen_petersen(), False, 25)
     assert w.branch_map == {0: 0, 1: 1, 2: 2, 3: 3}
     assert w.paths == {
         (0, 1): (0, 1),
@@ -446,7 +493,7 @@ def test_find_plain_k33_in_random_mtf_routes_chordless_paths_only():
 
 
 def test_find_induced_k4_in_groetzsch_search_tree_is_pinned():
-    w = _pinned_search(complete_graph(4), gen_mycielski(gen_cycle(5)), True, 33)
+    w = _pinned_search(complete_graph(4), gen_mycielski(gen_cycle(5)), True, 23)
     assert w.branch_map == {0: 0, 1: 1, 2: 2, 3: 3}
     assert w.paths == {
         (0, 1): (0, 1),
@@ -456,6 +503,12 @@ def test_find_induced_k4_in_groetzsch_search_tree_is_pinned():
         (0, 3): (0, 4, 3),
         (1, 3): (1, 7, 3),
     }
+
+
+def test_find_c9_in_clebsch_search_tree_is_pinned():
+    # the proof of absence took 200,194 nodes before Aut(Clebsch), of order
+    # 1,920, pruned the host side
+    assert _pinned_search(gen_cycle(9), clebsch_graph(), True, 2_571) is None
 
 
 def test_clebsch_has_no_induced_nine_cycle():
