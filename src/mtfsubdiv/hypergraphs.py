@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, EmptyGraph, OutOfRange
@@ -348,7 +348,7 @@ def _find_dsw(
     incidence: Sequence[int],
     d: int,
     meter: _Meter,
-    lex: symmetry.LexLeader | None,
+    orbits: Callable[[list[int]], list[int] | None],
 ) -> DswStructure | None:
     """First d-edge structure in lexicographic order of edge indices, or None.
 
@@ -373,17 +373,14 @@ def _find_dsw(
 
     Symmetry: with two or more edges still needed, a candidate c is tried
     only if it is the least edge of its orbit under the pointwise
-    stabiliser of the chosen edges in the hypergraph's automorphism group
-    (``lex``; without it the search raises ``_StartOver`` once the meter
-    reaches ``symmetry.START_AFTER`` nodes).  Say σ fixes the chosen edges
-    and σ(c) < c.  Then σ maps every structure that extends chosen + [c]
+    stabiliser of the chosen edges in the hypergraph's automorphism group:
+    ``orbits(chosen)`` gives per edge the least edge of its orbit, or None
+    to try every candidate.  Say σ fixes the chosen edges and σ(c) < c.  Then σ maps every structure that extends chosen + [c]
     to a structure whose sorted index tuple is lexicographically smaller,
     so the first structure in lexicographic order, which is the least of
     its orbit, is never cut.  The last edge needs no test: the first
     survivor completes that first structure.
     """
-    from .symmetry import START_AFTER
-
     m = len(masks)
     if d > m:
         return None
@@ -393,12 +390,7 @@ def _find_dsw(
         cands: int, solo: list[int], pools: list[int], union: int
     ) -> DswStructure | None:
         need = d - len(chosen)
-        if lex is None:
-            if meter.nodes >= START_AFTER:
-                raise _StartOver
-            least = None
-        else:
-            least = lex.least(tuple(chosen)) if need > 1 else None
+        least = orbits(chosen) if need > 1 else None
         while cands.bit_count() >= need:
             low = cands & -cands
             cands ^= low
@@ -467,32 +459,48 @@ class _DswSearch:
     """The searches of one user-facing call, under one meter.
 
     Each runs without symmetry until the meter reaches
-    ``symmetry.START_AFTER`` nodes; the call then finds the hypergraph's
+    ``symmetry.START_AFTER`` nodes.  The call then finds the hypergraph's
     automorphism group (that of its two-coloured incidence graph, so N[G]
-    and any other hypergraph take the same path) and starts that search
-    over with lex-leader pruning, which every later search keeps.  The
-    nodes already spent stay counted.  Starting over, rather than pruning
-    from the middle of the search, keeps the chosen edges on the chain's
-    base: the stabiliser of a prefix off the base needs a new chain.
+    and any other hypergraph take the same path).  A trivial group changes
+    nothing and the search goes on; otherwise the search starts over with
+    lex-leader pruning, which every later search keeps, and the nodes
+    already spent stay counted.  Starting over, rather than pruning from
+    the middle of the search, keeps the chosen edges on the chain's base:
+    the stabiliser of a prefix off the base needs a new chain.
     """
 
     def __init__(self, h: Hypergraph, meter: _Meter):
+        from .symmetry import START_AFTER
+
         self.h = h
         self.meter = meter
+        self.start_after = START_AFTER
         self.lex: symmetry.LexLeader | None = None
+        self.asymmetric = False
+
+    def orbits(self, chosen: list[int]) -> list[int] | None:
+        if self.lex is not None:
+            return self.lex.least(tuple(chosen))
+        if self.asymmetric or self.meter.nodes < self.start_after:
+            return None
+        from . import symmetry
+
+        label = "find_dsw_structure"
+        group = symmetry.hypergraph_automorphisms(self.h.n, self.h.edges, self.meter, label)
+        if group.order == 1:
+            self.asymmetric = True
+            return None
+        self.lex = symmetry.LexLeader(group, self.meter, label)
+        raise _StartOver
 
     def find(self, d: int) -> DswStructure | None:
-        h, meter = self.h, self.meter
+        h = self.h
         while True:
             try:
-                found = _find_dsw(h.masks, h.incidence, d, meter, self.lex)
+                found = _find_dsw(h.masks, h.incidence, d, self.meter, self.orbits)
                 break
             except _StartOver:
-                from . import symmetry
-
-                label = "find_dsw_structure"
-                group = symmetry.hypergraph_automorphisms(h.n, h.edges, meter, label)
-                self.lex = symmetry.LexLeader(group, meter, label)
+                continue
         if found is not None:
             problems = dsw_structure_violations(h, found)
             assert not problems, problems
@@ -515,10 +523,11 @@ def find_dsw_structure(
     k - 1 private vertices outside it (the pair witnesses are distinct).
     The per-pair witness is the smallest eligible vertex id.
 
-    Symmetry: a search that runs past ``symmetry.START_AFTER`` nodes starts
-    over with the automorphism group of the hypergraph's incidence graph
-    and tries an edge only if it is the least of its orbit under the
-    stabiliser of the edges chosen before it (lex-leader pruning).  This
+    Symmetry: a search that runs past ``symmetry.START_AFTER`` nodes finds
+    the automorphism group of the hypergraph's incidence graph and, unless
+    it is trivial, starts over with it, trying an edge only if it is the
+    least of its orbit under the stabiliser of the edges chosen before it
+    (lex-leader pruning).  This
     is exact and changes no answer: an automorphism maps structures to
     structures, so the first structure in lexicographic order, being the
     least of its orbit, passes every test, and the same structure, with
