@@ -375,11 +375,12 @@ def _find_dsw(
     only if it is the least edge of its orbit under the pointwise
     stabiliser of the chosen edges in the hypergraph's automorphism group:
     ``orbits(chosen)`` gives per edge the least edge of its orbit, or None
-    to try every candidate.  Say σ fixes the chosen edges and σ(c) < c.  Then σ maps every structure that extends chosen + [c]
-    to a structure whose sorted index tuple is lexicographically smaller,
-    so the first structure in lexicographic order, which is the least of
-    its orbit, is never cut.  The last edge needs no test: the first
-    survivor completes that first structure.
+    to try every candidate.  Say σ fixes the chosen edges and σ(c) < c.
+    Then σ maps every structure that extends chosen + [c] to a structure
+    whose sorted index tuple is lexicographically smaller, so the first
+    structure in lexicographic order, which is the least of its orbit, is
+    never cut.  The last edge needs no test: the first survivor completes
+    that first structure.
     """
     m = len(masks)
     if d > m:
@@ -495,12 +496,11 @@ class _DswSearch:
 
     def find(self, d: int) -> DswStructure | None:
         h = self.h
-        while True:
-            try:
-                found = _find_dsw(h.masks, h.incidence, d, self.meter, self.orbits)
-                break
-            except _StartOver:
-                continue
+        try:
+            found = _find_dsw(h.masks, h.incidence, d, self.meter, self.orbits)
+        except _StartOver:
+            # the group is in hand: search again, pruned from the root
+            found = _find_dsw(h.masks, h.incidence, d, self.meter, self.orbits)
         if found is not None:
             problems = dsw_structure_violations(h, found)
             assert not problems, problems
@@ -527,11 +527,10 @@ def find_dsw_structure(
     the automorphism group of the hypergraph's incidence graph and, unless
     it is trivial, starts over with it, trying an edge only if it is the
     least of its orbit under the stabiliser of the edges chosen before it
-    (lex-leader pruning).  This
-    is exact and changes no answer: an automorphism maps structures to
-    structures, so the first structure in lexicographic order, being the
-    least of its orbit, passes every test, and the same structure, with
-    the same witnesses, is returned.
+    (lex-leader pruning).  This is exact and changes no answer: an
+    automorphism maps structures to structures, so the first structure in
+    lexicographic order, being the least of its orbit, passes every test,
+    and the same structure, with the same witnesses, is returned.
 
     Returns the first structure in that order, or None; the result is
     re-checked by :func:`dsw_structure_violations` before being returned.

@@ -118,7 +118,11 @@ class _Partition:
         size[cell] = len(lab) - cell
 
     def refine(
-        self, adj: Sequence[Sequence[int]], queue: list[int], k: int, expect: list[tuple] | None = None
+        self,
+        adj: Sequence[Sequence[int]],
+        queue: list[int],
+        k: int,
+        expect: list[tuple] | None = None,
     ) -> tuple[list[tuple] | None, int]:
         """Refine until equitable; new cells begin at level k.
 
@@ -417,7 +421,9 @@ class Group:
 # -- individualisation–refinement ----------------------------------------
 
 
-def _is_automorphism(adj: Sequence[Sequence[int]], adjsets: Sequence[Iterable[int]], g: list[int]) -> bool:
+def _is_automorphism(
+    adj: Sequence[Sequence[int]], adjsets: Sequence[Iterable[int]], g: list[int]
+) -> bool:
     for u, nbrs in enumerate(adj):
         image = adjsets[g[u]]
         for x in nbrs:

@@ -47,7 +47,8 @@ def _canonical(size: int, edges: set[tuple[int, int]]) -> tuple:
     for u, v in edges:
         degree[u] += 1
         degree[v] += 1
-    classes = [[v for v in range(size) if degree[v] == d] for d in sorted(set(degree), reverse=True)]
+    degrees = sorted(set(degree), reverse=True)
+    classes = [[v for v in range(size) if degree[v] == d] for d in degrees]
     best = None
     for orders in product(*(permutations(c) for c in classes)):
         new = {v: i for i, v in enumerate(v for order in orders for v in order)}
