@@ -16,6 +16,7 @@ from math import factorial
 
 import pytest
 
+import mtfsubdiv
 from mtfsubdiv import (
     Graph,
     Hypergraph,
@@ -33,7 +34,6 @@ from mtfsubdiv import (
     neighborhood_hypergraph,
     verify_witness,
 )
-import mtfsubdiv
 from mtfsubdiv import symmetry
 from mtfsubdiv.budget import meter_for
 from families import clebsch_graph, complete_bipartite, complete_graph
@@ -162,8 +162,8 @@ def test_stabiliser_orbits_match_networkx(name, g, prefixes):
 
 
 def test_discrete_refinement_means_the_trivial_group():
-    # the unit partition of this random host refines to singletons: one
-    # refinement, no search tree
+    # the unit partition of this asymmetric graph refines to singletons:
+    # one refinement, no search tree
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (5, 6), (3, 5)])
     meter = meter_for(None)
     group = symmetry.graph_automorphisms(g._adj, meter, "test")
