@@ -33,11 +33,13 @@ DEFAULT_BUDGET = SearchBudget()
 
 
 class _Meter:
-    """Mutable node/time counter shared by the recursions of one search.
+    """Mutable node/time counter of one user-facing search call.
 
-    A single meter may span several internal searches (for example the
-    upward search over d in ``max_dsw_structure``) so that the budget covers the
-    whole user-facing call.
+    Each search ticks it once per node, whether it runs on an explicit
+    stack (all of them but ``_find_dsw``'s ``extend``) or recurses.  A
+    single meter may span several internal searches (for example the
+    upward search over d in ``max_dsw_structure``) so that the budget
+    covers the whole user-facing call.
     """
 
     __slots__ = ("budget", "nodes", "_t0", "_next_time_check")

@@ -1,6 +1,7 @@
 """Budgeted exact solvers: chromatic number, clique number, independent sets.
 
-Chromatic number is a DSATUR branch-and-bound; clique number and maximum
+Chromatic number and an optimal coloring come from one DSATUR
+branch-and-bound on bitmask state; clique number and maximum
 independent set share one independent-set search, the clique number
 running it on the complement.  Both searches are complete, with
 deterministic branching orders, so repeated runs on the same input produce
@@ -17,6 +18,7 @@ from .errors import NotTriangleFree
 from .graphs import Graph, find_triangle
 
 __all__ = [
+    "chromatic_coloring",
     "chromatic_number",
     "clique_number",
     "max_independent_set",
@@ -42,56 +44,112 @@ def _greedy_clique_size(g: Graph) -> int:
     return best
 
 
-class _Saturation:
-    """DSATUR state, updated in O(deg v) when a vertex v is colored or uncolored.
+def _dsatur(g: Graph, meter: _Meter) -> list[int]:
+    """Optimal coloring by DSATUR branch-and-bound; color of each vertex.
 
-    Vertices are relabelled by their position in a branching order sorted by
-    (-degree, id).  ``forbidden[i]`` has bit c set while some colored
-    neighbour of i has color c, and ``rank[i]`` is i's saturation (the
-    number of those bits) minus n while i itself is colored, so uncolored
-    ranks are the only non-negative ones.  Colorings are undone in reverse
-    order, so ``unassign`` only has to clear the bits that ``assign`` set.
+    Vertices are relabelled by their position in a branching order sorted
+    by (-degree, id), and the state is bitmasks over those positions.
+    ``forbid[c]`` is the mask of vertices with a neighbour colored c.  The
+    saturations of the uncolored vertices are bit-sliced counters:
+    ``slices[k]`` holds bit k of every count, and coloring v with c adds
+    one to each vertex of ``nb[v] & ~forbid[c] & uncolored`` by a ripple
+    carry over the slices.  A saturation is at most ``used``, so the pick
+    narrows the uncolored mask through the slices from bit
+    ``used.bit_length() - 1`` down to the vertices of largest saturation,
+    and takes the first of them in the order.  Each frame saves the
+    ``forbid[c]`` and the slice list its color replaced, and undo puts
+    them back.
     """
+    n = g.n
+    order = sorted(range(n), key=lambda v: (-len(g._adj[v]), v))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    nb = [sum(1 << pos[w] for w in g._adj[v]) for v in order]
+    lower = max(1, _greedy_clique_size(g))
+    best = n + 1
+    coloring: list[int] = []
+    forbid = [0] * n
+    slices = [0] * n.bit_length()
+    uncolored = (1 << n) - 1
+    downs = [range(u.bit_length() - 1, -1, -1) for u in range(n + 1)]
+    # frame: [vertex, next color to try, colors used on entry, color limit,
+    # forbid[c] and slices before the vertex's current color c, or None
+    # while it is uncolored]; the vertices of all frames on the stack are
+    # colored while a child runs
+    stack: list[list] = []
+    used = 0  # colors used by the partial coloring of the node being entered
+    while True:
+        meter.tick("chromatic_number")
+        if used < best:
+            if not uncolored:
+                best = used
+                coloring = [0] * n
+                for frame in stack:
+                    coloring[order[frame[0]]] = frame[1] - 1
+                if best <= lower:
+                    return coloring
+            else:
+                top = uncolored
+                for k in downs[used]:
+                    tied = top & slices[k]
+                    if tied:
+                        top = tied
+                v = (top & -top).bit_length() - 1
+                stack.append([v, 0, used, min(used + 1, best - 1), None, None])
+        # move to the next child of the deepest frame that has one left
+        while stack:
+            frame = stack[-1]
+            v, c, used, limit, saved, saved_slices = frame
+            bit = 1 << v
+            if saved is not None:
+                forbid[c - 1] = saved
+                slices = saved_slices
+                uncolored |= bit
+            # trying one fresh color (c == used) breaks color-class symmetry
+            while c < limit and forbid[c] & bit:
+                c += 1
+            if c < limit:
+                frame[1] = c + 1
+                frame[5] = slices
+                saved = frame[4] = forbid[c]
+                uncolored ^= bit
+                add = nb[v] & ~saved & uncolored
+                forbid[c] = saved | nb[v]
+                if add:
+                    slices = slices[:]
+                    k = 0
+                    while add:
+                        carry = slices[k] & add
+                        slices[k] ^= add
+                        add = carry
+                        k += 1
+                if c == used:
+                    used += 1
+                break
+            stack.pop()
+        else:
+            return coloring
 
-    __slots__ = ("adj", "n", "forbidden", "rank")
 
-    def __init__(self, g: Graph, order: list[int]):
-        pos = [0] * g.n
-        for i, v in enumerate(order):
-            pos[v] = i
-        self.adj = [tuple(pos[w] for w in g._adj[v]) for v in order]
-        self.n = g.n
-        self.forbidden = [0] * g.n
-        self.rank = [0] * g.n
+def chromatic_coloring(g: Graph, budget: SearchBudget | None = None) -> list[int]:
+    """An optimal proper coloring: the color of each vertex, colors 0..χ-1.
 
-    def pick(self) -> int:
-        """The uncolored vertex of largest saturation, first in the order.
-
-        That is the vertex with the least key (-saturation, -degree, id).
-        """
-        rank = self.rank
-        return rank.index(max(rank))
-
-    def assign(self, v: int, c: int) -> list[int]:
-        """Color v with c; returns the neighbours that c newly became
-        forbidden for, which ``unassign`` needs."""
-        forbidden, rank = self.forbidden, self.rank
-        bit = 1 << c
-        rank[v] -= self.n
-        changed = [w for w in self.adj[v] if not forbidden[w] & bit]
-        for w in changed:
-            forbidden[w] |= bit
-            rank[w] += 1
-        return changed
-
-    def unassign(self, v: int, c: int, changed: list[int]) -> None:
-        """Undo the latest ``assign(v, c)``, which returned ``changed``."""
-        forbidden, rank = self.forbidden, self.rank
-        bit = 1 << c
-        rank[v] += self.n
-        for w in changed:
-            forbidden[w] ^= bit
-            rank[w] -= 1
+    The coloring is the last improving leaf of the DSATUR search of
+    :func:`chromatic_number` (branching on the uncolored vertex of largest
+    saturation, ties by descending degree then id; colors 0..used tried in
+    order), re-verified here to be proper and to use exactly χ colors.
+    Raises BudgetExceeded when the search budget runs out.
+    """
+    if g.n == 0:
+        return []
+    coloring = _dsatur(g, meter_for(budget))
+    classes = [0] * (max(coloring) + 1)
+    for v, c in enumerate(coloring):
+        classes[c] |= 1 << v
+    assert all(classes), "a color between 0 and the largest is unused"
+    assert not any(g._bits[v] & classes[c] for v, c in enumerate(coloring)), "not proper"
+    return coloring
 
 
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
@@ -100,57 +158,22 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
     Branching always picks the uncolored vertex with the largest saturation
     (distinct neighbor colors), breaking ties by descending degree then by
     id; at each vertex only colors 0..used are tried, so color classes are
-    symmetry-broken.  Saturations and forbidden colors are updated
-    incrementally (``_Saturation``) instead of being recomputed at every
-    node, and the depth-first search runs on an explicit stack, so its
-    depth is not bounded by Python's recursion limit.  Each stack frame
-    fixes its color limit min(used + 1, best - 1) when it is entered;
-    together with the branching order this fixes the search tree, and so
-    the node count.  No coloring bounds the first descent, so its leaf is
-    the greedy DSATUR coloring, and the search stops there when that
-    matches the greedy clique bound.  Raises BudgetExceeded when the search
-    budget runs out.
+    symmetry-broken.  The search state is bitmasks (``_dsatur``):
+    per-color masks of the vertices that color is forbidden for, and
+    bit-sliced saturation counters, so a node costs a few big-integer
+    operations rather than a loop over the branching vertex's neighbours.
+    The depth-first search runs on an explicit stack, so its depth is not
+    bounded by Python's recursion limit.  Each stack frame fixes its color
+    limit min(used + 1, best - 1) when it is entered; together with the
+    branching order this fixes the search tree, and so the node count.  No
+    coloring bounds the first descent, so its leaf is the greedy DSATUR
+    coloring, and the search stops there when that matches the greedy
+    clique bound.  Returns the number of colors of
+    :func:`chromatic_coloring`'s verified coloring.  Raises BudgetExceeded
+    when the search budget runs out.
     """
-    n = g.n
-    if n == 0:
-        return 0
-    meter = meter_for(budget)
-    order = sorted(range(n), key=lambda v: (-len(g._adj[v]), v))
-    lower = max(1, _greedy_clique_size(g))
-    best = n + 1
-    sat = _Saturation(g, order)
-    forbidden = sat.forbidden
-    # frame: [vertex, next color to try, colors used on entry, color limit,
-    # neighbours changed by the vertex's current color or None if uncolored];
-    # the vertices of all frames on the stack are colored while a child runs
-    stack: list[list] = []
-    used = 0  # colors used by the partial coloring of the node being entered
-    while True:
-        meter.tick("chromatic_number")
-        if used < best:
-            if len(stack) == n:
-                best = used
-                if best <= lower:
-                    return best
-            else:
-                stack.append([sat.pick(), 0, used, min(used + 1, best - 1), None])
-        # move to the next child of the deepest frame that has one left
-        while stack:
-            frame = stack[-1]
-            v, c, used, limit, changed = frame
-            if changed is not None:
-                sat.unassign(v, c - 1, changed)
-            # trying one fresh color (c == used) breaks color-class symmetry
-            free = ~forbidden[v] & ((1 << limit) - (1 << c))
-            if free:
-                c = (free & -free).bit_length() - 1
-                frame[1] = c + 1
-                frame[4] = sat.assign(v, c)
-                used = max(used, c + 1)
-                break
-            stack.pop()
-        else:
-            return best
+    coloring = chromatic_coloring(g, budget)
+    return max(coloring) + 1 if coloring else 0
 
 
 # -- clique number ------------------------------------------------------

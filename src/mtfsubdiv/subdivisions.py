@@ -95,7 +95,8 @@ def verify_witness(w: SubdivisionWitness, require_induced: bool) -> WitnessCheck
         return WitnessCheck(False, "paths-domain")
     branch_set = set(images)
     interiors_seen: set[int] = set()
-    path_edges: set[tuple[int, int]] = set()
+    # per used vertex, the mask of its neighbours along the paths
+    path_nb: dict[int, int] = {}
     for (a, b) in sorted(w.paths.keys()):
         path = w.paths[(a, b)]
         if len(path) < 2:
@@ -110,7 +111,8 @@ def verify_witness(w: SubdivisionWitness, require_induced: bool) -> WitnessCheck
         for u, v in zip(path, path[1:]):
             if not h.has_edge(u, v):
                 return WitnessCheck(False, "path-not-adjacent")
-            path_edges.add((min(u, v), max(u, v)))
+            path_nb[u] = path_nb.get(u, 0) | 1 << v
+            path_nb[v] = path_nb.get(v, 0) | 1 << u
         interior = set(path[1:-1])
         if interior & branch_set:
             return WitnessCheck(False, "interior-hits-branch-vertex")
@@ -118,11 +120,14 @@ def verify_witness(w: SubdivisionWitness, require_induced: bool) -> WitnessCheck
             return WitnessCheck(False, "paths-share-interior")
         interiors_seen |= interior
     if require_induced:
-        used = sorted(branch_set | interiors_seen)
-        for i, u in enumerate(used):
-            for v in used[i + 1 :]:
-                if h.has_edge(u, v) and (u, v) not in path_edges:
-                    return WitnessCheck(False, "chord")
+        # a chord is a host edge between used vertices that no path uses
+        used = branch_set | interiors_seen
+        used_mask = 0
+        for u in used:
+            used_mask |= 1 << u
+        for u in used:
+            if h._bits[u] & used_mask & ~path_nb.get(u, 0):
+                return WitnessCheck(False, "chord")
     return WitnessCheck(True, None)
 
 

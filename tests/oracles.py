@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from mtfsubdiv import Graph, Hypergraph
+from mtfsubdiv import Graph, Hypergraph, SubdivisionWitness
 
 
 def triangle_exists(g: Graph) -> bool:
@@ -58,6 +58,22 @@ def brute_chromatic(g: Graph) -> int:
     while not colorable(k):
         k += 1
     return k
+
+
+def pair_loop_has_chord(w: SubdivisionWitness) -> bool:
+    """Whether some host edge joins two used vertices of the witness w
+    without lying on one of its paths, by testing every pair of used
+    vertices."""
+    used = set(w.branch_map.values())
+    path_edges = set()
+    for path in w.paths.values():
+        used.update(path)
+        for a, b in zip(path, path[1:]):
+            path_edges.add((min(a, b), max(a, b)))
+    return any(
+        w.host.has_edge(u, v) and (u, v) not in path_edges
+        for u, v in combinations(sorted(used), 2)
+    )
 
 
 def brute_clique(g: Graph) -> int:

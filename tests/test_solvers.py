@@ -6,13 +6,20 @@ from itertools import combinations
 
 import pytest
 
-from families import complete_bipartite, complete_graph, random_graph, star_graph
+from families import (
+    clebsch_graph,
+    complete_bipartite,
+    complete_graph,
+    random_graph,
+    star_graph,
+)
 from oracles import brute_chromatic, brute_clique, brute_independence_sets
 from mtfsubdiv import (
     BudgetExceeded,
     Graph,
     NotTriangleFree,
     SearchBudget,
+    chromatic_coloring,
     chromatic_number,
     clique_number,
     gen_cycle,
@@ -32,6 +39,15 @@ def _independent(g: Graph, s) -> bool:
     )
 
 
+def _check_coloring(g: Graph, coloring: list[int]) -> int:
+    """The number of colors of a proper coloring of g, colors 0..k-1."""
+    assert len(coloring) == g.n
+    assert all(coloring[u] != coloring[v] for u, v in g.edges())
+    k = len(set(coloring))
+    assert set(coloring) == set(range(k))
+    return k
+
+
 def test_chromatic_named():
     assert chromatic_number(Graph(0, [])) == 0
     assert chromatic_number(Graph(4, [])) == 1
@@ -48,6 +64,7 @@ def test_chromatic_matches_oracle():
     for seed in range(50):
         g = random_graph(8, 0.4, seed)
         assert chromatic_number(g) == brute_chromatic(g)
+        assert _check_coloring(g, chromatic_coloring(g)) == brute_chromatic(g)
 
 
 def test_chromatic_search_tree_is_pinned():
@@ -58,6 +75,42 @@ def test_chromatic_search_tree_is_pinned():
     assert chromatic_number(g, SearchBudget(max_nodes=913)) == 5
     with pytest.raises(BudgetExceeded):
         chromatic_number(g, SearchBudget(max_nodes=912))
+
+
+def test_chromatic_search_tree_is_pinned_past_saturation_four():
+    # on this host saturations reach 5, so the bit-sliced counters carry
+    # into their third slice; 29,629 nodes pin the tree there too
+    g = gen_random_mtf(45, 2)
+    assert chromatic_number(g, SearchBudget(max_nodes=29_629)) == 5
+    with pytest.raises(BudgetExceeded):
+        chromatic_number(g, SearchBudget(max_nodes=29_628))
+
+
+def test_chromatic_coloring_matches_oracle_on_named_hosts():
+    hosts = [
+        Graph(0, []),
+        Graph(4, []),
+        gen_cycle(5),
+        gen_cycle(7),
+        complete_graph(6),
+        complete_bipartite(4, 7),
+        gen_petersen(),
+        gen_kneser(5, 2),
+        gen_mycielski(gen_cycle(5)),
+        clebsch_graph(),
+        gen_random_mtf(20, 0),
+        gen_random_mtf(25, 1),
+    ]
+    for g in hosts:
+        coloring = chromatic_coloring(g)
+        assert _check_coloring(g, coloring) == brute_chromatic(g) == chromatic_number(g)
+
+
+def test_chromatic_coloring_in_original_ids():
+    # the center 5 has the largest degree, so the search colors it first,
+    # as its vertex 0; the coloring is reported in the input's ids
+    g = Graph(6, [(5, leaf) for leaf in range(5)])
+    assert chromatic_coloring(g) == [1, 1, 1, 1, 1, 0]
 
 
 def test_chromatic_greedy_descent_is_metered():

@@ -16,6 +16,7 @@ from mtfsubdiv import (
     SearchBudget,
     SubdivisionWitness,
     SyntheticDswSpec,
+    WitnessCheck,
     derived_graph,
     find_subdivision,
     gen_cycle,
@@ -38,7 +39,7 @@ from families import (
     random_graph,
     star_graph,
 )
-from oracles import brute_subdivision
+from oracles import brute_subdivision, pair_loop_has_chord
 
 
 def c6_triangle_witness() -> SubdivisionWitness:
@@ -161,6 +162,45 @@ def test_verify_reason_chord_only_in_induced_mode():
     w = SubdivisionWitness(edge, complete_graph(3), {0: 0, 1: 1}, {(0, 1): (0, 2, 1)})
     assert verify_witness(w, require_induced=False)
     assert verify_witness(w, require_induced=True).reason == "chord"
+
+
+def _random_witness_with_chords(rng: random.Random) -> SubdivisionWitness:
+    """A random subdivision of a random pattern, relabelled at random,
+    inside a host that adds a few random edges to it: chords when both
+    ends are used, edges to unused vertices otherwise.  One witness in
+    five has a reversed path, so verification fails before the chords."""
+    pattern = random_graph(rng.randint(1, 5), 0.5, seed=rng.randrange(10**6))
+    lengths = {e: rng.randint(0, 3) for e in pattern.edges()}
+    n = pattern.n + sum(lengths.values()) + rng.randint(1, 4)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    fresh = iter(labels[pattern.n :])
+    branch_map = {a: labels[a] for a in range(pattern.n)}
+    paths = {}
+    for (a, b), k in lengths.items():
+        paths[(a, b)] = (branch_map[a], *(next(fresh) for _ in range(k)), branch_map[b])
+    edges = {(min(u, v), max(u, v)) for path in paths.values() for u, v in zip(path, path[1:])}
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    if paths and rng.random() < 0.2:
+        e = rng.choice(sorted(paths))
+        paths[e] = paths[e][::-1]
+    return SubdivisionWitness(pattern, Graph(n, sorted(edges)), branch_map, paths)
+
+
+def test_verify_chord_check_matches_pair_loop():
+    rng = random.Random(14)
+    chords = 0
+    for _ in range(600):
+        w = _random_witness_with_chords(rng)
+        plain = verify_witness(w, require_induced=False)
+        expect = plain
+        if plain and pair_loop_has_chord(w):
+            expect = WitnessCheck(False, "chord")
+            chords += 1
+        assert verify_witness(w, require_induced=True) == expect, w
+    assert chords > 100  # the injected edges make chords often enough
 
 
 # -- find_subdivision ---------------------------------------------------
