@@ -18,6 +18,7 @@ from .graphs import Graph, is_maximal_triangle_free
 
 __all__ = [
     "MAX_KNESER_EDGES",
+    "MAX_RANDOM_MTF_VERTICES",
     "SyntheticDswSpec",
     "gen_cycle",
     "gen_petersen",
@@ -33,11 +34,17 @@ __all__ = [
 # does not
 MAX_KNESER_EDGES = 2_000_000
 
+# the vertex limit of gen_random_mtf, checked before building: each
+# saturation pass lists every non-edge, so n = 1,000 takes ~15 s and ~94 MB
+# and n = 2,000 ~73 s and ~380 MB
+MAX_RANDOM_MTF_VERTICES = 1_000
 
-def _check_vertex_count(n: int, what: str) -> None:
-    # generators take the parsers' limit, checked before anything is built
-    if n > MAX_VERTICES:
-        raise BadParameter(f"{what} would have {n} vertices, above the limit of {MAX_VERTICES}")
+
+def _check_vertex_count(n: int, what: str, limit: int = MAX_VERTICES) -> None:
+    # generators take the parsers' limit unless they set a lower one,
+    # checked before anything is built
+    if n > limit:
+        raise BadParameter(f"{what} would have {n} vertices, above the limit of {limit}")
 
 
 def gen_cycle(n: int) -> Graph:
@@ -113,10 +120,12 @@ def gen_random_mtf(n: int, seed: int) -> Graph:
     seeded shuffled order, add an edge whenever its endpoints have no common
     neighbor (so the graph stays triangle-free), and repeat passes until a
     full pass adds nothing.  At the fixed point every remaining non-edge
-    has a common neighbor, which is exactly maximality.
+    has a common neighbor, which is exactly maximality.  n may not exceed
+    ``MAX_RANDOM_MTF_VERTICES``.
     """
     if not isinstance(n, int) or n < 1:
         raise BadParameter(f"gen_random_mtf needs n >= 1, got {n!r}")
+    _check_vertex_count(n, "random-mtf", MAX_RANDOM_MTF_VERTICES)
     rng = random.Random(seed)
     bits = [0] * n
     edges: list[tuple[int, int]] = []

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, EmptyGraph, OutOfRange
@@ -344,13 +345,10 @@ def _still_open(
 
 
 def _find_dsw(
-    masks: Sequence[int],
-    incidence: Sequence[int],
-    d: int,
-    meter: _Meter,
-    orbits: Callable[[list[int]], list[int] | None],
+    h: Hypergraph, d: int, meter: _Meter, lex: symmetry.LexLeader
 ) -> DswStructure | None:
-    """First d-edge structure in lexicographic order of edge indices, or None.
+    """First d-edge structure of h in lexicographic order of edge indices, or
+    None; a structure is re-checked by :func:`dsw_structure_violations`.
 
     Forward checking: a node holds the mask ``cands`` of the later edges c
     for which chosen + [c] is still a structure.  The property is
@@ -374,14 +372,19 @@ def _find_dsw(
     Symmetry: with two or more edges still needed, a candidate c is tried
     only if it is the least edge of its orbit under the pointwise
     stabiliser of the chosen edges in the hypergraph's automorphism group:
-    ``orbits(chosen)`` gives per edge the least edge of its orbit, or None
-    to try every candidate.  Say σ fixes the chosen edges and σ(c) < c.
-    Then σ maps every structure that extends chosen + [c] to a structure
-    whose sorted index tuple is lexicographically smaller, so the first
-    structure in lexicographic order, which is the least of its orbit, is
-    never cut.  The last edge needs no test: the first survivor completes
-    that first structure.
+    ``lex.least(chosen)`` gives per edge the least edge of its orbit, or
+    None to try every candidate.  Say σ fixes the chosen edges and
+    σ(c) < c.  Then σ maps every structure that extends chosen + [c] to a
+    structure whose sorted index tuple is lexicographically smaller, so the
+    first structure in lexicographic order, which is the least of its
+    orbit, is never cut.  The last edge needs no test: the first survivor
+    completes that first structure.  A frame reads its table on entry and,
+    until the group is found, after each child; the frame that chose entry
+    k catches the :class:`symmetry.Unwind` (k) of a read and moves on.
     """
+    from .symmetry import Unwind
+
+    masks, incidence = h.masks, h.incidence
     m = len(masks)
     if d > m:
         return None
@@ -390,8 +393,10 @@ def _find_dsw(
     def extend(
         cands: int, solo: list[int], pools: list[int], union: int
     ) -> DswStructure | None:
-        need = d - len(chosen)
-        least = orbits(chosen) if need > 1 else None
+        depth = len(chosen)
+        need = d - depth
+        least = lex.least(chosen) if need > 1 else None
+        stale = not lex.found
         while cands.bit_count() >= need:
             low = cands & -cands
             cands ^= low
@@ -434,77 +439,42 @@ def _find_dsw(
                 if survivors.bit_count() < need - 1:
                     continue
             chosen.append(c)
-            found = extend(
-                survivors,
-                new_solo,
-                [p & keep for p in pools] + [s & mc for s in solo],
-                union | mc,
-            )
+            try:
+                found = extend(
+                    survivors,
+                    new_solo,
+                    [p & keep for p in pools] + [s & mc for s in solo],
+                    union | mc,
+                )
+            except Unwind as unwind:
+                if unwind.k != depth:
+                    raise
+                found = None
             if found is not None:
                 return found
-            chosen.pop()
+            del chosen[depth:]
+            if stale:
+                least = lex.least(chosen)
+                stale = not lex.found
         return None
 
     roomy = 0
     for j, mask in enumerate(masks):
         if mask.bit_count() >= d - 1:
             roomy |= 1 << j
-    return extend(roomy, [], [], 0)
+    found = extend(roomy, [], [], 0)
+    if found is not None:
+        problems = dsw_structure_violations(h, found)
+        assert not problems, problems
+    return found
 
 
-class _StartOver(Exception):
-    """A DSW search without symmetry has run long enough to start over with it."""
+def _lex_leader(h: Hypergraph, meter: _Meter) -> symmetry.LexLeader:
+    """The lex-leader policy of one call, under the group of h's incidence graph."""
+    from .symmetry import LexLeader, hypergraph_automorphisms
 
-
-class _DswSearch:
-    """The searches of one user-facing call, under one meter.
-
-    Each runs without symmetry until the meter reaches
-    ``symmetry.START_AFTER`` nodes.  The call then finds the hypergraph's
-    automorphism group (that of its two-coloured incidence graph, so N[G]
-    and any other hypergraph take the same path).  A trivial group changes
-    nothing and the search goes on; otherwise the search starts over with
-    lex-leader pruning, which every later search keeps, and the nodes
-    already spent stay counted.  Starting over, rather than pruning from
-    the middle of the search, keeps the chosen edges on the chain's base:
-    the stabiliser of a prefix off the base needs a new chain.
-    """
-
-    def __init__(self, h: Hypergraph, meter: _Meter):
-        from .symmetry import START_AFTER
-
-        self.h = h
-        self.meter = meter
-        self.start_after = START_AFTER
-        self.lex: symmetry.LexLeader | None = None
-        self.asymmetric = False
-
-    def orbits(self, chosen: list[int]) -> list[int] | None:
-        if self.lex is not None:
-            return self.lex.least(tuple(chosen))
-        if self.asymmetric or self.meter.nodes < self.start_after:
-            return None
-        from . import symmetry
-
-        label = "find_dsw_structure"
-        group = symmetry.hypergraph_automorphisms(self.h.n, self.h.edges, self.meter, label)
-        if group.order == 1:
-            self.asymmetric = True
-            return None
-        self.lex = symmetry.LexLeader(group, self.meter, label)
-        raise _StartOver
-
-    def find(self, d: int) -> DswStructure | None:
-        h = self.h
-        try:
-            found = _find_dsw(h.masks, h.incidence, d, self.meter, self.orbits)
-        except _StartOver:
-            # the group is in hand: search again, pruned from the root
-            found = _find_dsw(h.masks, h.incidence, d, self.meter, self.orbits)
-        if found is not None:
-            problems = dsw_structure_violations(h, found)
-            assert not problems, problems
-        return found
+    label = "find_dsw_structure"
+    return LexLeader(partial(hypergraph_automorphisms, h.n, h.edges, meter, label), meter, label)
 
 
 def find_dsw_structure(
@@ -524,10 +494,11 @@ def find_dsw_structure(
     The per-pair witness is the smallest eligible vertex id.
 
     Symmetry: a search that runs past ``symmetry.START_AFTER`` nodes finds
-    the automorphism group of the hypergraph's incidence graph and, unless
-    it is trivial, starts over with it, trying an edge only if it is the
-    least of its orbit under the stabiliser of the edges chosen before it
-    (lex-leader pruning).  This is exact and changes no answer: an
+    the automorphism group of the hypergraph's incidence graph, leaves the
+    subtree below the first chosen edge that is not the least of its orbit
+    under the stabiliser of the edges chosen before it, and from then on
+    tries an edge only if it is that least edge (lex-leader pruning, by
+    :class:`symmetry.LexLeader`).  This is exact and changes no answer: an
     automorphism maps structures to structures, so the first structure in
     lexicographic order, being the least of its orbit, passes every test,
     and the same structure, with the same witnesses, is returned.
@@ -537,7 +508,8 @@ def find_dsw_structure(
     """
     if not isinstance(d, int) or d < 2:
         raise OutOfRange(f"structure search needs d >= 2, got {d!r}")
-    return _DswSearch(h, meter_for(budget)).find(d)
+    meter = meter_for(budget)
+    return _find_dsw(h, d, meter, _lex_leader(h, meter))
 
 
 def max_dsw_structure(
@@ -560,9 +532,10 @@ def max_dsw_structure(
     if m == 0:
         return None
     best = DswStructure(edge_indices=(0,), witnesses={})
-    search = _DswSearch(h, meter_for(budget))
+    meter = meter_for(budget)
+    lex = _lex_leader(h, meter)
     for d in range(2, m + 1):
-        found = search.find(d)
+        found = _find_dsw(h, d, meter, lex)
         if found is None:
             break
         best = found

@@ -11,17 +11,12 @@ subdivided pattern exactly, with no chords.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from functools import partial
+from typing import Iterable, Mapping
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, InconsistentWitnesses, OutOfRange, PreconditionViolated
 from .graphs import Graph
-
-# symmetry is imported where it is used: without a bytecode cache, its
-# compilation would lengthen the start-up of every command, and a command
-# that runs no search never needs it
-if TYPE_CHECKING:
-    from . import symmetry
 
 __all__ = [
     "SubdivisionWitness",
@@ -178,6 +173,7 @@ def _pattern_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> lis
     injective maps under Aut(pattern), exactly one map meets every
     condition.
     """
+    # imported on first use, so that start-up does not compile it
     from . import symmetry
 
     rank = {v: i for i, v in enumerate(porder)}
@@ -203,8 +199,8 @@ class _SubdivSearch:
       is tried;
     - host side: the image c at position k must be the least vertex of its
       orbit under the pointwise stabiliser, in Aut(host), of the first k
-      images (lex-leader pruning), once the call has counted
-      ``symmetry.START_AFTER`` nodes.
+      images (lex-leader pruning by :class:`symmetry.LexLeader`), once the
+      call has counted ``symmetry.START_AFTER`` nodes.
 
     Say a witness exists.  Its branch maps form an orbit under
     Aut(host) × Aut(pattern), acting by phi ↦ σ∘phi∘π⁻¹, and every map in
@@ -265,13 +261,13 @@ class _SubdivSearch:
     def _branch_maps(self):
         """Set ``self.branch`` to each branch map in search order, yielding after each.
 
-        An explicit stack of levels: ``image[i]`` is the host vertex placed
-        at level i (-1 for none) and ``groups[i]`` the pointwise stabiliser
-        in Aut(host) of the images above level i, None once it is trivial.
-        The search runs without the group until the call has counted
-        ``symmetry.START_AFTER`` nodes.  The group is then found with the
-        current path as its chain's base, which makes the stabilisers along
-        the path free, and every level prunes from then on.
+        An explicit stack of levels: ``image`` holds the host vertices placed
+        so far and ``tables[i]`` is level i's table from the call's
+        :class:`symmetry.LexLeader` (per host vertex, the least of its orbit
+        under the stabiliser in Aut(host) of the images above level i).  A
+        level reads it on entry and, until the group is found, at every
+        step; a level entered before then reads it once more on the way
+        back.  The :class:`symmetry.Unwind` (k) of a read returns to level k.
         """
         from . import symmetry
 
@@ -281,49 +277,53 @@ class _SubdivSearch:
             yield
             return
         meter, label = self.meter, "find_subdivision"
-        armed = True
-        groups: list[symmetry.Group | None] = [None] * size
-        image = [-1] * size
+        find = partial(symmetry.graph_automorphisms, self.h._adj, meter, label)
+        lex = symmetry.LexLeader(find, meter, label)
+        image: list[int] = []
+        tables: list[list[int] | None] = [None] * size
+        stale = size  # the levels i < stale read their tables at every step
         nxt = [0] * size
         nxt[0] = self._first_image(porder[0])
         i = 0
         while i >= 0:
-            if armed and meter.nodes >= symmetry.START_AFTER:
-                armed = False
-                group = symmetry.graph_automorphisms(self.h._adj, meter, label, image[:i])
-                groups[0] = symmetry.nontrivial(group)
-                for j in range(i):
-                    groups[j + 1] = symmetry.stabiliser(groups[j], image[j], meter, label)
             pv = porder[i]
-            if image[i] >= 0:
-                # back at this level: lift its image
-                del self.branch[pv]
-                self.branch_used ^= 1 << image[i]
-                image[i] = -1
-            hv = self._next_image(pv, nxt[i], groups[i], n)
+            while len(image) > i:
+                # back at this level: lift its image, and after an unwind
+                # the images below it
+                hv = image.pop()
+                del self.branch[porder[len(image)]]
+                self.branch_used ^= 1 << hv
+            if i < stale:
+                try:
+                    tables[i] = lex.least(image)
+                except symmetry.Unwind as unwind:
+                    i = unwind.k
+                    continue
+                stale = i if lex.found else size
+            hv = self._next_image(pv, nxt[i], tables[i], n)
             if hv < 0:
                 i -= 1
                 continue
             nxt[i] = hv + 1
-            image[i] = hv
+            image.append(hv)
             self.branch[pv] = hv
             self.owner[hv] = pv
             self.branch_used |= 1 << hv
             if i + 1 == size:
                 yield
                 continue
-            groups[i + 1] = symmetry.stabiliser(groups[i], hv, meter, label)
             i += 1
             nxt[i] = self._first_image(porder[i])
+            if lex.found:
+                tables[i] = lex.least(image)
 
     def _first_image(self, pv: int) -> int:
         # the pattern conditions: every vertex in below[pv] is already
         # placed, and pv's image must exceed each of theirs
         return max((self.branch[u] + 1 for u in self.below[pv]), default=0)
 
-    def _next_image(self, pv: int, lo: int, group: symmetry.Group | None, n: int) -> int:
+    def _next_image(self, pv: int, lo: int, least: list[int] | None, n: int) -> int:
         """The first host vertex from ``lo`` up that pv may take, or -1."""
-        least = None if group is None else group.least()
         for hv in range(lo, n):
             if self.branch_used >> hv & 1 or self.hdeg[hv] < self.pdeg[pv]:
                 continue
@@ -423,11 +423,12 @@ class _SubdivSearch:
         length, candidate iterator, blocker mask), so a long path needs no
         Python recursion.  One tick per vertex entered, s included.
 
-        A prospective interior y may be adjacent, among the current partial
-        path and the vertex mask ``placed``, only to its predecessor x;
-        adjacency to the target t is tolerated because the step below then
-        forces immediate closure at t.  The frame of x holds that blocker
-        mask.
+        A prospective interior y must have ``dist[y]`` below ``remaining``,
+        so only t closes a frame with one edge left.  y may be adjacent,
+        among the current partial path and the vertex mask ``placed``, only
+        to its predecessor x; adjacency to the target t is tolerated because
+        the step below then forces immediate closure at t.  The frame of x
+        holds that blocker mask.
         """
         bits = self.bits
         adj = self.adj
@@ -440,12 +441,8 @@ class _SubdivSearch:
         while stack:
             x, remaining, candidates, blockers = stack[-1]
             for y in candidates:
-                if y == t:
-                    if remaining != 1:
-                        continue
-                elif not free >> y & 1 or dist[y] > remaining or bits[y] & blockers:
-                    continue
-                break
+                if y == t or (free >> y & 1 and dist[y] < remaining and not bits[y] & blockers):
+                    break
             else:
                 stack.pop()
                 if x != s:
@@ -454,11 +451,10 @@ class _SubdivSearch:
                     path.pop()
                 continue
             tick("find_subdivision")
-            if remaining == 1:
-                if y == t:
-                    path.append(t)
-                    yield tuple(path)
-                    path.pop()
+            if y == t:
+                path.append(t)
+                yield tuple(path)
+                path.pop()
                 continue
             path.append(y)
             on_path |= 1 << y

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .budget import _Meter
 
@@ -36,17 +36,15 @@ __all__ = [
     "START_AFTER",
     "Group",
     "LexLeader",
+    "Unwind",
     "graph_automorphisms",
     "hypergraph_automorphisms",
-    "nontrivial",
-    "stabiliser",
 ]
 
 
 # Finding a group costs about as much as a search of this many nodes.  So
-# the pruned searches run without symmetry until their call has counted
-# this many nodes, and a shorter search never pays for it.  The rule may
-# be applied at any set of a search's nodes, so starting late is exact.
+# a LexLeader prunes nothing until its search has counted this many nodes,
+# and a shorter search never pays for it.
 START_AFTER = 2_000
 
 
@@ -601,9 +599,10 @@ def graph_automorphisms(
 
 
 def hypergraph_automorphisms(
-    n: int, edges: Sequence[Iterable[int]], meter: _Meter, label: str
+    n: int, edges: Sequence[Iterable[int]], meter: _Meter, label: str, base: Sequence[int] = ()
 ) -> Group:
-    """Aut of the hypergraph on {0..n-1} with ``edges``, acting on edge indices.
+    """Aut of the hypergraph on {0..n-1} with ``edges``, acting on edge indices,
+    its chain's base beginning with the edges ``base``.
 
     The group is that of the two-coloured incidence graph: edge i is node
     i, vertex v is node m + v, and each edge is joined to its vertices.
@@ -614,43 +613,65 @@ def hypergraph_automorphisms(
         for v in e:
             adj[m + v].append(i)
     cells = [c for c in (list(range(m)), list(range(m, m + n))) if c]
-    return _automorphisms(adj, cells, m, meter, label)
+    return _automorphisms(adj, cells, m, meter, label, base)
+
+
+class Unwind(Exception):
+    """Raised by :meth:`LexLeader.least` when the group is found: entry ``k``
+    of the search's current prefix is not the least of its orbit under the
+    stabiliser of the entries before it, so nothing below it needs a visit."""
+
+    def __init__(self, k: int):
+        self.k = k
 
 
 class LexLeader:
-    """Orbit tests for a search that extends tuples in lexicographic order.
+    """The lex-leader policy of a search that extends tuples in lexicographic order.
 
     ``least(prefix)`` gives, per point, the least point of its orbit under
-    the pointwise stabiliser of ``prefix`` in ``group``, or None once that
-    stabiliser is trivial (every candidate passes).  Stabilisers are kept
-    for the life of this object, one per prefix asked for, so a search
-    that revisits prefixes (the upward search over d) computes each once.
+    the pointwise stabiliser of ``prefix`` in the group, or None to let
+    every candidate pass: before ``meter`` reaches ``START_AFTER``, or once
+    the stabiliser is trivial.  The first call past that finds the group
+    by ``find(prefix)``, the prefix beginning the chain's base, and raises
+    :class:`Unwind` (k) if entry k is the first that is not the least of
+    its orbit under the stabiliser of the entries before it: it heads only
+    tuples that an automorphism maps to lexicographically smaller ones.
+    The test may be applied at any set of nodes, so starting late is exact.
+    Stabilisers are kept per prefix for the life of this object.
     """
 
-    __slots__ = ("_groups", "_meter", "_label")
+    __slots__ = ("_find", "_meter", "_label", "_groups", "found")
 
-    def __init__(self, group: Group, meter: _Meter, label: str):
-        self._groups: dict[tuple[int, ...], Group | None] = {(): nontrivial(group)}
+    def __init__(self, find: Callable[[Sequence[int]], Group], meter: _Meter, label: str):
+        self._find = find
         self._meter = meter
         self._label = label
+        # per prefix asked for, its stabiliser; empty until a nontrivial
+        # group is found
+        self._groups: dict[tuple[int, ...], Group] = {}
+        self.found = False  # whether find has been called
 
-    def least(self, prefix: tuple[int, ...]) -> list[int] | None:
+    def least(self, prefix: Sequence[int]) -> list[int] | None:
         groups = self._groups
-        known = len(prefix)
-        while prefix[:known] not in groups:
-            known -= 1
-        group = groups[prefix[:known]]
-        for k in range(known, len(prefix)):
-            group = stabiliser(group, prefix[k], self._meter, self._label)
-            groups[prefix[: k + 1]] = group
-        return None if group is None else group.least()
-
-
-def nontrivial(group: Group) -> Group | None:
-    """``group``, or None for the trivial group."""
-    return group if group.order > 1 else None
-
-
-def stabiliser(group: Group | None, point: int, meter: _Meter, label: str) -> Group | None:
-    """The stabiliser of ``point`` in ``group``, None standing for the trivial group."""
-    return None if group is None else nontrivial(group.stabiliser(point, meter, label))
+        first = not groups
+        if first:
+            if self.found or self._meter.nodes < START_AFTER:
+                return None
+            self.found = True
+            group = self._find(prefix)
+            if group.order == 1:
+                return None
+            groups[()] = group
+        prefix = tuple(prefix)
+        if prefix not in groups:
+            known = len(prefix) - 1
+            while prefix[:known] not in groups:
+                known -= 1
+            group = groups[prefix[:known]]
+            for k in range(known, len(prefix)):
+                if first and group.least()[prefix[k]] != prefix[k]:
+                    raise Unwind(k)
+                group = group.stabiliser(prefix[k], self._meter, self._label)
+                groups[prefix[: k + 1]] = group
+        group = groups[prefix]
+        return group.least() if group.order > 1 else None

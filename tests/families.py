@@ -33,6 +33,31 @@ def clebsch_graph() -> Graph:
     )
 
 
+def frucht_graph() -> Graph:
+    # 3-regular on 12 vertices with no automorphism but the identity
+    # (LCF notation [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2])
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
+    edges |= {tuple(sorted((i, (i + j) % 12))) for i, j in enumerate(lcf)}
+    return Graph(12, sorted(edges))
+
+
+def shrikhande_graph() -> Graph:
+    # the Cayley graph of Z4 x Z4 on ±(1, 0), ±(0, 1), ±(1, 1): strongly
+    # regular (16, 6, 2, 2) like the 4 x 4 rook's graph, but with an
+    # automorphism group of order 192 against the rook's graph's 1,152
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    return Graph(
+        16,
+        [
+            (u, v)
+            for u in range(16)
+            for v in range(u)
+            if ((u // 4 - v // 4) % 4, (u % 4 - v % 4) % 4) in steps
+        ],
+    )
+
+
 def paw_graph() -> Graph:
     # triangle with a pendant vertex
     return Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])

@@ -114,6 +114,8 @@ def test_gen_rejects_bad_parameters(capsys):
     assert code == 3
     code, _, err = run(capsys, "gen", "synthetic-dsw", "3", "--pairs", "zap")
     assert code == 3
+    code, _, err = run(capsys, "gen", "random-mtf", "1001")
+    assert code == 3 and "above the limit" in err
 
 
 def test_oversized_declared_vertex_count_exits_3(capsys, tmp_path, monkeypatch):

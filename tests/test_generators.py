@@ -27,7 +27,7 @@ from mtfsubdiv import (
     neighborhood_hypergraph,
 )
 from mtfsubdiv.formats import MAX_VERTICES
-from mtfsubdiv.generators import MAX_KNESER_EDGES
+from mtfsubdiv.generators import MAX_KNESER_EDGES, MAX_RANDOM_MTF_VERTICES
 
 
 def test_cycle():
@@ -45,6 +45,7 @@ def test_oversized_generators_are_rejected_before_building():
         lambda: gen_cycle(MAX_VERTICES + 1),
         lambda: gen_cycle(10**11),
         lambda: gen_kneser(40, 20),
+        lambda: gen_random_mtf(MAX_RANDOM_MTF_VERTICES + 1, 0),
         lambda: gen_synthetic_dsw(SyntheticDswSpec(d=1000)),
         lambda: gen_synthetic_dsw(SyntheticDswSpec(d=10**9, pattern_edges=frozenset({(0, 1)}))),
     ):

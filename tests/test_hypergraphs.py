@@ -351,14 +351,14 @@ def test_max_dsw_random_mtf_35_within_budget():
 
 
 def test_max_dsw_search_tree_is_pinned():
-    # 2,565 extension tests and symmetry nodes decide N[synthetic d = 7]
+    # 2,176 extension tests and symmetry nodes decide N[synthetic d = 7]
     # (18,906 without the host's symmetry); a change in the order or in the
     # pruning of the search moves this count
     g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=7, padding=True))
     h = neighborhood_hypergraph(g)
-    assert max_dsw_size(h, SearchBudget(max_nodes=2_565)) == 7
+    assert max_dsw_size(h, SearchBudget(max_nodes=2_176)) == 7
     with pytest.raises(BudgetExceeded):
-        max_dsw_size(h, SearchBudget(max_nodes=2_564))
+        max_dsw_size(h, SearchBudget(max_nodes=2_175))
 
 
 def test_max_dsw_synthetic_d9_search_tree_is_pinned():
@@ -366,9 +366,9 @@ def test_max_dsw_synthetic_d9_search_tree_is_pinned():
     # proof that no ten edges form a structure; S_9 permutes the x_i
     g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=9, padding=True))
     h = neighborhood_hypergraph(g)
-    assert max_dsw_size(h, SearchBudget(max_nodes=3_114)) == 9
+    assert max_dsw_size(h, SearchBudget(max_nodes=2_622)) == 9
     with pytest.raises(BudgetExceeded):
-        max_dsw_size(h, SearchBudget(max_nodes=3_113))
+        max_dsw_size(h, SearchBudget(max_nodes=2_621))
 
 
 def test_max_dsw_decides_former_frontier():

@@ -506,7 +506,7 @@ def _pinned_search(pattern, host, induced, nodes):
 
 
 def test_find_c5_in_k66_search_tree_is_pinned():
-    assert _pinned_search(gen_cycle(5), complete_bipartite(6, 6), True, 2_077) is None
+    assert _pinned_search(gen_cycle(5), complete_bipartite(6, 6), True, 2_076) is None
 
 
 def test_find_plain_k4_in_petersen_search_tree_is_pinned():
@@ -520,6 +520,13 @@ def test_find_plain_k4_in_petersen_search_tree_is_pinned():
         (0, 2): (0, 5, 7, 2),
         (1, 3): (1, 6, 8, 3),
     }
+
+
+def test_find_induced_k4_in_petersen_search_tree_is_pinned():
+    # a path step that leaves the target out of reach of the edges left
+    # after it is not taken: 506 nodes when such dead steps were entered
+    w = _pinned_search(complete_graph(4), gen_petersen(), True, 488)
+    assert w.branch_map == {0: 0, 1: 1, 2: 3, 3: 8}
 
 
 def test_find_plain_k33_in_random_mtf_routes_chordless_paths_only():
@@ -548,7 +555,7 @@ def test_find_induced_k4_in_groetzsch_search_tree_is_pinned():
 def test_find_c9_in_clebsch_search_tree_is_pinned():
     # the proof of absence took 200,194 nodes before Aut(Clebsch), of order
     # 1,920, pruned the host side
-    assert _pinned_search(gen_cycle(9), clebsch_graph(), True, 2_571) is None
+    assert _pinned_search(gen_cycle(9), clebsch_graph(), True, 2_386) is None
 
 
 def test_clebsch_has_no_induced_nine_cycle():

@@ -11,6 +11,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from functools import partial
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -36,7 +38,13 @@ from mtfsubdiv import (
 )
 from mtfsubdiv import symmetry
 from mtfsubdiv.budget import meter_for
-from families import clebsch_graph, complete_bipartite, complete_graph
+from families import (
+    clebsch_graph,
+    complete_bipartite,
+    complete_graph,
+    frucht_graph,
+    shrikhande_graph,
+)
 
 
 def _canonical(size: int, edges: set[tuple[int, int]]) -> tuple:
@@ -136,6 +144,10 @@ def _orbits(least: list[int]) -> set[frozenset[int]]:
         ("C8", gen_cycle(8), [(3,), (0, 4), (2, 3)]),
         ("groetzsch", gen_mycielski(gen_cycle(5)), [(0,), (10,), (6, 2)]),
         ("kneser(6,2)", gen_kneser(6, 2), [(0,), (7,), (0, 14), (3, 11, 5)]),
+        # regular but not vertex-transitive (Frucht) and strongly regular
+        # (Shrikhande): the search meets subtrees with no equivalent leaf
+        ("frucht", frucht_graph(), [(0,), (3, 7)]),
+        ("shrikhande", shrikhande_graph(), [(0,), (5,), (0, 1), (0, 10), (1, 6, 11)]),
     ],
 )
 def test_stabiliser_orbits_match_networkx(name, g, prefixes):
@@ -180,12 +192,44 @@ def test_a_group_too_large_to_store_is_given_up():
     assert meter.nodes < 100_000
 
 
-def test_lex_leader_drops_the_stabiliser_once_it_is_trivial():
-    lex = symmetry.LexLeader(_group(gen_cycle(9)), meter_for(None), "test")
+@pytest.mark.parametrize("first, unwind", [((), None), ((4,), 0)], ids=["root", "unwind"])
+def test_lex_leader_tables(monkeypatch, first, unwind):
+    # the group of C9 found at the root, or at the prefix (4,), whose entry
+    # 0 is not the least of its orbit; either way the tables asked for next
+    # are the same, and the stabiliser is dropped once it is trivial
+    monkeypatch.setattr(symmetry, "START_AFTER", 0)
+    meter = meter_for(None)
+    lex = symmetry.LexLeader(
+        partial(symmetry.graph_automorphisms, gen_cycle(9)._adj, meter, "test"), meter, "test"
+    )
+    if unwind is None:
+        assert lex.least(first) == [0] * 9
+    else:
+        with pytest.raises(symmetry.Unwind) as raised:
+            lex.least(first)
+        assert raised.value.k == unwind
     assert lex.least(()) == [0] * 9
     assert lex.least((4,)) == [0, 1, 2, 3, 4, 3, 2, 1, 0]
+    assert lex.least([0, 2]) is None
     assert lex.least((4, 2)) is None
     assert lex.least((4, 2, 7)) is None
+
+
+def test_lex_leader_waits_for_start_after_and_drops_a_trivial_group(monkeypatch):
+    monkeypatch.setattr(symmetry, "START_AFTER", 10)
+    meter = meter_for(None)
+    bases = []
+
+    def find(base):
+        bases.append(tuple(base))
+        return symmetry.Group(9, [])
+
+    lex = symmetry.LexLeader(find, meter, "test")
+    assert lex.least((4,)) is None and not bases
+    meter.advance(10)
+    assert lex.least((4,)) is None and bases == [(4,)]
+    assert lex.least(()) is None and lex.least((4, 2)) is None
+    assert bases == [(4,)] and meter.nodes == 10
 
 
 def _trivial(adj, cells, points, meter, label, base=()):
@@ -228,18 +272,33 @@ def _runs(hosts, patterns, budget):
 
 
 def test_trivial_group_differential(monkeypatch):
-    # the pruned searches with symmetry from their first node, from a later
-    # node and never, against themselves run with the trivial group for
+    # the pruned searches with symmetry from their first node, from later
+    # nodes and never, against themselves run with the trivial group for
     # host and pattern alike: the DSW structures are the same and the
     # subdivision answers agree; every witness verifies, and one pattern
-    # group gives one witness whenever the host group joins
+    # group gives one witness whenever the host group joins.  Found after
+    # 2,000 nodes, the group unwinds both searches from the middle
     patterns = [complete_graph(3), complete_graph(4), gen_cycle(5), complete_bipartite(2, 3)]
     budget = SearchBudget(max_nodes=300_000)
     hosts = _hosts()
+    unwinds: Counter = Counter()
+    least = symmetry.LexLeader.least
+
+    def counted(self, prefix):
+        try:
+            return least(self, prefix)
+        except symmetry.Unwind:
+            unwinds[self._label] += 1
+            raise
+
+    monkeypatch.setattr(symmetry.LexLeader, "least", counted)
     by_start = {}
-    for start in (0, 37, 10**9):
+    for start in (0, 37, 2_000, 10**9):
         monkeypatch.setattr(symmetry, "START_AFTER", start)
+        unwinds.clear()
         by_start[start] = _runs(hosts, patterns, budget)
+        if start == 2_000:
+            assert unwinds["find_dsw_structure"] and unwinds["find_subdivision"], unwinds
     monkeypatch.setattr(symmetry, "START_AFTER", 0)
     monkeypatch.setattr(symmetry, "_automorphisms", _trivial)
     trivial = _runs(hosts, patterns, budget)
@@ -253,9 +312,13 @@ def test_trivial_group_differential(monkeypatch):
 
 
 def test_package_does_not_import_networkx():
-    # networkx is a test oracle only; load the command line in a fresh
-    # interpreter and look for it
+    # networkx is a test oracle only, and symmetry is compiled on first use
+    # so that start-up does not pay for it; load the command line in a fresh
+    # interpreter and look for both
     src = os.path.dirname(os.path.dirname(mtfsubdiv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, mtfsubdiv.cli; sys.exit('networkx' in sys.modules)"
+    code = (
+        "import sys, mtfsubdiv.cli; "
+        "sys.exit('networkx' in sys.modules or 'mtfsubdiv.symmetry' in sys.modules)"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
