@@ -35,8 +35,8 @@ DEFAULT_BUDGET = SearchBudget()
 class _Meter:
     """Mutable node/time counter of one user-facing search call.
 
-    Each search ticks it once per node, whether it runs on an explicit
-    stack (all of them but ``_find_dsw``'s ``extend``) or recurses.  A
+    Each search ticks it once per node; every search runs on an explicit
+    stack, so none is bounded by the interpreter's recursion limit.  A
     single meter may span several internal searches (for example the
     upward search over d in ``max_dsw_structure``) so that the budget
     covers the whole user-facing call.

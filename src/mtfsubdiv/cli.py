@@ -2,12 +2,11 @@
 
 Subcommands: gen, analyze, pipeline, find-subdivision, hypergraph.
 Exit codes: 0 success / witness found, 1 exhaustive search found nothing,
-2 budget or recursion limit exceeded, 3 input or usage error, 141 standard
-output closed by its reader (128 + SIGPIPE, as a shell reports).  "-" as a
-filename reads standard input; the format is sniffed (JSON when the
-payload starts with '{' and contains '"', else graph6) unless --format is
-given.  Output never contains ANSI escapes, so NO_COLOR is honored by
-construction.
+2 budget exceeded, 3 input or usage error, 141 standard output closed by
+its reader (128 + SIGPIPE, as a shell reports).  "-" as a filename reads
+standard input; the format is sniffed (JSON when the payload starts with
+'{' and contains '"', else graph6) unless --format is given.  Output never
+contains ANSI escapes, so NO_COLOR is honored by construction.
 """
 
 from __future__ import annotations
@@ -337,15 +336,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:
-        # the solvers and the subdivision search run on explicit stacks;
-        # only the DSW search still recurses, to depth d.  A search that
-        # outgrows the interpreter stack has proven nothing: exit 2
-        print(
-            "error: recursion limit exceeded; the input is too large for this search",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

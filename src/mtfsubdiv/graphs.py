@@ -22,6 +22,10 @@ __all__ = [
 ]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Graph:
     """Simple undirected graph on vertex set {0..n-1}.
 
@@ -43,8 +47,12 @@ class Graph:
             raise BadParameter(f"vertex count must be a non-negative integer, got {n!r}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for e in edges:
-            u, v = e
-            if not (isinstance(u, int) and isinstance(v, int)):
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise BadParameter(f"an edge must be a pair of vertices, got {e!r}") from None
+            # bool is an int subclass; reject it explicitly
+            if not (_is_int(u) and _is_int(v)):
                 raise BadParameter(f"edge endpoints must be integers, got {e!r}")
             if u == v:
                 raise BadParameter(f"self-loop at vertex {u} is not allowed")

@@ -378,9 +378,15 @@ def _find_dsw(
     structure whose sorted index tuple is lexicographically smaller, so the
     first structure in lexicographic order, which is the least of its
     orbit, is never cut.  The last edge needs no test: the first survivor
-    completes that first structure.  A frame reads its table on entry and,
-    until the group is found, after each child; the frame that chose entry
-    k catches the :class:`symmetry.Unwind` (k) of a read and moves on.
+    completes that first structure.
+
+    The search runs on an explicit stack of frames ``[cands, solo, pools,
+    union]``, the frame at depth k extending the first k chosen edges; a
+    frame saves its remaining candidates before it pushes a child.  The top
+    frame reads its table each time the loop reaches it: on entry and after
+    each child (once the group is found, a cache hit).  The
+    :class:`symmetry.Unwind` (k) of a read pops the frames above depth k,
+    and the frame at depth k resumes with its saved candidates.
     """
     from .symmetry import Unwind
 
@@ -388,15 +394,25 @@ def _find_dsw(
     m = len(masks)
     if d > m:
         return None
+    roomy = 0
+    for j, mask in enumerate(masks):
+        if mask.bit_count() >= d - 1:
+            roomy |= 1 << j
     chosen: list[int] = []
-
-    def extend(
-        cands: int, solo: list[int], pools: list[int], union: int
-    ) -> DswStructure | None:
-        depth = len(chosen)
+    stack = [[roomy, [], [], 0]]
+    while stack:
+        depth = len(stack) - 1
+        del chosen[depth:]
         need = d - depth
-        least = lex.least(chosen) if need > 1 else None
-        stale = not lex.found
+        frame = stack[-1]
+        cands, solo, pools, union = frame
+        least = None
+        if need > 1:
+            try:
+                least = lex.least(chosen)
+            except Unwind as unwind:
+                del stack[unwind.k + 1:]
+                continue
         while cands.bit_count() >= need:
             low = cands & -cands
             cands ^= low
@@ -411,7 +427,10 @@ def _find_dsw(
                 witnesses = {
                     pair: (p & -p).bit_length() - 1 for pair, p in zip(pairs, new_pools)
                 }
-                return DswStructure(tuple(chosen) + (c,), witnesses)
+                found = DswStructure(tuple(chosen) + (c,), witnesses)
+                problems = dsw_structure_violations(h, found)
+                assert not problems, problems
+                return found
             meter.advance(cands.bit_count(), "find_dsw_structure")
             fresh = mc & ~union
             survivors = _meeting(incidence, fresh, cands)
@@ -438,35 +457,15 @@ def _find_dsw(
                 )
                 if survivors.bit_count() < need - 1:
                     continue
+            frame[0] = cands
             chosen.append(c)
-            try:
-                found = extend(
-                    survivors,
-                    new_solo,
-                    [p & keep for p in pools] + [s & mc for s in solo],
-                    union | mc,
-                )
-            except Unwind as unwind:
-                if unwind.k != depth:
-                    raise
-                found = None
-            if found is not None:
-                return found
-            del chosen[depth:]
-            if stale:
-                least = lex.least(chosen)
-                stale = not lex.found
-        return None
-
-    roomy = 0
-    for j, mask in enumerate(masks):
-        if mask.bit_count() >= d - 1:
-            roomy |= 1 << j
-    found = extend(roomy, [], [], 0)
-    if found is not None:
-        problems = dsw_structure_violations(h, found)
-        assert not problems, problems
-    return found
+            new_pools = [p & keep for p in pools] + [s & mc for s in solo]
+            stack.append([survivors, new_solo, new_pools, union | mc])
+            break
+        else:
+            # too few candidates left: back to the parent frame
+            stack.pop()
+    return None
 
 
 def _lex_leader(h: Hypergraph, meter: _Meter) -> symmetry.LexLeader:

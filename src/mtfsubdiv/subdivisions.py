@@ -262,12 +262,11 @@ class _SubdivSearch:
         """Set ``self.branch`` to each branch map in search order, yielding after each.
 
         An explicit stack of levels: ``image`` holds the host vertices placed
-        so far and ``tables[i]`` is level i's table from the call's
-        :class:`symmetry.LexLeader` (per host vertex, the least of its orbit
-        under the stabiliser in Aut(host) of the images above level i).  A
-        level reads it on entry and, until the group is found, at every
-        step; a level entered before then reads it once more on the way
-        back.  The :class:`symmetry.Unwind` (k) of a read returns to level k.
+        so far.  Every step at level i reads the level's table from the
+        call's :class:`symmetry.LexLeader` (per host vertex, the least of
+        its orbit under the stabiliser in Aut(host) of the images above
+        level i; once the group is found, a cache hit).  The
+        :class:`symmetry.Unwind` (k) of a read returns to level k.
         """
         from . import symmetry
 
@@ -280,8 +279,6 @@ class _SubdivSearch:
         find = partial(symmetry.graph_automorphisms, self.h._adj, meter, label)
         lex = symmetry.LexLeader(find, meter, label)
         image: list[int] = []
-        tables: list[list[int] | None] = [None] * size
-        stale = size  # the levels i < stale read their tables at every step
         nxt = [0] * size
         nxt[0] = self._first_image(porder[0])
         i = 0
@@ -293,14 +290,12 @@ class _SubdivSearch:
                 hv = image.pop()
                 del self.branch[porder[len(image)]]
                 self.branch_used ^= 1 << hv
-            if i < stale:
-                try:
-                    tables[i] = lex.least(image)
-                except symmetry.Unwind as unwind:
-                    i = unwind.k
-                    continue
-                stale = i if lex.found else size
-            hv = self._next_image(pv, nxt[i], tables[i], n)
+            try:
+                least = lex.least(image)
+            except symmetry.Unwind as unwind:
+                i = unwind.k
+                continue
+            hv = self._next_image(pv, nxt[i], least, n)
             if hv < 0:
                 i -= 1
                 continue
@@ -314,8 +309,6 @@ class _SubdivSearch:
                 continue
             i += 1
             nxt[i] = self._first_image(porder[i])
-            if lex.found:
-                tables[i] = lex.least(image)
 
     def _first_image(self, pv: int) -> int:
         # the pattern conditions: every vertex in below[pv] is already

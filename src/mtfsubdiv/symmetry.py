@@ -640,7 +640,7 @@ class LexLeader:
     Stabilisers are kept per prefix for the life of this object.
     """
 
-    __slots__ = ("_find", "_meter", "_label", "_groups", "found")
+    __slots__ = ("_find", "_meter", "_label", "_groups", "_found")
 
     def __init__(self, find: Callable[[Sequence[int]], Group], meter: _Meter, label: str):
         self._find = find
@@ -649,15 +649,15 @@ class LexLeader:
         # per prefix asked for, its stabiliser; empty until a nontrivial
         # group is found
         self._groups: dict[tuple[int, ...], Group] = {}
-        self.found = False  # whether find has been called
+        self._found = False  # whether find has been called
 
     def least(self, prefix: Sequence[int]) -> list[int] | None:
         groups = self._groups
         first = not groups
         if first:
-            if self.found or self._meter.nodes < START_AFTER:
+            if self._found or self._meter.nodes < START_AFTER:
                 return None
-            self.found = True
+            self._found = True
             group = self._find(prefix)
             if group.order == 1:
                 return None

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import inspect
 import io
 import json
 import os
@@ -12,15 +13,16 @@ import pytest
 from mtfsubdiv import (
     Graph,
     SubdivisionWitness,
+    SyntheticDswSpec,
     gen_cycle,
     gen_petersen,
+    gen_synthetic_dsw,
     is_maximal_triangle_free,
     parse_graph6,
     to_graph6,
     to_graph_json,
     verify_witness,
 )
-from mtfsubdiv import cli
 from mtfsubdiv.cli import main
 
 from families import complete_graph, star_graph
@@ -336,22 +338,6 @@ def test_find_subdivision_c4_in_long_cycle(capsys, tmp_path):
     assert verify_witness(w, require_induced=True)
 
 
-def test_find_subdivision_recursion_limit_exits_2(capsys, tmp_path, monkeypatch):
-    # a search that outgrows the interpreter stack has proven nothing, so
-    # it must not exit 1; the subdivision search still recurses over the
-    # pattern's vertices and edges, and the DSW search over d
-    def too_deep(*args, **kwargs):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr(cli, "find_subdivision", too_deep)
-    host = graph_file(tmp_path, "c5.g6", gen_cycle(5))
-    pattern = graph_file(tmp_path, "k3.g6", complete_graph(3))
-    code, out, err = run(capsys, "find-subdivision", host, "--pattern", pattern)
-    assert code == 2
-    assert out == ""
-    assert "error: recursion limit exceeded" in err
-
-
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_pipe_exits_141(tmp_path, unbuffered):
     # the reader is gone before the first write; buffered output would
@@ -418,6 +404,27 @@ def test_hypergraph_budget(capsys, tmp_path):
     code, out, _ = run(capsys, "hypergraph", path, "--budget-nodes", "1")
     assert code == 2
     assert "budget-exceeded" in out
+
+
+def test_hypergraph_dsw_max_runs_on_an_explicit_stack(capsys, tmp_path):
+    # the DSW search is 30 edges deep on N[synthetic d = 30]; it must answer
+    # with the interpreter's stack nearly full, while packing and τ run out
+    # of their budgets (exit 2)
+    g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=30))
+    argv = ["hypergraph", graph_file(tmp_path, "d30.g6", g), "--dsw-max", "--budget-nodes", "20000"]
+    # a first run at the normal limit does what the interpreter does once
+    # (codec lookup, argparse's patterns, the lazy symmetry import), so the
+    # lowered limit tests only the searches
+    first = run(capsys, *argv)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 25)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out, err) == first
+    assert code == 2
+    assert "max_dsw_size: 30" in out
 
 
 # -- error handling and hygiene -----------------------------------------

@@ -3,7 +3,9 @@ disjointly-witnessed edge families."""
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -369,6 +371,22 @@ def test_max_dsw_synthetic_d9_search_tree_is_pinned():
     assert max_dsw_size(h, SearchBudget(max_nodes=2_622)) == 9
     with pytest.raises(BudgetExceeded):
         max_dsw_size(h, SearchBudget(max_nodes=2_621))
+
+
+def test_find_dsw_runs_on_an_explicit_stack():
+    # the structure of N[synthetic d = 30] is 30 edges deep; the search must
+    # find it with the interpreter's stack nearly full.  A first run at the
+    # normal limit does the lazy symmetry import
+    g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=30))
+    h = neighborhood_hypergraph(g)
+    first = find_dsw_structure(h, 30)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 25)
+    try:
+        s = find_dsw_structure(h, 30)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert s == first and s.d == 30
 
 
 def test_max_dsw_decides_former_frontier():
