@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
+from .errors import BadParameter, BudgetExceeded
 
 # wall clock is only consulted every this many nodes; keeps tick() cheap
 _TIME_CHECK_INTERVAL = 2048
@@ -22,11 +22,22 @@ class SearchBudget:
 
     ``max_nodes`` bounds the number of search tree nodes expanded and
     ``max_seconds`` bounds wall-clock time.  The defaults are sized for
-    desk-scale instances.
+    desk-scale instances.  ``max_nodes`` must be an int >= 0 and
+    ``max_seconds`` a number >= 0 (``inf`` for no time limit); anything
+    else raises :class:`~mtfsubdiv.errors.BadParameter`.
     """
 
     max_nodes: int = 10_000_000
     max_seconds: float = 30.0
+
+    def __post_init__(self):
+        nodes, secs = self.max_nodes, self.max_seconds
+        # bool is an int subclass; reject it explicitly
+        if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 0:
+            raise BadParameter(f"max_nodes must be an integer >= 0, got {nodes!r}")
+        # NaN fails every comparison, so ``not secs >= 0`` rejects it too
+        if isinstance(secs, bool) or not isinstance(secs, (int, float)) or not secs >= 0:
+            raise BadParameter(f"max_seconds must be a number >= 0, got {secs!r}")
 
 
 DEFAULT_BUDGET = SearchBudget()

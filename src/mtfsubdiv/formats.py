@@ -136,11 +136,10 @@ def parse_graph6(text: str | bytes) -> Graph:
             if (byte - 63) >> (5 - bit % 6) & 1:
                 edges.append((i, j))
             bit += 1
+    # the padding sits in the last body byte, whose range the loop above
+    # has checked
     while bit < 6 * nbytes:
-        byte = body[bit // 6]
-        if not 63 <= byte <= 126:
-            raise ParseError(f"invalid graph6 byte 0x{byte:02x}", offset=pos + bit // 6)
-        if (byte - 63) >> (5 - bit % 6) & 1:
+        if (body[bit // 6] - 63) >> (5 - bit % 6) & 1:
             raise ParseError("nonzero padding bit", offset=pos + bit // 6)
         bit += 1
     return Graph(n, edges)

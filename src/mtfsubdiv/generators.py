@@ -103,6 +103,7 @@ def gen_mycielski(g: Graph) -> Graph:
     the chromatic number by exactly one.
     """
     n = g.n
+    _check_vertex_count(2 * n + 1, f"mycielski of a graph on {n} vertices")
     edges = list(g.edges())
     for u in range(n):
         for w in g.neighbors(u):

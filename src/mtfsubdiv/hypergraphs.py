@@ -97,14 +97,19 @@ def packing_number(h: Hypergraph, budget: SearchBudget | None = None) -> int:
 
     Computed as a maximum independent set in the edge-intersection graph,
     whose adjacency masks are the per-edge conflict masks less the edge
-    itself.
+    itself.  The packing it finds is re-verified on the edges' vertex
+    masks to be pairwise disjoint before its size is returned.
     """
     m = len(h.edges)
     if m == 0:
         raise BadParameter("packing number needs at least one hyperedge")
     adjacency = [mask & ~(1 << i) for i, mask in enumerate(h.conflict)]
-    meter = meter_for(budget)
-    return len(_mis_search(adjacency, meter, label="packing_number"))
+    packing = _mis_search(adjacency, meter_for(budget), label="packing_number")
+    union = 0
+    for i in packing:
+        assert not union & h.masks[i], "edges not pairwise disjoint"
+        union |= h.masks[i]
+    return len(packing)
 
 
 # -- transversality -----------------------------------------------------
@@ -384,12 +389,8 @@ def _find_dsw(
     union]``, the frame at depth k extending the first k chosen edges; a
     frame saves its remaining candidates before it pushes a child.  The top
     frame reads its table each time the loop reaches it: on entry and after
-    each child (once the group is found, a cache hit).  The
-    :class:`symmetry.Unwind` (k) of a read pops the frames above depth k,
-    and the frame at depth k resumes with its saved candidates.
+    each child (once the group is found, a cache hit).
     """
-    from .symmetry import Unwind
-
     masks, incidence = h.masks, h.incidence
     m = len(masks)
     if d > m:
@@ -406,13 +407,7 @@ def _find_dsw(
         need = d - depth
         frame = stack[-1]
         cands, solo, pools, union = frame
-        least = None
-        if need > 1:
-            try:
-                least = lex.least(chosen)
-            except Unwind as unwind:
-                del stack[unwind.k + 1:]
-                continue
+        least = lex.least(chosen) if need > 1 else None
         while cands.bit_count() >= need:
             low = cands & -cands
             cands ^= low
@@ -493,10 +488,9 @@ def find_dsw_structure(
     The per-pair witness is the smallest eligible vertex id.
 
     Symmetry: a search that runs past ``symmetry.START_AFTER`` nodes finds
-    the automorphism group of the hypergraph's incidence graph, leaves the
-    subtree below the first chosen edge that is not the least of its orbit
-    under the stabiliser of the edges chosen before it, and from then on
-    tries an edge only if it is that least edge (lex-leader pruning, by
+    the automorphism group of the hypergraph's incidence graph and from
+    then on tries an edge only if it is the least of its orbit under the
+    stabiliser of the edges chosen before it (lex-leader pruning, by
     :class:`symmetry.LexLeader`).  This is exact and changes no answer: an
     automorphism maps structures to structures, so the first structure in
     lexicographic order, being the least of its orbit, passes every test,

@@ -184,11 +184,15 @@ def clique_number(g: Graph, budget: SearchBudget | None = None) -> int:
 
     Runs :func:`_mis_search` on the complement's adjacency masks, so the
     greedy clique cover that bounds α there is a greedy coloring bound
-    here, and the search runs on its explicit stack.
+    here, and the search runs on its explicit stack.  The clique it finds
+    is re-verified in ``g`` before its size is returned.
     """
     full = (1 << g.n) - 1
     complement = [full & ~(bits | 1 << v) for v, bits in enumerate(g._bits)]
-    return len(_mis_search(complement, meter_for(budget), label="clique_number"))
+    clique = _mis_search(complement, meter_for(budget), label="clique_number")
+    mask = sum(1 << v for v in clique)
+    assert all((mask & ~g._bits[v]) == 1 << v for v in clique), "not a clique"
+    return len(clique)
 
 
 # -- maximum independent set -------------------------------------------
@@ -259,12 +263,15 @@ def max_independent_set(g: Graph, budget: SearchBudget | None = None) -> frozens
 
     Among all maximum-cardinality independent sets, returns the
     lexicographically least (comparing sorted member lists), which pins the
-    pipeline's stable-set stages to a unique deterministic answer.
+    pipeline's stable-set stages to a unique deterministic answer.  The set
+    is re-verified to be independent before it is returned.
     """
     if g.n == 0:
         return frozenset()
-    meter = meter_for(budget)
-    return frozenset(_mis_search(g._bits, meter))
+    stable = _mis_search(g._bits, meter_for(budget))
+    mask = sum(1 << v for v in stable)
+    assert not any(g._bits[v] & mask for v in stable), "not independent"
+    return frozenset(stable)
 
 
 # -- polynomial stable set for triangle-free graphs ---------------------

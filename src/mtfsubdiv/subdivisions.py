@@ -265,8 +265,7 @@ class _SubdivSearch:
         so far.  Every step at level i reads the level's table from the
         call's :class:`symmetry.LexLeader` (per host vertex, the least of
         its orbit under the stabiliser in Aut(host) of the images above
-        level i; once the group is found, a cache hit).  The
-        :class:`symmetry.Unwind` (k) of a read returns to level k.
+        level i; once the group is found, a cache hit).
         """
         from . import symmetry
 
@@ -284,18 +283,12 @@ class _SubdivSearch:
         i = 0
         while i >= 0:
             pv = porder[i]
-            while len(image) > i:
-                # back at this level: lift its image, and after an unwind
-                # the images below it
+            if len(image) > i:
+                # back at this level: lift its image
                 hv = image.pop()
-                del self.branch[porder[len(image)]]
+                del self.branch[pv]
                 self.branch_used ^= 1 << hv
-            try:
-                least = lex.least(image)
-            except symmetry.Unwind as unwind:
-                i = unwind.k
-                continue
-            hv = self._next_image(pv, nxt[i], least, n)
+            hv = self._next_image(pv, nxt[i], lex.least(image), n)
             if hv < 0:
                 i -= 1
                 continue

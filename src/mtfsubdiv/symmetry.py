@@ -36,7 +36,6 @@ __all__ = [
     "START_AFTER",
     "Group",
     "LexLeader",
-    "Unwind",
     "graph_automorphisms",
     "hypergraph_automorphisms",
 ]
@@ -121,7 +120,7 @@ class _Partition:
         queue: list[int],
         k: int,
         expect: list[tuple] | None = None,
-    ) -> tuple[list[tuple] | None, int]:
+    ) -> list[tuple] | None:
         """Refine until equitable; new cells begin at level k.
 
         ``queue`` holds the start positions of the cells to split by.  A
@@ -133,14 +132,12 @@ class _Partition:
         partition is one of the output.
 
         Returns the trace (each split as splitter, cell and fragment sizes),
-        which is equal at equivalent search-tree nodes, and the number of
-        cells added.  Given the trace ``expect`` of another node, it stops
-        at the first split that differs from it and returns None for the
-        trace: the two nodes are not equivalent.
+        which is equal at equivalent search-tree nodes.  Given the trace
+        ``expect`` of another node, it stops at the first split that
+        differs from it and returns None: the two nodes are not equivalent.
         """
         lab, start, size, level = self.lab, self.start, self.size, self.level
         trace: list[tuple] = []
-        added = 0
         queued = set(queue)
         qi = 0
         while qi < len(queue):
@@ -185,7 +182,7 @@ class _Partition:
                 keys = sorted(groups)
                 step = (s, p, tuple((key, len(groups[key])) for key in keys))
                 if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != step):
-                    return None, added
+                    return None
                 trace.append(step)
                 frags = []
                 pos = p
@@ -199,7 +196,6 @@ class _Partition:
                         level[pos] = k
                     frags.append(pos)
                     pos += len(frag)
-                added += len(frags) - 1
                 if p in queued:
                     new = frags[1:]
                 else:
@@ -207,15 +203,14 @@ class _Partition:
                     new = [f for f in frags if f != big]
                 queue.extend(new)
                 queued.update(new)
-        return trace, added
+        return trace
 
     def individualise(
         self, adj: Sequence[Sequence[int]], v: int, k: int, expect: list[tuple] | None = None
-    ) -> tuple[list[tuple] | None, int]:
+    ) -> list[tuple] | None:
         """Split v off the end of its cell as a singleton, at level k, and
-        refine: the trace (None once it left ``expect``) and the number of
-        cells added.  The rest of the cell keeps its start, so this costs
-        no pass over it."""
+        refine: the trace, or None once it left ``expect``.  The rest of
+        the cell keeps its start, so this costs no pass over it."""
         lab, start, size = self.lab, self.start, self.size
         p = start[v]
         last = p + size[p] - 1
@@ -225,10 +220,10 @@ class _Partition:
         size[last] = 1
         start[v] = last
         self.level[last] = k
-        trace, added = self.refine(adj, [last], k, expect)
+        trace = self.refine(adj, [last], k, expect)
         if trace is not None:
             trace.append(p)
-        return trace, added + 1
+        return trace
 
 
 # -- stabiliser chains --------------------------------------------------
@@ -473,27 +468,23 @@ def _automorphisms(
     adjsets = [frozenset(a) for a in adj]
     path = _Partition(cells, n)
     meter.tick(label)
-    queue = [p for p in range(n) if path.level[p] == 0]
-    ncells = len(queue)
-    trace, added = path.refine(adj, queue, 0)
-    ncells += added
-    traces = [trace]
+    traces = [path.refine(adj, [p for p in range(n) if path.level[p] == 0], 0)]
     choice: list[int] = []  # the vertex individualised at each level
     target: list[int] = []  # the position of its cell
     low = 0  # no vertex below it is in a non-singleton cell
-    while ncells < n:
-        start, size = path.start, path.size
+    start, size = path.start, path.size
+    while True:
         v = next((v for v in base if size[start[v]] > 1), None)
         if v is None:
-            while size[start[low]] == 1:
+            while low < n and size[start[low]] == 1:
                 low += 1
+            if low == n:
+                break
             v = low
         choice.append(v)
         target.append(start[v])
         meter.tick(label)
-        trace, added = path.individualise(adj, v, len(choice))
-        ncells += added
-        traces.append(trace)
+        traces.append(path.individualise(adj, v, len(choice)))
     leaf = path.lab
     depth = len(choice)
 
@@ -514,8 +505,7 @@ def _automorphisms(
             if at != j:
                 work.restore(j)
             at = j + 1
-            trace, _ = work.individualise(adj, x, j + 1, traces[j + 1])
-            if trace != traces[j + 1]:
+            if work.individualise(adj, x, j + 1, traces[j + 1]) != traces[j + 1]:
                 continue
             if j + 1 == depth:
                 g = [0] * n
@@ -616,15 +606,6 @@ def hypergraph_automorphisms(
     return _automorphisms(adj, cells, m, meter, label, base)
 
 
-class Unwind(Exception):
-    """Raised by :meth:`LexLeader.least` when the group is found: entry ``k``
-    of the search's current prefix is not the least of its orbit under the
-    stabiliser of the entries before it, so nothing below it needs a visit."""
-
-    def __init__(self, k: int):
-        self.k = k
-
-
 class LexLeader:
     """The lex-leader policy of a search that extends tuples in lexicographic order.
 
@@ -632,12 +613,11 @@ class LexLeader:
     the pointwise stabiliser of ``prefix`` in the group, or None to let
     every candidate pass: before ``meter`` reaches ``START_AFTER``, or once
     the stabiliser is trivial.  The first call past that finds the group
-    by ``find(prefix)``, the prefix beginning the chain's base, and raises
-    :class:`Unwind` (k) if entry k is the first that is not the least of
-    its orbit under the stabiliser of the entries before it: it heads only
-    tuples that an automorphism maps to lexicographically smaller ones.
-    The test may be applied at any set of nodes, so starting late is exact.
-    Stabilisers are kept per prefix for the life of this object.
+    once, by ``find(prefix)``, the prefix beginning the chain's base; every
+    later call only reads tables.  The test may be applied at any set of
+    nodes, so starting late is exact: the subtree the search is in when
+    the group is found is finished with its tables.  Stabilisers are kept
+    per prefix for the life of this object.
     """
 
     __slots__ = ("_find", "_meter", "_label", "_groups", "_found")
@@ -653,8 +633,7 @@ class LexLeader:
 
     def least(self, prefix: Sequence[int]) -> list[int] | None:
         groups = self._groups
-        first = not groups
-        if first:
+        if not groups:
             if self._found or self._meter.nodes < START_AFTER:
                 return None
             self._found = True
@@ -669,8 +648,6 @@ class LexLeader:
                 known -= 1
             group = groups[prefix[:known]]
             for k in range(known, len(prefix)):
-                if first and group.least()[prefix[k]] != prefix[k]:
-                    raise Unwind(k)
                 group = group.stabiliser(prefix[k], self._meter, self._label)
                 groups[prefix[: k + 1]] = group
         group = groups[prefix]

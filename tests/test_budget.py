@@ -2,7 +2,7 @@
 
 import pytest
 
-from mtfsubdiv import BudgetExceeded, SearchBudget
+from mtfsubdiv import BadParameter, BudgetExceeded, SearchBudget
 from mtfsubdiv.budget import _TIME_CHECK_INTERVAL, meter_for
 
 
@@ -22,3 +22,29 @@ def test_advance_checks_the_clock_at_the_same_interval():
     meter.advance(_TIME_CHECK_INTERVAL - 1)
     with pytest.raises(BudgetExceeded, match="time budget"):
         meter.advance(1)
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"max_nodes": -1},
+        {"max_nodes": True},
+        {"max_nodes": 10.0},
+        {"max_nodes": "10"},
+        {"max_seconds": -5.0},
+        {"max_seconds": float("nan")},
+        {"max_seconds": False},
+        {"max_seconds": "1"},
+        {"max_seconds": None},
+    ],
+)
+def test_budget_rejects_values_outside_its_domain(limits):
+    # a negative node budget would read as exceeded, a NaN time budget would
+    # never trip and a negative one would trip only at the first clock check
+    with pytest.raises(BadParameter):
+        SearchBudget(**limits)
+
+
+def test_budget_accepts_its_boundary_values():
+    assert SearchBudget(max_nodes=0, max_seconds=0).max_nodes == 0
+    assert SearchBudget(max_seconds=float("inf")).max_seconds == float("inf")

@@ -116,6 +116,8 @@ def test_gen_rejects_bad_parameters(capsys):
     assert code == 3
     code, _, err = run(capsys, "gen", "synthetic-dsw", "3", "--pairs", "zap")
     assert code == 3
+    code, _, err = run(capsys, "gen", "synthetic-dsw", "4", "--pairs", "0-x")
+    assert code == 3 and "bad pair" in err
     code, _, err = run(capsys, "gen", "random-mtf", "1001")
     assert code == 3 and "above the limit" in err
 
@@ -167,6 +169,18 @@ def test_analyze_budget_exhaustion_exit_code(capsys, tmp_path):
     assert code == 2
     rep = json.loads(out)
     assert rep["budget_exceeded"]
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [("--budget-nodes", "-1"), ("--budget-secs", "nan"), ("--budget-secs", "-5")],
+    ids=["negative-nodes", "nan-secs", "negative-secs"],
+)
+def test_analyze_bad_budget_is_a_usage_error(capsys, tmp_path, opts):
+    # exit 3, not 2 for an exceeded budget, and no report
+    path = graph_file(tmp_path, "c5.g6", gen_cycle(5))
+    code, out, err = run(capsys, "analyze", path, *opts)
+    assert code == 3 and out == "" and "error" in err
 
 
 def test_analyze_long_cycle_reports_budget_not_recursion(capsys, tmp_path):

@@ -115,6 +115,10 @@ def test_graph6_invalid_bytes():
     with pytest.raises(ParseError) as err:
         parse_graph6("B ")
     assert err.value.offset == 1
+    # inside the three bytes of a "~" size field
+    with pytest.raises(ParseError) as err:
+        parse_graph6("~? ?")
+    assert "invalid graph6 byte" in str(err.value) and err.value.offset == 2
     with pytest.raises(ParseError) as err:
         parse_graph6("Bé")
     assert "ASCII" in str(err.value)

@@ -39,8 +39,10 @@ def test_cycle():
 
 
 def test_oversized_generators_are_rejected_before_building():
-    # each count is computed arithmetically; building any of these graphs
-    # would take far more memory than the test machine has
+    # each count is computed arithmetically; building most of these graphs
+    # would take far more memory than the test machine has, and the
+    # Mycielski graph of an edgeless graph on just over half the limit
+    # would be one that the package's own parsers reject
     for build in (
         lambda: gen_cycle(MAX_VERTICES + 1),
         lambda: gen_cycle(10**11),
@@ -48,6 +50,7 @@ def test_oversized_generators_are_rejected_before_building():
         lambda: gen_random_mtf(MAX_RANDOM_MTF_VERTICES + 1, 0),
         lambda: gen_synthetic_dsw(SyntheticDswSpec(d=1000)),
         lambda: gen_synthetic_dsw(SyntheticDswSpec(d=10**9, pattern_edges=frozenset({(0, 1)}))),
+        lambda: gen_mycielski(Graph(MAX_VERTICES // 2 + 1)),
     ):
         with pytest.raises(BadParameter, match="above the limit"):
             build()
@@ -122,6 +125,8 @@ def test_random_mtf_tiny():
     assert gen_random_mtf(1, 0).n == 1
     g = gen_random_mtf(2, 0)
     assert g.m == 1  # the only maximal triangle-free graph on two vertices
+    with pytest.raises(BadParameter):
+        gen_random_mtf(0, 1)
 
 
 def test_synthetic_dsw_bare_structure():

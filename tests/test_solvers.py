@@ -27,7 +27,11 @@ from mtfsubdiv import (
     gen_mycielski,
     gen_petersen,
     gen_random_mtf,
+    hypergraphs,
     max_independent_set,
+    neighborhood_hypergraph,
+    packing_number,
+    solvers,
     sqrt_stable_set_triangle_free,
 )
 
@@ -184,6 +188,24 @@ def test_mis_on_c3000_runs_on_an_explicit_stack():
     assert got == frozenset(range(0, 3000, 2))
     with pytest.raises(BudgetExceeded):
         max_independent_set(g, SearchBudget(max_nodes=3_000))
+
+
+@pytest.mark.parametrize(
+    "module, solve, bad",
+    [
+        (solvers, max_independent_set, [0, 1]),
+        (solvers, clique_number, [0, 2]),
+        (hypergraphs, lambda g: packing_number(neighborhood_hypergraph(g)), [0, 2]),
+    ],
+    ids=["independent", "clique", "packing"],
+)
+def test_search_sets_are_reverified(monkeypatch, module, solve, bad):
+    # on C5, {0, 1} is an edge, not a stable set; {0, 2} is a non-edge, not
+    # a clique, and as edge indices two closed neighbourhoods that share
+    # vertex 1, not a packing.  A search that returned them must be caught
+    monkeypatch.setattr(module, "_mis_search", lambda *args, **kwargs: bad)
+    with pytest.raises(AssertionError):
+        solve(gen_cycle(5))
 
 
 def _nx_graph(nx, g: Graph):

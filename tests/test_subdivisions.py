@@ -506,7 +506,7 @@ def _pinned_search(pattern, host, induced, nodes):
 
 
 def test_find_c5_in_k66_search_tree_is_pinned():
-    assert _pinned_search(gen_cycle(5), complete_bipartite(6, 6), True, 2_076) is None
+    assert _pinned_search(gen_cycle(5), complete_bipartite(6, 6), True, 2_077) is None
 
 
 def test_find_plain_k4_in_petersen_search_tree_is_pinned():
@@ -555,7 +555,7 @@ def test_find_induced_k4_in_groetzsch_search_tree_is_pinned():
 def test_find_c9_in_clebsch_search_tree_is_pinned():
     # the proof of absence took 200,194 nodes before Aut(Clebsch), of order
     # 1,920, pruned the host side
-    assert _pinned_search(gen_cycle(9), clebsch_graph(), True, 2_386) is None
+    assert _pinned_search(gen_cycle(9), clebsch_graph(), True, 2_571) is None
 
 
 def test_clebsch_has_no_induced_nine_cycle():
