@@ -1,149 +1,39 @@
 """Exact searches around maximal triangle-free graphs: neighborhood
 hypergraphs, disjointly witnessed edge families, derived graphs, and
 induced subdivisions, with a stage-by-stage pipeline and CLI.
+
+The package re-exports the ``__all__`` of each module below.  ``symmetry``
+is imported on first use, so start-up does not compile it, and is not
+re-exported.
 """
 
-from .budget import DEFAULT_BUDGET, SearchBudget
-from .errors import (
-    BadParameter,
-    BudgetExceeded,
-    EmptyGraph,
-    InconsistentWitnesses,
-    MtfError,
-    NotMaximalTriangleFree,
-    NotTriangleFree,
-    OutOfRange,
-    ParseError,
-    PreconditionViolated,
-    RangeError,
+from . import (
+    budget,
+    errors,
+    formats,
+    generators,
+    graphs,
+    hypergraphs,
+    pipeline,
+    solvers,
+    subdivisions,
 )
-from .formats import (
-    canonical_json,
-    parse_graph,
-    parse_graph6,
-    parse_graph_json,
-    to_dot,
-    to_graph6,
-    to_graph_json,
-    witness_to_dict,
-)
-from .generators import (
-    SyntheticDswSpec,
-    gen_cycle,
-    gen_kneser,
-    gen_mycielski,
-    gen_petersen,
-    gen_random_mtf,
-    gen_synthetic_dsw,
-)
-from .graphs import (
-    Graph,
-    average_degree,
-    find_triangle,
-    induced_subgraph,
-    is_maximal_triangle_free,
-    is_triangle_free,
-)
-from .hypergraphs import (
-    DswStructure,
-    Hypergraph,
-    dsw_structure_violations,
-    dsw_threshold,
-    find_dsw_structure,
-    max_dsw_size,
-    max_dsw_structure,
-    neighborhood_hypergraph,
-    packing_number,
-    transversality,
-)
-from .pipeline import (
-    BoundsReport,
-    PipelineReport,
-    analyze,
-    compute_bounds,
-    is_proper_coloring,
-    run_pipeline,
-    star_cover_coloring,
-)
-from .solvers import (
-    chromatic_coloring,
-    chromatic_number,
-    clique_number,
-    max_independent_set,
-    sqrt_stable_set_triangle_free,
-)
-from .subdivisions import (
-    SubdivisionWitness,
-    WitnessCheck,
-    derived_graph,
-    find_subdivision,
-    lift_to_induced_subdivision,
-    verify_witness,
-)
+from .budget import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .formats import *  # noqa: F403
+from .generators import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .hypergraphs import *  # noqa: F403
+from .pipeline import *  # noqa: F403
+from .solvers import *  # noqa: F403
+from .subdivisions import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_BUDGET",
-    "SearchBudget",
-    "MtfError",
-    "BadParameter",
-    "OutOfRange",
-    "EmptyGraph",
-    "NotTriangleFree",
-    "NotMaximalTriangleFree",
-    "BudgetExceeded",
-    "InconsistentWitnesses",
-    "PreconditionViolated",
-    "ParseError",
-    "RangeError",
-    "Graph",
-    "find_triangle",
-    "is_triangle_free",
-    "is_maximal_triangle_free",
-    "induced_subgraph",
-    "average_degree",
-    "chromatic_coloring",
-    "chromatic_number",
-    "clique_number",
-    "max_independent_set",
-    "sqrt_stable_set_triangle_free",
-    "gen_cycle",
-    "gen_petersen",
-    "gen_kneser",
-    "gen_mycielski",
-    "gen_random_mtf",
-    "SyntheticDswSpec",
-    "gen_synthetic_dsw",
-    "Hypergraph",
-    "neighborhood_hypergraph",
-    "packing_number",
-    "transversality",
-    "dsw_threshold",
-    "DswStructure",
-    "dsw_structure_violations",
-    "find_dsw_structure",
-    "max_dsw_size",
-    "max_dsw_structure",
-    "SubdivisionWitness",
-    "WitnessCheck",
-    "verify_witness",
-    "find_subdivision",
-    "derived_graph",
-    "lift_to_induced_subdivision",
-    "BoundsReport",
-    "PipelineReport",
-    "compute_bounds",
-    "star_cover_coloring",
-    "is_proper_coloring",
-    "analyze",
-    "run_pipeline",
-    "parse_graph6",
-    "to_graph6",
-    "parse_graph_json",
-    "to_graph_json",
-    "parse_graph",
-    "to_dot",
-    "witness_to_dict",
-    "canonical_json",
+    name
+    for module in (
+        budget, errors, formats, generators, graphs, hypergraphs, pipeline, solvers, subdivisions
+    )
+    for name in module.__all__
 ]

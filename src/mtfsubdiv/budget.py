@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from .errors import BadParameter, BudgetExceeded
 
+__all__ = ["DEFAULT_BUDGET", "SearchBudget"]
+
 # wall clock is only consulted every this many nodes; keeps tick() cheap
 _TIME_CHECK_INTERVAL = 2048
 
@@ -50,7 +52,9 @@ class _Meter:
     stack, so none is bounded by the interpreter's recursion limit.  A
     single meter may span several internal searches (for example the
     upward search over d in ``max_dsw_structure``) so that the budget
-    covers the whole user-facing call.
+    covers the whole user-facing call.  The meter is all a search passes
+    down: its BudgetExceeded names only the limit that tripped, since the
+    exception leaves no call but the one the caller made.
     """
 
     __slots__ = ("budget", "nodes", "_t0", "_next_time_check")
@@ -61,36 +65,36 @@ class _Meter:
         self._t0 = time.monotonic()
         self._next_time_check = _TIME_CHECK_INTERVAL
 
-    def tick(self, label: str = "search") -> None:
+    def tick(self) -> None:
         """Count one search node; raise BudgetExceeded when over budget."""
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
-            self._exhausted(label)
+            self._exhausted()
         if self.nodes >= self._next_time_check:
-            self._check_time(label)
+            self._check_time()
 
-    def advance(self, count: int, label: str = "search") -> None:
+    def advance(self, count: int) -> None:
         """Count ``count`` nodes at once; raises where ``count`` ticks would."""
         if self.nodes + count > self.budget.max_nodes:
             self.nodes = self.budget.max_nodes + 1
-            self._exhausted(label)
+            self._exhausted()
         self.nodes += count
         if self.nodes >= self._next_time_check:
-            self._check_time(label)
+            self._check_time()
 
-    def _exhausted(self, label: str) -> None:
+    def _exhausted(self) -> None:
         raise BudgetExceeded(
-            f"{label}: node budget of {self.budget.max_nodes} exhausted",
+            f"node budget of {self.budget.max_nodes} exhausted",
             nodes=self.nodes,
             seconds=time.monotonic() - self._t0,
         )
 
-    def _check_time(self, label: str) -> None:
+    def _check_time(self) -> None:
         self._next_time_check = self.nodes + _TIME_CHECK_INTERVAL
         elapsed = time.monotonic() - self._t0
         if elapsed > self.budget.max_seconds:
             raise BudgetExceeded(
-                f"{label}: time budget of {self.budget.max_seconds}s exhausted",
+                f"time budget of {self.budget.max_seconds}s exhausted",
                 nodes=self.nodes,
                 seconds=elapsed,
             )

@@ -7,6 +7,20 @@ exit code.
 
 from __future__ import annotations
 
+__all__ = [
+    "MtfError",
+    "BadParameter",
+    "OutOfRange",
+    "EmptyGraph",
+    "NotTriangleFree",
+    "NotMaximalTriangleFree",
+    "BudgetExceeded",
+    "InconsistentWitnesses",
+    "PreconditionViolated",
+    "ParseError",
+    "RangeError",
+]
+
 
 class MtfError(Exception):
     """Base class for all errors raised by this package."""

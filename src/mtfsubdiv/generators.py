@@ -14,7 +14,7 @@ from math import comb
 
 from .errors import BadParameter
 from .formats import MAX_VERTICES
-from .graphs import Graph, is_maximal_triangle_free
+from .graphs import Graph, _is_int, is_maximal_triangle_free
 
 __all__ = [
     "MAX_KNESER_EDGES",
@@ -49,7 +49,7 @@ def _check_vertex_count(n: int, what: str, limit: int = MAX_VERTICES) -> None:
 
 def gen_cycle(n: int) -> Graph:
     """Cycle C_n for 3 ≤ n ≤ ``MAX_VERTICES``."""
-    if not isinstance(n, int) or n < 3:
+    if not _is_int(n) or n < 3:
         raise BadParameter(f"cycle needs n >= 3, got {n!r}")
     _check_vertex_count(n, f"cycle C{n}")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -74,7 +74,7 @@ def gen_kneser(n: int, k: int) -> Graph:
     ``MAX_KNESER_EDGES``; both are computed before anything is built.
     Disjointness is tested on subset bitmasks.
     """
-    if not (isinstance(n, int) and isinstance(k, int)) or k < 1 or n < 2 * k:
+    if not (_is_int(n) and _is_int(k)) or k < 1 or n < 2 * k:
         raise BadParameter(f"kneser needs 1 <= k and n >= 2k, got n={n!r}, k={k!r}")
     _check_vertex_count(comb(n, k), f"kneser({n},{k})")
     n_edges = comb(n, k) * comb(n - k, k) // 2
@@ -124,7 +124,7 @@ def gen_random_mtf(n: int, seed: int) -> Graph:
     has a common neighbor, which is exactly maximality.  n may not exceed
     ``MAX_RANDOM_MTF_VERTICES``.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise BadParameter(f"gen_random_mtf needs n >= 1, got {n!r}")
     _check_vertex_count(n, "random-mtf", MAX_RANDOM_MTF_VERTICES)
     rng = random.Random(seed)
@@ -164,7 +164,7 @@ class SyntheticDswSpec:
     padding: bool = False
 
     def normalized_pairs(self) -> list[tuple[int, int]]:
-        if not isinstance(self.d, int) or self.d < 2:
+        if not _is_int(self.d) or self.d < 2:
             raise BadParameter(f"synthetic spec needs d >= 2, got {self.d!r}")
         # d x-vertices, a witness per pair, and with padding a w_i per x_i
         # and at most one hub

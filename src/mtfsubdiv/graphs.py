@@ -43,7 +43,7 @@ class Graph:
     __slots__ = ("n", "_adj", "_bits", "_m", "labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels: Sequence[str] | None = None):
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise BadParameter(f"vertex count must be a non-negative integer, got {n!r}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for e in edges:
@@ -96,7 +96,7 @@ class Graph:
         return [len(s) for s in self._adj]
 
     def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 0 <= v < self.n):
+        if not (_is_int(v) and 0 <= v < self.n):
             raise OutOfRange(f"vertex {v!r} outside [0, {self.n})")
 
     # -- dunder plumbing ----------------------------------------------
@@ -161,7 +161,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     """
     members = sorted(set(s))
     for v in members:
-        if not (isinstance(v, int) and 0 <= v < g.n):
+        if not (_is_int(v) and 0 <= v < g.n):
             raise OutOfRange(f"vertex {v!r} outside [0, {g.n})")
     index = {v: i for i, v in enumerate(members)}
     edges = [

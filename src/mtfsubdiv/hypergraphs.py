@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, EmptyGraph, OutOfRange
-from .graphs import Graph
+from .graphs import Graph, _is_int
 from .solvers import _mis_search
 
 # symmetry is imported where it is used: without a bytecode cache, its
@@ -53,7 +53,7 @@ class Hypergraph:
     __slots__ = ("n", "edges", "masks", "incidence", "conflict")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise BadParameter(f"ground-set size must be a non-negative integer, got {n!r}")
         es = []
         for e in edges:
@@ -61,7 +61,7 @@ class Hypergraph:
             if not fs:
                 raise BadParameter("empty hyperedges are not allowed")
             for v in fs:
-                if not (isinstance(v, int) and 0 <= v < n):
+                if not (_is_int(v) and 0 <= v < n):
                     raise OutOfRange(f"hyperedge vertex {v!r} outside [0, {n})")
             es.append(fs)
         self.n = n
@@ -104,7 +104,7 @@ def packing_number(h: Hypergraph, budget: SearchBudget | None = None) -> int:
     if m == 0:
         raise BadParameter("packing number needs at least one hyperedge")
     adjacency = [mask & ~(1 << i) for i, mask in enumerate(h.conflict)]
-    packing = _mis_search(adjacency, meter_for(budget), label="packing_number")
+    packing = _mis_search(adjacency, meter_for(budget))
     union = 0
     for i in packing:
         assert not union & h.masks[i], "edges not pairwise disjoint"
@@ -163,7 +163,7 @@ def _covers(
     stack = [(uncovered, 0)]
     while stack:
         uncovered, used = stack.pop()
-        meter.tick("transversality")
+        meter.tick()
         if not uncovered:
             return True
         # an uncovered edge needs one more vertex, and disjoint ones one each
@@ -230,7 +230,7 @@ def transversality(
 
 def dsw_threshold(d: int) -> int:
     """The packing-one transversality threshold 11·d²·(d+4)·(d+1)²."""
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise OutOfRange(f"threshold needs d >= 1, got {d!r}")
     return 11 * d * d * (d + 4) * (d + 1) * (d + 1)
 
@@ -244,8 +244,9 @@ class DswStructure:
 
     ``witnesses`` is keyed by position pairs (i, j) with i < j referring to
     positions within ``edge_indices``; the witness lies in both chosen
-    edges and in no other chosen edge.  Distinct pairs may share a witness
-    vertex; exact two-neighbor adjacency is a later pipeline concern.
+    edges and in no other chosen edge.  So distinct pairs have distinct
+    witnesses: a witness of (i, j) lies in no third chosen edge k, so it
+    cannot witness (i, k).
     """
 
     edge_indices: tuple[int, ...]
@@ -268,7 +269,7 @@ def dsw_structure_violations(h: Hypergraph, s: DswStructure) -> list[str]:
     if len(set(s.edge_indices)) != d:
         problems.append("edge indices are not distinct")
     for idx in s.edge_indices:
-        if not (isinstance(idx, int) and 0 <= idx < m):
+        if not (_is_int(idx) and 0 <= idx < m):
             problems.append(f"edge index {idx!r} outside [0, {m})")
             return problems
     expected_pairs = {(i, j) for i in range(d) for j in range(i + 1, d)}
@@ -426,7 +427,7 @@ def _find_dsw(
                 problems = dsw_structure_violations(h, found)
                 assert not problems, problems
                 return found
-            meter.advance(cands.bit_count(), "find_dsw_structure")
+            meter.advance(cands.bit_count())
             fresh = mc & ~union
             survivors = _meeting(incidence, fresh, cands)
             for p in pools:
@@ -467,8 +468,7 @@ def _lex_leader(h: Hypergraph, meter: _Meter) -> symmetry.LexLeader:
     """The lex-leader policy of one call, under the group of h's incidence graph."""
     from .symmetry import LexLeader, hypergraph_automorphisms
 
-    label = "find_dsw_structure"
-    return LexLeader(partial(hypergraph_automorphisms, h.n, h.edges, meter, label), meter, label)
+    return LexLeader(partial(hypergraph_automorphisms, h.n, h.edges, meter), meter)
 
 
 def find_dsw_structure(
@@ -499,7 +499,7 @@ def find_dsw_structure(
     Returns the first structure in that order, or None; the result is
     re-checked by :func:`dsw_structure_violations` before being returned.
     """
-    if not isinstance(d, int) or d < 2:
+    if not _is_int(d) or d < 2:
         raise OutOfRange(f"structure search needs d >= 2, got {d!r}")
     meter = meter_for(budget)
     return _find_dsw(h, d, meter, _lex_leader(h, meter))

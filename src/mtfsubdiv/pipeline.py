@@ -26,6 +26,7 @@ from .errors import (
 from .formats import witness_to_dict
 from .graphs import (
     Graph,
+    _is_int,
     average_degree,
     find_triangle,
     induced_subgraph,
@@ -96,7 +97,7 @@ def compute_bounds(l: int) -> BoundsReport:
     symbolic: its exact integer form has millions of digits already for
     small l, so the closed form is reported instead.
     """
-    if not isinstance(l, int) or l < 1:
+    if not _is_int(l) or l < 1:
         raise BadParameter(f"pattern vertex count must be a positive integer, got {l!r}")
     exponent = 65536 * l**4
     return BoundsReport(
@@ -130,7 +131,7 @@ def star_cover_coloring(g: Graph, centers: Iterable[int]) -> list[int]:
     """
     cs = sorted(set(centers))
     for t in cs:
-        if not (isinstance(t, int) and 0 <= t < g.n):
+        if not (_is_int(t) and 0 <= t < g.n):
             raise BadParameter(f"center {t!r} is not a vertex")
     colors = [-1] * g.n
     for i, t in enumerate(cs):
@@ -326,25 +327,19 @@ def _route(
     origins = structure.edge_indices
     s_set = _stable_restriction(g, budget, stages, "x_restriction", "x", sorted(origins))
 
-    # stage 5: keep only pairs inside S whose witness sees exactly the pair
-    # (all of them: a private witness lies in no other chosen neighbourhood, and S is stable)
+    # stage 5: the pairs inside S with their witnesses.  Each witness sees
+    # exactly its pair in S (a private witness lies in no other chosen
+    # neighbourhood, and S is stable), so every candidate survives
     s_frozen = frozenset(s_set)
     surviving: dict[tuple[int, int], int] = {}
-    candidates, kept, discarded = [], [], []
     for (i, j), y in witnessed:
         u, v = sorted((origins[i], origins[j]))
-        if u not in s_frozen or v not in s_frozen:
-            continue
-        candidates.append([u, v, y])
-        if set(g.neighbors(y)) & s_frozen == {u, v}:
-            kept.append([u, v, y])
+        if u in s_frozen and v in s_frozen:
             surviving[(u, v)] = y
-        else:
-            discarded.append([u, v, y])
     stages["uniqueness"] = {
-        "candidate_pairs": candidates,
-        "surviving_pairs": kept,
-        "discarded_pairs": discarded,
+        "candidate_pairs": [[u, v, y] for (u, v), y in surviving.items()],
+        "surviving_pairs": [[u, v, y] for (u, v), y in surviving.items()],
+        "discarded_pairs": [],
     }
 
     # stage 6: exact stable restriction of the surviving witnesses
@@ -401,7 +396,7 @@ def run_pipeline(
 
     Stage order: maximality check; neighborhood-hypergraph statistics;
     largest disjointly-witnessed family; exact stable restriction of the
-    origin set; uniqueness filtering of witnesses; exact stable
+    origin set; the witnessed pairs inside it; exact stable
     restriction of the witnesses; derived-graph construction; subdivision
     search in the derived graph; lifting to an induced witness in g.  Any
     stall (budget, structure too small, pattern absent from the derived

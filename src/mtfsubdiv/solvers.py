@@ -80,7 +80,7 @@ def _dsatur(g: Graph, meter: _Meter) -> list[int]:
     stack: list[list] = []
     used = 0  # colors used by the partial coloring of the node being entered
     while True:
-        meter.tick("chromatic_number")
+        meter.tick()
         if used < best:
             if not uncolored:
                 best = used
@@ -189,7 +189,7 @@ def clique_number(g: Graph, budget: SearchBudget | None = None) -> int:
     """
     full = (1 << g.n) - 1
     complement = [full & ~(bits | 1 << v) for v, bits in enumerate(g._bits)]
-    clique = _mis_search(complement, meter_for(budget), label="clique_number")
+    clique = _mis_search(complement, meter_for(budget))
     mask = sum(1 << v for v in clique)
     assert all((mask & ~g._bits[v]) == 1 << v for v in clique), "not a clique"
     return len(clique)
@@ -220,9 +220,7 @@ def _covered_by_cliques(bits: list[int], cand: int, k: int) -> bool:
     return True
 
 
-def _mis_search(
-    bits: Sequence[int], meter: _Meter, label: str = "max_independent_set"
-) -> list[int]:
+def _mis_search(bits: Sequence[int], meter: _Meter) -> list[int]:
     """Depth-first maximum independent set search over adjacency bitmasks.
 
     Branches on the lowest-id candidate, include before exclude, and only
@@ -243,7 +241,7 @@ def _mis_search(
     while stack:
         k, cand = stack.pop()
         del chosen[k:]
-        meter.tick(label)
+        meter.tick()
         if k + cand.bit_count() <= len(best):
             continue
         if not cand:

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, InconsistentWitnesses, OutOfRange, PreconditionViolated
-from .graphs import Graph
+from .graphs import Graph, _is_int
 
 __all__ = [
     "SubdivisionWitness",
@@ -82,7 +82,7 @@ def verify_witness(w: SubdivisionWitness, require_induced: bool) -> WitnessCheck
         return WitnessCheck(False, "branch-map-domain")
     images = list(w.branch_map.values())
     for v in images:
-        if not (isinstance(v, int) and 0 <= v < h.n):
+        if not (_is_int(v) and 0 <= v < h.n):
             return WitnessCheck(False, "branch-out-of-range")
     if len(set(images)) != len(images):
         return WitnessCheck(False, "branch-not-injective")
@@ -97,7 +97,7 @@ def verify_witness(w: SubdivisionWitness, require_induced: bool) -> WitnessCheck
         if len(path) < 2:
             return WitnessCheck(False, "path-too-short")
         for v in path:
-            if not (isinstance(v, int) and 0 <= v < h.n):
+            if not (_is_int(v) and 0 <= v < h.n):
                 return WitnessCheck(False, "path-out-of-range")
         if path[0] != w.branch_map[a] or path[-1] != w.branch_map[b]:
             return WitnessCheck(False, "path-endpoints")
@@ -178,7 +178,7 @@ def _pattern_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> lis
 
     rank = {v: i for i, v in enumerate(porder)}
     adj = [[rank[u] for u in pattern._adj[v]] for v in porder]
-    group = symmetry.graph_automorphisms(adj, meter, "find_subdivision")
+    group = symmetry.graph_automorphisms(adj, meter)
     below: list[list[int]] = [[] for _ in range(pattern.n)]
     for level in group.levels:
         for w in level.orbit:
@@ -274,9 +274,8 @@ class _SubdivSearch:
         if size == 0:
             yield
             return
-        meter, label = self.meter, "find_subdivision"
-        find = partial(symmetry.graph_automorphisms, self.h._adj, meter, label)
-        lex = symmetry.LexLeader(find, meter, label)
+        meter = self.meter
+        lex = symmetry.LexLeader(partial(symmetry.graph_automorphisms, self.h._adj, meter), meter)
         image: list[int] = []
         nxt = [0] * size
         nxt[0] = self._first_image(porder[0])
@@ -315,7 +314,7 @@ class _SubdivSearch:
                 continue
             if least is not None and least[hv] != hv:
                 continue
-            self.meter.tick("find_subdivision")
+            self.meter.tick()
             if self.induced and not self._branch_compatible(pv, hv):
                 continue
             return hv
@@ -422,7 +421,7 @@ class _SubdivSearch:
         path = [s]
         on_path = 1 << s
         free = allowed & ~on_path  # allowed vertices not on the path
-        tick("find_subdivision")
+        tick()
         stack = [(s, length, iter(adj[s]), placed & ~on_path)]
         while stack:
             x, remaining, candidates, blockers = stack[-1]
@@ -436,7 +435,7 @@ class _SubdivSearch:
                     free ^= 1 << x
                     path.pop()
                 continue
-            tick("find_subdivision")
+            tick()
             if y == t:
                 path.append(t)
                 yield tuple(path)
@@ -575,14 +574,14 @@ def lift_to_induced_subdivision(
     xs = sorted(set(x_sub))
     keys_ok = set(mapping.keys()) == set(range(g_double_prime.n))
     values_ok = all(
-        isinstance(pos, int) and 0 <= pos < len(xs) for pos in mapping.values()
+        _is_int(pos) and 0 <= pos < len(xs) for pos in mapping.values()
     )
     if not keys_ok or not values_ok:
         raise BadParameter("mapping must send every pattern vertex to a valid x-position")
     if len(set(mapping.values())) != len(mapping):
         raise BadParameter("mapping must be injective")
     for v in xs:
-        if not (0 <= v < g.n):
+        if not (_is_int(v) and 0 <= v < g.n):
             raise OutOfRange(f"x vertex {v!r} outside host range")
     norm = _normalized_witnesses(witnesses)
 

@@ -349,7 +349,7 @@ class Group:
             self._least = least
         return self._least
 
-    def stabiliser(self, point: int, meter: _Meter, label: str) -> Group:
+    def stabiliser(self, point: int, meter: _Meter) -> Group:
         """The subgroup fixing ``point``.
 
         Free when ``point`` is the first base point or is fixed by the whole
@@ -391,7 +391,7 @@ class Group:
         new = [_Level(point, n)]
         order = 1
         while order < self.order:
-            meter.tick(label)
+            meter.tick()
             g = list(range(n))
             for level in levels:
                 inv = level.transversal()
@@ -436,7 +436,6 @@ def _automorphisms(
     cells: list[list[int]],
     points: int,
     meter: _Meter,
-    label: str,
     base: Sequence[int] = (),
 ) -> Group:
     """The automorphism group of a vertex-coloured graph, acting on range(points).
@@ -467,7 +466,7 @@ def _automorphisms(
     identity = list(range(points))
     adjsets = [frozenset(a) for a in adj]
     path = _Partition(cells, n)
-    meter.tick(label)
+    meter.tick()
     traces = [path.refine(adj, [p for p in range(n) if path.level[p] == 0], 0)]
     choice: list[int] = []  # the vertex individualised at each level
     target: list[int] = []  # the position of its cell
@@ -483,7 +482,7 @@ def _automorphisms(
             v = low
         choice.append(v)
         target.append(start[v])
-        meter.tick(label)
+        meter.tick()
         traces.append(path.individualise(adj, v, len(choice)))
     leaf = path.lab
     depth = len(choice)
@@ -501,7 +500,7 @@ def _automorphisms(
             if x is None:
                 stack.pop()
                 continue
-            meter.tick(label)
+            meter.tick()
             if at != j:
                 work.restore(j)
             at = j + 1
@@ -579,17 +578,17 @@ def _automorphisms(
 
 
 def graph_automorphisms(
-    adjacency: Sequence[Iterable[int]], meter: _Meter, label: str, base: Sequence[int] = ()
+    adjacency: Sequence[Iterable[int]], meter: _Meter, base: Sequence[int] = ()
 ) -> Group:
     """Aut of the graph with neighbour lists ``adjacency``, on its vertices,
     its chain's base beginning with ``base``."""
     adj = [list(a) for a in adjacency]
     n = len(adj)
-    return _automorphisms(adj, [list(range(n))] if n else [], n, meter, label, base)
+    return _automorphisms(adj, [list(range(n))] if n else [], n, meter, base)
 
 
 def hypergraph_automorphisms(
-    n: int, edges: Sequence[Iterable[int]], meter: _Meter, label: str, base: Sequence[int] = ()
+    n: int, edges: Sequence[Iterable[int]], meter: _Meter, base: Sequence[int] = ()
 ) -> Group:
     """Aut of the hypergraph on {0..n-1} with ``edges``, acting on edge indices,
     its chain's base beginning with the edges ``base``.
@@ -603,7 +602,7 @@ def hypergraph_automorphisms(
         for v in e:
             adj[m + v].append(i)
     cells = [c for c in (list(range(m)), list(range(m, m + n))) if c]
-    return _automorphisms(adj, cells, m, meter, label, base)
+    return _automorphisms(adj, cells, m, meter, base)
 
 
 class LexLeader:
@@ -620,12 +619,11 @@ class LexLeader:
     per prefix for the life of this object.
     """
 
-    __slots__ = ("_find", "_meter", "_label", "_groups", "_found")
+    __slots__ = ("_find", "_meter", "_groups", "_found")
 
-    def __init__(self, find: Callable[[Sequence[int]], Group], meter: _Meter, label: str):
+    def __init__(self, find: Callable[[Sequence[int]], Group], meter: _Meter):
         self._find = find
         self._meter = meter
-        self._label = label
         # per prefix asked for, its stabiliser; empty until a nontrivial
         # group is found
         self._groups: dict[tuple[int, ...], Group] = {}
@@ -648,7 +646,7 @@ class LexLeader:
                 known -= 1
             group = groups[prefix[:known]]
             for k in range(known, len(prefix)):
-                group = group.stabiliser(prefix[k], self._meter, self._label)
+                group = group.stabiliser(prefix[k], self._meter)
                 groups[prefix[: k + 1]] = group
         group = groups[prefix]
         return group.least() if group.order > 1 else None

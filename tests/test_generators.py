@@ -76,6 +76,8 @@ def test_kneser_matching():
     assert g.degrees() == [1] * 6
     with pytest.raises(BadParameter):
         gen_kneser(3, 2)  # needs n >= 2k
+    with pytest.raises(BadParameter):
+        gen_kneser(4, True)
 
 
 def test_kneser_edge_list_is_unchanged_on_small_cases():
@@ -125,8 +127,9 @@ def test_random_mtf_tiny():
     assert gen_random_mtf(1, 0).n == 1
     g = gen_random_mtf(2, 0)
     assert g.m == 1  # the only maximal triangle-free graph on two vertices
-    with pytest.raises(BadParameter):
-        gen_random_mtf(0, 1)
+    for n in (0, True):
+        with pytest.raises(BadParameter):
+            gen_random_mtf(n, 1)
 
 
 def test_synthetic_dsw_bare_structure():

@@ -41,8 +41,9 @@ def test_graph_duplicate_edges_collapse():
 
 
 def test_graph_rejects_bad_input():
-    with pytest.raises(BadParameter):
-        Graph(-1, [])
+    for n in (-1, True):
+        with pytest.raises(BadParameter):
+            Graph(n, [])
     with pytest.raises(BadParameter):
         Graph(3, [(0, 0)])
     with pytest.raises(BadParameter):
@@ -55,6 +56,8 @@ def test_graph_rejects_bad_input():
         Graph(3, [(0, 3)])
     with pytest.raises(OutOfRange):
         Graph(3, [(-1, 2)])
+    with pytest.raises(OutOfRange):
+        Graph(3).neighbors(True)
 
 
 def test_graph_equality_and_hash():
@@ -106,8 +109,9 @@ def test_induced_subgraph():
     assert sub.edges() == [(0, 1)]
     empty, empty_map = induced_subgraph(g, [])
     assert empty.n == 0 and empty_map == ()
-    with pytest.raises(OutOfRange):
-        induced_subgraph(g, [0, 5])
+    for bad in ([0, 5], [True, 2]):
+        with pytest.raises(OutOfRange):
+            induced_subgraph(g, bad)
 
 
 def test_induced_subgraph_carries_labels():

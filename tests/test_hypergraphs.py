@@ -75,12 +75,14 @@ def test_hypergraph_validation():
         packing_number(empty)
     with pytest.raises(BadParameter):
         transversality(empty)
-    with pytest.raises(BadParameter):
-        Hypergraph(-1, [])
+    for n in (-1, True):
+        with pytest.raises(BadParameter):
+            Hypergraph(n, [])
     with pytest.raises(BadParameter):
         Hypergraph(3, [frozenset()])
-    with pytest.raises(OutOfRange):
-        Hypergraph(3, [frozenset({3})])
+    for edge in (frozenset({3}), [True, 2]):
+        with pytest.raises(OutOfRange):
+            Hypergraph(3, [edge])
 
 
 def _assert_tables(h: Hypergraph) -> None:
@@ -212,8 +214,9 @@ def test_dsw_threshold_values():
     assert dsw_threshold(1) == 220
     assert dsw_threshold(2) == 2376
     assert dsw_threshold(3) == 11088
-    with pytest.raises(OutOfRange):
-        dsw_threshold(0)
+    for bad in (0, True):
+        with pytest.raises(OutOfRange):
+            dsw_threshold(bad)
 
 
 def test_dsw_threshold_against_expanded_polynomial():
@@ -240,6 +243,8 @@ def _assert_lex_first(h: Hypergraph, d: int) -> None:
     else:
         assert found is not None, (h.edges, d)
         assert (found.edge_indices, found.witnesses) == expected, (h.edges, d)
+        # a witness lies in no third chosen edge, so no two pairs share one
+        assert len(set(found.witnesses.values())) == len(found.witnesses), (h.edges, d)
 
 
 def test_find_dsw_matches_lex_first_oracle():
@@ -307,6 +312,7 @@ def test_validator_catches_structural_problems():
     assert dsw_structure_violations(h, DswStructure((0, 9), {(0, 1): 1}))
     assert dsw_structure_violations(h, DswStructure((0, 1), {}))  # missing pair
     assert dsw_structure_violations(h, DswStructure((0, 1), {(0, 1): 0}))  # 0 not in e_1
+    assert dsw_structure_violations(h, DswStructure((True, 2), {(0, 1): 2}))  # bool index
 
 
 def test_max_dsw_conventions():

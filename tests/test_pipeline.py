@@ -82,7 +82,7 @@ def test_bounds_to_dict_keys():
 
 
 def test_bounds_rejects_bad_l():
-    for bad in (0, -3, 1.5, "2"):
+    for bad in (0, -3, 1.5, "2", True):
         with pytest.raises(BadParameter):
             compute_bounds(bad)
 
@@ -116,6 +116,8 @@ def test_star_cover_rejects_non_dominating_centers():
         star_cover_coloring(gen_cycle(5), [0])
     with pytest.raises(BadParameter):
         star_cover_coloring(gen_cycle(5), [7])
+    with pytest.raises(BadParameter):
+        star_cover_coloring(gen_cycle(5), [True, 3])  # would dominate as [1, 3]
 
 
 def test_is_proper_coloring_basics():

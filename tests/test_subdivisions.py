@@ -75,6 +75,8 @@ def test_verify_reason_branch_out_of_range():
     w = c6_triangle_witness()
     bad = SubdivisionWitness(w.pattern, w.host, {0: 0, 1: 2, 2: 6}, w.paths)
     assert verify_witness(bad, False).reason == "branch-out-of-range"
+    bad = SubdivisionWitness(w.pattern, w.host, {0: False, 1: 2, 2: 4}, w.paths)
+    assert verify_witness(bad, False).reason == "branch-out-of-range"
 
 
 def test_verify_reason_branch_not_injective():
@@ -717,12 +719,12 @@ def test_lift_rejects_malformed_mapping():
         lift_to_induced_subdivision(g, x, witnesses, edge, {0: 0})
     with pytest.raises(BadParameter):
         lift_to_induced_subdivision(g, x, witnesses, edge, {0: 0, 1: 0})
-    with pytest.raises(BadParameter):
-        lift_to_induced_subdivision(g, x, witnesses, edge, {0: 0, 1: 9})
-    with pytest.raises(OutOfRange):
-        lift_to_induced_subdivision(
-            g, [0, 99], witnesses, edge, {0: 0, 1: 1}
-        )
+    for mapping in ({0: 0, 1: 9}, {0: 0, 1: True}):
+        with pytest.raises(BadParameter):
+            lift_to_induced_subdivision(g, x, witnesses, edge, mapping)
+    for xs in ([0, 99], [0, True]):
+        with pytest.raises(OutOfRange):
+            lift_to_induced_subdivision(g, xs, witnesses, edge, {0: 0, 1: 1})
 
 
 def test_lift_requires_a_witness_for_every_pattern_edge():

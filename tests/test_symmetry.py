@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 from functools import partial
+from importlib import import_module
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -94,7 +95,7 @@ def _brute_order(n: int, edges: frozenset[tuple[int, int]]) -> int:
 
 
 def _group(g: Graph) -> symmetry.Group:
-    return symmetry.graph_automorphisms(g._adj, meter_for(None), "test")
+    return symmetry.graph_automorphisms(g._adj, meter_for(None))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -123,7 +124,7 @@ def test_hypergraph_group_order_matches_brute_force():
                 for sigma in permutations(range(n))
             )
         )
-        group = symmetry.hypergraph_automorphisms(h.n, h.edges, meter_for(None), "test")
+        group = symmetry.hypergraph_automorphisms(h.n, h.edges, meter_for(None))
         assert group.order == brute, (n, edges)
 
 
@@ -163,7 +164,7 @@ def test_stabiliser_orbits_match_networkx(name, g, prefixes):
     for prefix in prefixes:
         stab = group
         for point in prefix:
-            stab = stab.stabiliser(point, meter, "test")
+            stab = stab.stabiliser(point, meter)
         fixing = [a for a in auts if all(a[p] == p for p in prefix)]
         assert stab.order == len(fixing), (name, prefix)
         expected: dict[int, set[int]] = {}
@@ -177,7 +178,7 @@ def test_discrete_refinement_means_the_trivial_group():
     # one refinement, no search tree
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (5, 6), (3, 5)])
     meter = meter_for(None)
-    group = symmetry.graph_automorphisms(g._adj, meter, "test")
+    group = symmetry.graph_automorphisms(g._adj, meter)
     assert group.order == 1 and not group.levels
     assert meter.nodes == 1
 
@@ -187,7 +188,7 @@ def test_a_group_too_large_to_store_is_given_up():
     # past the stored-entry limit: the trivial group stands in, which is sound
     meter = meter_for(None)
     assert _group(Graph(300)).order == factorial(300)
-    assert symmetry.graph_automorphisms(Graph(600)._adj, meter, "test").order == 1
+    assert symmetry.graph_automorphisms(Graph(600)._adj, meter).order == 1
     assert meter.nodes < 100_000
 
 
@@ -201,9 +202,7 @@ def test_lex_leader_tables(monkeypatch, first, table):
     # stabiliser is dropped once it is trivial
     monkeypatch.setattr(symmetry, "START_AFTER", 0)
     meter = meter_for(None)
-    lex = symmetry.LexLeader(
-        partial(symmetry.graph_automorphisms, gen_cycle(9)._adj, meter, "test"), meter, "test"
-    )
+    lex = symmetry.LexLeader(partial(symmetry.graph_automorphisms, gen_cycle(9)._adj, meter), meter)
     assert lex.least(first) == table
     assert lex.least(()) == [0] * 9
     assert lex.least((4,)) == [0, 1, 2, 3, 4, 3, 2, 1, 0]
@@ -221,7 +220,7 @@ def test_lex_leader_waits_for_start_after_and_drops_a_trivial_group(monkeypatch)
         bases.append(tuple(base))
         return symmetry.Group(9, [])
 
-    lex = symmetry.LexLeader(find, meter, "test")
+    lex = symmetry.LexLeader(find, meter)
     assert lex.least((4,)) is None and not bases
     meter.advance(10)
     assert lex.least((4,)) is None and bases == [(4,)]
@@ -229,7 +228,7 @@ def test_lex_leader_waits_for_start_after_and_drops_a_trivial_group(monkeypatch)
     assert bases == [(4,)] and meter.nodes == 10
 
 
-def _trivial(adj, cells, points, meter, label, base=()):
+def _trivial(adj, cells, points, meter, base=()):
     return symmetry.Group(points, [])
 
 
@@ -305,3 +304,17 @@ def test_package_does_not_import_networkx():
         "sys.exit('networkx' in sys.modules or 'mtfsubdiv.symmetry' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_package_exports_each_module_interface_once():
+    # the package's public names are exactly the __all__ lists of these
+    # nine modules, each name once
+    modules = [
+        "budget", "errors", "formats", "generators", "graphs",
+        "hypergraphs", "pipeline", "solvers", "subdivisions",
+    ]
+    names = mtfsubdiv.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(mtfsubdiv, name) for name in names)
+    exported = {n for m in modules for n in import_module(f"mtfsubdiv.{m}").__all__}
+    assert set(names) == exported
