@@ -27,12 +27,8 @@ from .generators import (
     gen_random_mtf,
     gen_synthetic_dsw,
 )
-from .hypergraphs import (
-    max_dsw_size,
-    neighborhood_hypergraph,
-    packing_number,
-)
-from .pipeline import _tau, analyze, run_pipeline
+from .hypergraphs import max_dsw_size
+from .pipeline import _hypergraph_statistics, analyze, run_pipeline
 from .subdivisions import find_subdivision
 
 EXIT_OK = 0
@@ -227,15 +223,14 @@ def _cmd_find_subdivision(args) -> int:
 def _cmd_hypergraph(args) -> int:
     g = _load_graph(args.file, args.format)
     budget = _budget(args)
-    h = neighborhood_hypergraph(g)
     exceeded: list[str] = []
+    h, packing, tau, transversal = _hypergraph_statistics(g, budget, exceeded)
 
     def show(field: str, value) -> None:
         print(f"{field}: {'budget-exceeded' if value is None else value}")
 
     print(f"edge_count: {len(h.edges)}")
-    show("packing_number", _guarded(exceeded, "packing_number", packing_number, h, budget))
-    tau, transversal = _tau(exceeded, h, budget)
+    show("packing_number", packing)
     show("transversality", tau)
     if tau is not None:
         print(f"transversal: {transversal}")

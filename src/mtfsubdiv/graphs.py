@@ -26,6 +26,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _sorted_ints(items: Iterable) -> list:
+    """sorted(set(items)), or the items unsorted for the caller to reject if one is not an int."""
+    items = list(items)
+    return sorted(set(items)) if all(map(_is_int, items)) else items
+
+
 class Graph:
     """Simple undirected graph on vertex set {0..n-1}.
 
@@ -159,10 +165,9 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     returned tuple holds the original id of new vertex i.  The mapping is
     ascending, so re-indexing is order-preserving.
     """
-    members = sorted(set(s))
+    members = _sorted_ints(s)
     for v in members:
-        if not (_is_int(v) and 0 <= v < g.n):
-            raise OutOfRange(f"vertex {v!r} outside [0, {g.n})")
+        g._check_vertex(v)
     index = {v: i for i, v in enumerate(members)}
     edges = [
         (index[u], index[v])

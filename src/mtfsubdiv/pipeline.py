@@ -27,6 +27,7 @@ from .formats import witness_to_dict
 from .graphs import (
     Graph,
     _is_int,
+    _sorted_ints,
     average_degree,
     find_triangle,
     induced_subgraph,
@@ -129,7 +130,7 @@ def star_cover_coloring(g: Graph, centers: Iterable[int]) -> list[int]:
     is_proper_coloring.  Raises BadParameter if some vertex is dominated
     by no center.
     """
-    cs = sorted(set(centers))
+    cs = _sorted_ints(centers)
     for t in cs:
         if not (_is_int(t) and 0 <= t < g.n):
             raise BadParameter(f"center {t!r} is not a vertex")
@@ -156,10 +157,13 @@ def is_proper_coloring(g: Graph, colors: list[int]) -> bool:
 # -- analysis report ----------------------------------------------------
 
 
-def _tau(exceeded: list[str], h: Hypergraph, budget: SearchBudget) -> tuple:
-    """τ(h) and its transversal, sorted; (None, None) when out of budget."""
+def _hypergraph_statistics(g: Graph, budget: SearchBudget, exceeded: list[str]) -> tuple:
+    """N[g] with its packing number, τ and sorted transversal, each solve guarded."""
+    h = neighborhood_hypergraph(g)
+    packing = _guarded(exceeded, "packing_number", packing_number, h, budget)
     pair = _guarded(exceeded, "transversality", transversality, h, budget)
-    return (None, None) if pair is None else (pair[0], sorted(pair[1]))
+    tau, transversal = (None, None) if pair is None else (pair[0], sorted(pair[1]))
+    return h, packing, tau, transversal
 
 
 def analyze(g: Graph, budget: SearchBudget | None = None) -> dict:
@@ -178,14 +182,12 @@ def analyze(g: Graph, budget: SearchBudget | None = None) -> dict:
     chi = _guarded(exceeded, "chromatic_number", chromatic_number, g, budget)
     omega = _guarded(exceeded, "clique_number", clique_number, g, budget)
     mis = _guarded(exceeded, "independence_number", max_independent_set, g, budget)
-    tf = g.n == 0 or find_triangle(g) is None
     mtf = is_maximal_triangle_free(g)
+    tf = mtf or find_triangle(g) is None
 
     packing = tau = transversal = dsw = None
     if n > 0:
-        h = neighborhood_hypergraph(g)
-        packing = _guarded(exceeded, "packing_number", packing_number, h, budget)
-        tau, transversal = _tau(exceeded, h, budget)
+        h, packing, tau, transversal = _hypergraph_statistics(g, budget, exceeded)
         dsw = _guarded(exceeded, "max_dsw_size", max_dsw_size, h, budget)
 
     # the coloring inequality is only claimed for triangle-free hosts
@@ -410,10 +412,9 @@ def run_pipeline(
     budget = budget if budget is not None else DEFAULT_BUDGET
     if g.n == 0:
         raise EmptyGraph("pipeline host must have at least one vertex")
-    tri = find_triangle(g)
-    if tri is not None:
-        raise NotMaximalTriangleFree(f"host contains triangle {tri}")
     if not is_maximal_triangle_free(g):
+        if (tri := find_triangle(g)) is not None:
+            raise NotMaximalTriangleFree(f"host contains triangle {tri}")
         raise NotMaximalTriangleFree(
             "host is triangle-free but not maximal: some non-adjacent pair "
             "has no common neighbor"
@@ -423,10 +424,8 @@ def run_pipeline(
     stages["maximality"] = {"triangle_free": True, "maximal_triangle_free": True}
 
     # stage 2: hypergraph statistics (informational; never stalls the route)
-    h = neighborhood_hypergraph(g)
     exceeded: list[str] = []
-    packing = _guarded(exceeded, "packing_number", packing_number, h, budget)
-    tau, transversal = _tau(exceeded, h, budget)
+    h, packing, tau, transversal = _hypergraph_statistics(g, budget, exceeded)
     chi = _guarded(exceeded, "chromatic_number", chromatic_number, g, budget)
     stages["hypergraph"] = {
         "edge_count": len(h.edges),

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, InconsistentWitnesses, OutOfRange, PreconditionViolated
-from .graphs import Graph, _is_int
+from .graphs import Graph, _is_int, _sorted_ints
 
 __all__ = [
     "SubdivisionWitness",
@@ -571,7 +571,7 @@ def lift_to_induced_subdivision(
     The finished witness is re-verified in induced mode before being
     returned, so a successful return is a machine-checked certificate.
     """
-    xs = sorted(set(x_sub))
+    xs = _sorted_ints(x_sub)
     keys_ok = set(mapping.keys()) == set(range(g_double_prime.n))
     values_ok = all(
         _is_int(pos) and 0 <= pos < len(xs) for pos in mapping.values()

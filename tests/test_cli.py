@@ -400,24 +400,18 @@ def test_python_dash_m_runs_the_cli():
 
 def test_hypergraph_stats(capsys, tmp_path):
     path = graph_file(tmp_path, "c5.g6", gen_cycle(5))
-    code, out, _ = run(capsys, "hypergraph", path)
-    assert code == 0
-    assert "edge_count: 5" in out
-    assert "packing_number: 1" in out
-    assert "transversality: 2" in out
-    assert "transversal: [0, 2]" in out
-    assert "max_dsw_size" not in out
-
-    code, out, _ = run(capsys, "hypergraph", path, "--dsw-max")
-    assert code == 0
-    assert "max_dsw_size: 3" in out
+    stats = "edge_count: 5\npacking_number: 1\ntransversality: 2\ntransversal: [0, 2]\n"
+    assert run(capsys, "hypergraph", path) == (0, stats, "")
+    assert run(capsys, "hypergraph", path, "--dsw-max") == (0, stats + "max_dsw_size: 3\n", "")
 
 
 def test_hypergraph_budget(capsys, tmp_path):
     path = graph_file(tmp_path, "pet.g6", gen_petersen())
-    code, out, _ = run(capsys, "hypergraph", path, "--budget-nodes", "1")
-    assert code == 2
-    assert "budget-exceeded" in out
+    assert run(capsys, "hypergraph", path, "--budget-nodes", "1") == (
+        2,
+        "edge_count: 10\npacking_number: budget-exceeded\ntransversality: budget-exceeded\n",
+        "",
+    )
 
 
 def test_hypergraph_dsw_max_runs_on_an_explicit_stack(capsys, tmp_path):

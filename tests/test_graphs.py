@@ -109,7 +109,8 @@ def test_induced_subgraph():
     assert sub.edges() == [(0, 1)]
     empty, empty_map = induced_subgraph(g, [])
     assert empty.n == 0 and empty_map == ()
-    for bad in ([0, 5], [True, 2]):
+    # mixed and unhashable items are rejected before any sorting
+    for bad in ([0, 5], [True, 2], ["a", 1], [[1], 1]):
         with pytest.raises(OutOfRange):
             induced_subgraph(g, bad)
 

@@ -118,6 +118,10 @@ def test_star_cover_rejects_non_dominating_centers():
         star_cover_coloring(gen_cycle(5), [7])
     with pytest.raises(BadParameter):
         star_cover_coloring(gen_cycle(5), [True, 3])  # would dominate as [1, 3]
+    # mixed and unhashable items are rejected before any sorting
+    for bad in (["a", 1], [[1], 1]):
+        with pytest.raises(BadParameter):
+            star_cover_coloring(gen_cycle(5), bad)
 
 
 def test_is_proper_coloring_basics():
@@ -203,9 +207,26 @@ def test_analyze_empty_graph():
 
 def test_analyze_budget_exceeded_fields_go_none():
     rep = analyze(gen_petersen(), budget=SearchBudget(max_nodes=1))
-    assert len(rep["budget_exceeded"]) > 0
+    assert rep["budget_exceeded"] == [
+        "chromatic_number",
+        "clique_number",
+        "independence_number",
+        "packing_number",
+        "transversality",
+        "max_dsw_size",
+    ]
     for field in rep["budget_exceeded"]:
         assert rep[field] is None
+    # five nodes are enough for the packing of N[Petersen] only
+    rep = analyze(gen_petersen(), budget=SearchBudget(max_nodes=5))
+    assert rep["packing_number"] == 1
+    assert rep["budget_exceeded"] == [
+        "chromatic_number",
+        "clique_number",
+        "independence_number",
+        "transversality",
+        "max_dsw_size",
+    ]
 
 
 def test_analyze_is_deterministic():
@@ -225,14 +246,16 @@ def test_pipeline_rejects_empty_host():
 def test_pipeline_rejects_triangle_host():
     with pytest.raises(NotMaximalTriangleFree) as err:
         run_pipeline(complete_graph(3), complete_graph(3))
-    assert "triangle" in str(err.value)
+    assert str(err.value) == "host contains triangle (0, 1, 2)"
 
 
 def test_pipeline_rejects_non_maximal_host():
     # C_6 is triangle-free but vertices at distance 3 share no neighbor
     with pytest.raises(NotMaximalTriangleFree) as err:
         run_pipeline(gen_cycle(6), complete_graph(3))
-    assert "not maximal" in str(err.value)
+    assert str(err.value) == (
+        "host is triangle-free but not maximal: some non-adjacent pair has no common neighbor"
+    )
     with pytest.raises(NotMaximalTriangleFree):
         run_pipeline(path_graph(4), complete_graph(3))
 
@@ -288,6 +311,19 @@ def test_pipeline_petersen_triangle_goes_through_fallback():
     assert rep.witness is not None
     assert verify_witness(rep.witness, require_induced=True)
     assert rep.stages["hypergraph"]["transversality"] == 3
+    # at one node every stage-2 solve runs out, in the order they run
+    rep = run_pipeline(gen_petersen(), complete_graph(3), SearchBudget(max_nodes=1))
+    assert list(rep.stages["hypergraph"].items()) == [
+        ("edge_count", 10),
+        ("packing_number", None),
+        ("transversality", None),
+        ("transversal", None),
+        ("chromatic_number", None),
+        ("chi_le_2tau", None),
+        ("star_cover_colors", None),
+        ("star_cover_proper", None),
+        ("budget_exceeded", ["packing_number", "transversality", "chromatic_number"]),
+    ]
 
 
 def test_pipeline_single_vertex_pattern_goes_through_route():

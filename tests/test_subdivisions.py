@@ -725,6 +725,10 @@ def test_lift_rejects_malformed_mapping():
     for xs in ([0, 99], [0, True]):
         with pytest.raises(OutOfRange):
             lift_to_induced_subdivision(g, xs, witnesses, edge, {0: 0, 1: 1})
+    # mixed and unhashable items are rejected before any sorting
+    for xs in (["a", 1], [[1], 1]):
+        with pytest.raises(OutOfRange):
+            lift_to_induced_subdivision(gen_cycle(5), xs, {}, Graph(0), {})
 
 
 def test_lift_requires_a_witness_for_every_pattern_edge():
