@@ -1,7 +1,8 @@
 """Budgeted exact solvers: chromatic number, clique number, independent sets.
 
 Chromatic number and an optimal coloring come from one DSATUR
-branch-and-bound on bitmask state; clique number and maximum
+branch-and-bound on bitmask state, stopped early by a certified lower
+bound from nested Mycielski subgraphs; clique number and maximum
 independent set share one independent-set search, the clique number
 running it on the complement.  Both searches are complete, with
 deterministic branching orders, so repeated runs on the same input produce
@@ -44,6 +45,144 @@ def _greedy_clique_size(g: Graph) -> int:
     return best
 
 
+def _shadow_map(
+    bits: Sequence[int], h: list[int], mask: int, targets: int, meter: _Meter
+) -> dict[int, int] | None:
+    """An injective map s from the vertices h (bitmask ``mask``) into the
+    mask ``targets`` with N_H(u) ⊆ N(s(u)), or None when there is none.
+
+    This is a bipartite matching, grown one vertex of h at a time by an
+    augmenting-path search on an explicit stack of frames [vertex, targets
+    it may still try, target it is trying]; each target tried ticks the
+    meter.
+    """
+    allowed = {}
+    for u in h:
+        ok = targets
+        nbrs = bits[u] & mask
+        while nbrs and ok:
+            v = (nbrs & -nbrs).bit_length() - 1
+            nbrs ^= 1 << v
+            ok &= bits[v]
+        if not ok:
+            return None
+        allowed[u] = ok
+    owner: dict[int, int] = {}
+    for u in h:
+        seen = 0
+        stack = [[u, allowed[u], -1]]
+        while stack:
+            frame = stack[-1]
+            cand = frame[1] & ~seen
+            if not cand:
+                stack.pop()
+                continue
+            meter.tick()
+            t = (cand & -cand).bit_length() - 1
+            seen |= 1 << t
+            frame[1] = cand ^ 1 << t
+            frame[2] = t
+            if t not in owner:
+                for v, _, target in stack:
+                    owner[target] = v
+                break
+            v = owner[t]
+            stack.append([v, allowed[v], -1])
+        else:
+            return None
+    return {v: t for t, v in owner.items()}
+
+
+def _mycielski_lower_bound(g: Graph, meter: _Meter) -> tuple[int, tuple]:
+    """A lower bound on χ from nested Mycielski subgraphs, with its certificate.
+
+    The Mycielskian M(H) of a graph H adds a shadow u' of each vertex u,
+    adjacent to the neighbours of u, and an apex adjacent to every shadow;
+    χ(M(H)) = χ(H) + 1 (Mycielski 1955), and a graph containing M(H) as a
+    subgraph inherits the bound.  Top-down on the vertices ``alive``, none
+    of them isolated in G[alive]: for an apex w (by descending degree in
+    ``alive``, then id, at most 16 of them), H is the vertices of ``alive``
+    outside N[w], less those isolated in G[H], and the shadows must be an
+    injective map s from V(H) into N(w) with N_H(u) ⊆ N(s(u))
+    (:func:`_shadow_map`).  The first w with such a map is recorded, and
+    the search continues on H; a level with no such w ends it, and the
+    bound is 2 plus the number of levels.  A vertex of ``alive`` outside
+    N[w] with no neighbour in N(w) has a neighbour in H that no shadow can
+    reach, so such a w is skipped before any matching.  Each apex tried
+    ticks the meter.
+
+    The certificate is (levels, base): the levels from the outside in,
+    each (w, ((u, s(u)), ...)), then an edge of the innermost H, or None
+    when g has no edge (the bound is then min(n, 1)).
+    """
+    bits = g._bits
+    members = [v for v in range(g.n) if bits[v]]
+    alive = sum(1 << v for v in members)
+    levels = []
+    while members:
+        order = sorted(members, key=lambda v: (-(bits[v] & alive).bit_count(), v))
+        for w in order[:16]:
+            meter.tick()
+            nw = bits[w] & alive
+            second = 0
+            rest = nw
+            while rest:
+                x = (rest & -rest).bit_length() - 1
+                rest ^= 1 << x
+                second |= bits[x]
+            outside = alive & ~nw & ~(1 << w)
+            if outside & ~second:
+                continue
+            h = [u for u in members if outside >> u & 1 and bits[u] & outside]
+            if not h or len(h) > nw.bit_count():
+                continue
+            mask = sum(1 << u for u in h)
+            shadows = _shadow_map(bits, h, mask, nw, meter)
+            if shadows is not None:
+                levels.append((w, tuple(sorted(shadows.items()))))
+                members, alive = h, mask
+                break
+        else:
+            break
+    if not members:
+        return min(g.n, 1), ((), None)
+    u = members[0]
+    nbrs = bits[u] & alive
+    return len(levels) + 2, (tuple(levels), (u, (nbrs & -nbrs).bit_length() - 1))
+
+
+def _mycielski_certifies(g: Graph, cert: tuple, bound: int) -> bool:
+    """Whether cert proves χ(g) ≥ bound, by one mask pass per level.
+
+    Each level's apex, shadows and H lie, disjoint, inside the previous
+    level's H; the apex is adjacent to every shadow, and each shadow to
+    the neighbours of its vertex in G[H]; the base is an edge of the
+    innermost H.
+    """
+    levels, base = cert
+    if base is None:
+        return not levels and bound <= min(g.n, 1)
+    bits = g._bits
+    inside = (1 << g.n) - 1
+    for w, shadows in levels:
+        h = sum(1 << u for u, _ in shadows)
+        s = sum(1 << t for _, t in shadows)
+        if (
+            h.bit_count() != len(shadows)
+            or s.bit_count() != len(shadows)
+            or h & s
+            or (h | s) >> w & 1
+            or (h | s | 1 << w) & ~inside
+            or s & ~bits[w]
+            or any(bits[u] & h & ~bits[t] for u, t in shadows)
+        ):
+            return False
+        inside = h
+    a, b = base
+    in_h = not (1 << a | 1 << b) & ~inside
+    return bound == len(levels) + 2 and in_h and bits[a] >> b & 1 == 1
+
+
 def _dsatur(g: Graph, meter: _Meter) -> list[int]:
     """Optimal coloring by DSATUR branch-and-bound; color of each vertex.
 
@@ -67,6 +206,10 @@ def _dsatur(g: Graph, meter: _Meter) -> list[int]:
         pos[v] = i
     nb = [sum(1 << pos[w] for w in g._adj[v]) for v in order]
     lower = max(1, _greedy_clique_size(g))
+    bound, cert = _mycielski_lower_bound(g, meter)
+    if bound > lower:
+        assert _mycielski_certifies(g, cert, bound), "Mycielski certificate fails"
+        lower = bound
     best = n + 1
     coloring: list[int] = []
     forbid = [0] * n
@@ -167,8 +310,12 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
     limit min(used + 1, best - 1) when it is entered; together with the
     branching order this fixes the search tree, and so the node count.  No
     coloring bounds the first descent, so its leaf is the greedy DSATUR
-    coloring, and the search stops there when that matches the greedy
-    clique bound.  Returns the number of colors of
+    coloring.  The search stops at the first coloring that meets its lower
+    bound, the larger of a greedy clique and a Mycielski-subgraph bound
+    (``_mycielski_lower_bound``, whose certificate is re-checked before it
+    is used; its ticks count against the budget).  On triangle-free hosts
+    the clique bound is 2, and the Mycielski bound proves χ of the
+    Mycielski chain at the first descent.  Returns the number of colors of
     :func:`chromatic_coloring`'s verified coloring.  Raises BudgetExceeded
     when the search budget runs out.
     """

@@ -528,7 +528,10 @@ def derived_graph(
     vertex.  Witness vertices must be unique per pair at this stage; a
     vertex witnessing two different pairs raises InconsistentWitnesses.
     """
-    xs = sorted(set(x))
+    xs = _sorted_ints(x)
+    for v in xs:
+        if not (_is_int(v) and v >= 0):
+            raise OutOfRange(f"x vertex {v!r} is not a vertex id")
     index = {v: i for i, v in enumerate(xs)}
     norm = _normalized_witnesses(witnesses)
     claimed: dict[int, tuple[int, int]] = {}

@@ -60,6 +60,44 @@ def brute_chromatic(g: Graph) -> int:
     return k
 
 
+def check_mycielski_certificate(g: Graph, cert, bound: int) -> bool:
+    """Whether cert shows that g contains the k-fold Mycielskian of K2 as
+    a subgraph, k = bound - 2, so that χ(g) ≥ bound by Mycielski's theorem.
+
+    cert is (levels, base): levels from the outside in, each an apex and
+    its (vertex, shadow) pairs, and base an edge of the innermost level
+    (None when g has no edge, which proves a bound of min(n, 1)).  The
+    Mycielskian is rebuilt from the base edge outward: each level adds the
+    shadow of every vertex built so far, joined to that vertex's built
+    neighbours, and its apex, joined to those shadows.  Every vertex must
+    be new and every built edge an edge of g.
+    """
+    levels, base = cert
+    if base is None:
+        return not levels and bound <= min(g.n, 1)
+    vertices = list(base)
+    edges = [tuple(base)]
+    for apex, pairs in reversed(levels):
+        shadow = dict(pairs)
+        if not all(v in shadow for v in vertices):
+            return False
+        new = [shadow[v] for v in vertices] + [apex]
+        edges = (
+            edges
+            + [(shadow[u], v) for u, v in edges]
+            + [(u, shadow[v]) for u, v in edges]
+            + [(apex, shadow[v]) for v in vertices]
+        )
+        vertices = vertices + new
+    in_range = all(isinstance(v, int) and 0 <= v < g.n for v in vertices)
+    return (
+        bound == len(levels) + 2
+        and in_range
+        and len(set(vertices)) == len(vertices) == 3 * 2 ** len(levels) - 1
+        and all(g.has_edge(u, v) for u, v in edges)
+    )
+
+
 def pair_loop_has_chord(w: SubdivisionWitness) -> bool:
     """Whether some host edge joins two used vertices of the witness w
     without lying on one of its paths, by testing every pair of used

@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_chromatic
+from oracles import brute_chromatic, check_mycielski_certificate
 from mtfsubdiv import (
     DswStructure,
     Graph,
@@ -24,10 +24,12 @@ from mtfsubdiv import (
     max_independent_set,
     packing_number,
     parse_graph6,
+    solvers,
     to_graph6,
     transversality,
     verify_witness,
 )
+from mtfsubdiv.budget import meter_for
 
 
 @st.composite
@@ -72,6 +74,14 @@ def test_solvers_invariant_under_relabelling(pair):
 @given(graphs())
 def test_chromatic_matches_oracle(g):
     assert chromatic_number(g) == brute_chromatic(g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(graphs())
+def test_mycielski_bound_is_certified_and_at_most_chi(g):
+    bound, cert = solvers._mycielski_lower_bound(g, meter_for(None))
+    assert check_mycielski_certificate(g, cert, bound)
+    assert bound <= brute_chromatic(g)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,12 @@ from families import (
     random_graph,
     star_graph,
 )
-from oracles import brute_chromatic, brute_clique, brute_independence_sets
+from oracles import (
+    brute_chromatic,
+    brute_clique,
+    brute_independence_sets,
+    check_mycielski_certificate,
+)
 from mtfsubdiv import (
     BudgetExceeded,
     Graph,
@@ -34,6 +40,7 @@ from mtfsubdiv import (
     solvers,
     sqrt_stable_set_triangle_free,
 )
+from mtfsubdiv.budget import meter_for
 
 
 def _independent(g: Graph, s) -> bool:
@@ -71,23 +78,46 @@ def test_chromatic_matches_oracle():
         assert _check_coloring(g, chromatic_coloring(g)) == brute_chromatic(g)
 
 
+def _mycielski_ticks(g: Graph) -> int:
+    meter = meter_for(None)
+    solvers._mycielski_lower_bound(g, meter)
+    return meter.nodes
+
+
 def test_chromatic_search_tree_is_pinned():
-    # 913 nodes is the exact size of the DSATUR search tree on
-    # Mycielski(Grötzsch) (n = 23, χ = 5), its greedy first descent
-    # included; a changed branching order or color limit changes it
+    # on Mycielski(Grötzsch) (n = 23, χ = 5) the Mycielski bound proves
+    # χ ≥ 5 in 23 ticks, so the search stops at its greedy first descent
+    # of 24 nodes; a changed bound, branching order or color limit changes
+    # the total of 47
     g = gen_mycielski(gen_mycielski(gen_cycle(5)))
-    assert chromatic_number(g, SearchBudget(max_nodes=913)) == 5
+    assert _mycielski_ticks(g) == 23
+    assert chromatic_number(g, SearchBudget(max_nodes=47)) == 5
     with pytest.raises(BudgetExceeded):
-        chromatic_number(g, SearchBudget(max_nodes=912))
+        chromatic_number(g, SearchBudget(max_nodes=46))
+
+
+def test_chromatic_search_tree_is_pinned_on_mmg():
+    # Mycielski(Mycielski(Grötzsch)) (n = 47, χ = 6): 47 bound ticks and a
+    # first descent of 48 nodes; the search without the bound took 447,804
+    # nodes, nearly all of them to prove that 5 colors do not suffice
+    g = gen_mycielski(gen_mycielski(gen_mycielski(gen_cycle(5))))
+    assert _mycielski_ticks(g) == 47
+    assert chromatic_number(g, SearchBudget(max_nodes=95)) == 6
+    with pytest.raises(BudgetExceeded):
+        chromatic_number(g, SearchBudget(max_nodes=94))
 
 
 def test_chromatic_search_tree_is_pinned_past_saturation_four():
     # on this host saturations reach 5, so the bit-sliced counters carry
-    # into their third slice; 29,629 nodes pin the tree there too
+    # into their third slice.  The Mycielski bound is 2, below χ, and costs
+    # its 16 apex ticks; the DSATUR tree itself is the 29,629 nodes it was
+    # without the bound
     g = gen_random_mtf(45, 2)
-    assert chromatic_number(g, SearchBudget(max_nodes=29_629)) == 5
+    ticks = _mycielski_ticks(g)
+    assert ticks == 16
+    assert chromatic_number(g, SearchBudget(max_nodes=ticks + 29_629)) == 5
     with pytest.raises(BudgetExceeded):
-        chromatic_number(g, SearchBudget(max_nodes=29_628))
+        chromatic_number(g, SearchBudget(max_nodes=ticks + 29_628))
 
 
 def test_chromatic_coloring_matches_oracle_on_named_hosts():
@@ -120,15 +150,70 @@ def test_chromatic_coloring_in_original_ids():
 def test_chromatic_greedy_descent_is_metered():
     # the greedy DSATUR coloring of C100 already meets the clique bound of
     # 2, but finding it is the search's first descent of 101 nodes, which
-    # the budget counts
+    # the budget counts after the Mycielski bound's 16 apex ticks
+    g = gen_cycle(100)
+    assert _mycielski_ticks(g) == 16
     with pytest.raises(BudgetExceeded):
-        chromatic_number(gen_cycle(100), SearchBudget(max_nodes=50))
-    assert chromatic_number(gen_cycle(100), SearchBudget(max_nodes=101)) == 2
+        chromatic_number(g, SearchBudget(max_nodes=50))
+    with pytest.raises(BudgetExceeded):
+        chromatic_number(g, SearchBudget(max_nodes=116))
+    assert chromatic_number(g, SearchBudget(max_nodes=117)) == 2
 
 
 def test_chromatic_long_odd_cycle():
     # the search runs to depth n, deeper than Python's recursion limit
     assert chromatic_number(gen_cycle(1501)) == 3
+
+
+def _relabel(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_mycielski_bound_is_chi_on_the_mycielski_chain():
+    # C5, Grötzsch, MG, MMG and M(MMG) (n = 95), each as generated and
+    # under five seeded relabellings: the bound is χ, both checkers accept
+    # its certificate, and neither accepts it for χ + 1
+    g = gen_cycle(5)
+    for chi in range(3, 8):
+        for h in [g] + [_relabel(g, seed) for seed in range(5)]:
+            bound, cert = solvers._mycielski_lower_bound(h, meter_for(None))
+            assert bound == chi
+            assert check_mycielski_certificate(h, cert, bound)
+            assert solvers._mycielski_certifies(h, cert, bound)
+            assert not check_mycielski_certificate(h, cert, bound + 1)
+            assert not solvers._mycielski_certifies(h, cert, bound + 1)
+            assert chromatic_number(h) == chi
+        g = gen_mycielski(g)
+
+
+def test_mycielski_certificate_rejected_without_one_of_its_edges():
+    # the certificate on a relabelled Mycielski(Grötzsch) uses every one
+    # of its 71 edges, so dropping any one of them breaks it
+    g = _relabel(gen_mycielski(gen_mycielski(gen_cycle(5))), 7)
+    bound, cert = solvers._mycielski_lower_bound(g, meter_for(None))
+    assert bound == 5 and check_mycielski_certificate(g, cert, bound)
+    edges = g.edges()
+    for e in edges:
+        mutant = Graph(g.n, [f for f in edges if f != e])
+        assert not check_mycielski_certificate(mutant, cert, bound)
+        assert not solvers._mycielski_certifies(mutant, cert, bound)
+
+
+def test_mycielski_bound_on_hosts_without_edges_or_without_the_structure():
+    for g, bound in [
+        (Graph(0, []), 0),
+        (Graph(3, []), 1),
+        (Graph(4, [(1, 2)]), 2),
+        (gen_cycle(7), 2),
+        (complete_bipartite(3, 4), 2),
+        (gen_petersen(), 2),
+    ]:
+        found, cert = solvers._mycielski_lower_bound(g, meter_for(None))
+        assert found == bound
+        assert check_mycielski_certificate(g, cert, bound)
+        assert solvers._mycielski_certifies(g, cert, bound)
 
 
 def test_clique_named():

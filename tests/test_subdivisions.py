@@ -600,6 +600,11 @@ def test_derived_graph_accepts_unordered_pair_keys():
 def test_derived_graph_rejects_bad_input():
     with pytest.raises(OutOfRange):
         derived_graph([0, 3], {(0, 5): 9}, [])
+    # items are checked before they are sorted or hashed
+    with pytest.raises(OutOfRange):
+        derived_graph(["a", 1], {}, [])
+    with pytest.raises(OutOfRange):
+        derived_graph([[1], 1], {}, [])
     with pytest.raises(BadParameter):
         derived_graph([0, 3], {(0, 0): 9}, [])
     with pytest.raises(BadParameter):
