@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .budget import DEFAULT_BUDGET, SearchBudget, _guarded
 from .errors import BadParameter, BudgetExceeded, MtfError
@@ -242,7 +243,11 @@ def _cmd_hypergraph(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
+@cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call; callers must not change it.  Parsing keeps no state
+    in it, and the help text reads the terminal width when it is printed."""
     parser = _Parser(
         prog="mtfsubdiv",
         description=(

@@ -157,6 +157,28 @@ def _bfs_dist(bits: tuple[int, ...], n: int, target: int, allowed: int) -> list[
     return dist
 
 
+def _bfs_distance(bits: tuple[int, ...], s: int, t: int, allowed: int) -> int:
+    """The distance from s to t inside the vertex mask ``allowed``, or -1.
+
+    The layered BFS of :func:`_bfs_dist`, grown from t, that stops at the
+    first layer reaching s instead of labelling every vertex.
+    """
+    seen = frontier = 1 << t
+    d = 0
+    while frontier:
+        d += 1
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= bits[low.bit_length() - 1]
+            frontier ^= low
+        if reach >> s & 1:
+            return d
+        frontier = reach & allowed & ~seen
+        seen |= frontier
+    return -1
+
+
 def _pattern_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> list[tuple[int, ...]]:
     """Grochow–Kellis symmetry-breaking conditions on branch images.
 
@@ -336,13 +358,12 @@ class _SubdivSearch:
 
     def _edge_order(self) -> list[tuple[int, int]] | None:
         """Pattern edges sorted by host BFS distance of their images."""
-        n = self.h.n
         order = []
         for (a, b) in self.pedges:
             s, t = self.branch[a], self.branch[b]
             allowed = self.full & ~(self.branch_used & ~((1 << s) | (1 << t)))
-            d = _bfs_dist(self.bits, n, t, allowed)[s]
-            if d == n:
+            d = _bfs_distance(self.bits, s, t, allowed)
+            if d < 0:
                 return None
             order.append((d, (a, b)))
         order.sort()
@@ -351,15 +372,24 @@ class _SubdivSearch:
     def _route(self, edge_order: list[tuple[int, int]]) -> bool:
         """Route every edge of ``edge_order`` into ``self.paths``.
 
-        Depth-first over an explicit stack with one candidate-path iterator
-        per routed edge; ``interiors[k]`` masks the interiors of the paths
-        of the first k edges.  Every edge is rewritten before the paths are
-        read, so a failed try needs no undo.
+        The edges of host-adjacent images sort first and route as that
+        edge alone, so they are set once.  The rest go depth-first over an
+        explicit stack with one candidate-path iterator per routed edge;
+        ``interiors[-1]`` masks the interiors of the paths routed so far.
+        Every edge is rewritten before the paths are read, so a failed try
+        needs no undo.
         """
-        if not edge_order:
+        branch, bits = self.branch, self.bits
+        first = 0
+        for a, b in edge_order:
+            s, t = branch[a], branch[b]
+            if not bits[s] >> t & 1:
+                break
+            self.paths[(a, b)] = (s, t)
+            first += 1
+        if first == len(edge_order):
             return True
-        branch = self.branch
-        a, b = edge_order[0]
+        a, b = edge_order[first]
         iters = [self._candidate_paths(branch[a], branch[b], 0)]
         interiors = [0]
         while iters:
@@ -368,11 +398,11 @@ class _SubdivSearch:
                 iters.pop()
                 interiors.pop()
                 continue
-            k = len(iters) - 1
+            k = first + len(iters) - 1
             self.paths[edge_order[k]] = path
             if k + 1 == len(edge_order):
                 return True
-            inner = interiors[k]
+            inner = interiors[-1]
             for v in path[1:-1]:
                 inner |= 1 << v
             a, b = edge_order[k + 1]
@@ -384,25 +414,44 @@ class _SubdivSearch:
         """Yield the chordless host paths from s to t, shortest first, then lex.
 
         Host-adjacent endpoints force the direct edge.  Interiors avoid all
-        branch images and the routed ``interiors``; in induced mode they are
-        also adjacent to none of those vertices but their path neighbours.
+        branch images and the routed ``interiors``.  In induced mode they
+        are also adjacent to no placed vertex (branch image or routed
+        interior) other than s and t, so such neighbours leave the region
+        before the BFS: its distances are exact bounds for the paths
+        searched, and an unreachable s ends the edge at once.
+
+        Lengths are tried from ``dist[s]`` up, and the loop stops after the
+        first length that :meth:`_paths_of_length` did not cut short.  A
+        longer length then accepts, at every prefix, no vertex this one
+        turned away: the distance test turned none away, and a neighbour of
+        t may close the path only at the last step.  So each prefix of a
+        longer length is one of this length's, all shorter than the longer
+        length, and none reaches t.
         """
         if self.bits[s] >> t & 1:
             yield (s, t)
             return
-        n = self.h.n
-        allowed = self.full & ~((self.branch_used & ~((1 << s) | (1 << t))) | interiors)
-        dist = _bfs_dist(self.bits, n, t, allowed)
+        bits, n = self.bits, self.h.n
+        ends = (1 << s) | (1 << t)
+        allowed = self.full & ~((self.branch_used & ~ends) | interiors)
+        if self.induced:
+            placed = (self.branch_used | interiors) & ~ends
+            while placed:
+                low = placed & -placed
+                allowed &= ~bits[low.bit_length() - 1]
+                placed ^= low
+            allowed |= ends
+        dist = _bfs_dist(bits, n, t, allowed)
         if dist[s] == n:
             return
-        placed = (self.branch_used | interiors) & ~(1 << t) if self.induced else 0
-        for length in range(max(1, dist[s]), allowed.bit_count()):
-            yield from self._paths_of_length(s, t, length, allowed, dist, placed)
+        for length in range(dist[s], allowed.bit_count()):
+            cut = yield from self._paths_of_length(s, t, length, allowed, dist)
+            if not cut:
+                return
 
-    def _paths_of_length(
-        self, s: int, t: int, length: int, allowed: int, dist: list[int], placed: int
-    ):
-        """Yield the chordless host paths s → t of exactly ``length`` edges, in lex order.
+    def _paths_of_length(self, s: int, t: int, length: int, allowed: int, dist: list[int]):
+        """Yield the chordless paths s → t of exactly ``length`` edges inside
+        ``allowed``, in lex order; return whether the length was cut short.
 
         Depth-first over an explicit stack of frames (vertex, remaining
         length, candidate iterator, blocker mask), so a long path needs no
@@ -410,24 +459,34 @@ class _SubdivSearch:
 
         A prospective interior y must have ``dist[y]`` below ``remaining``,
         so only t closes a frame with one edge left.  y may be adjacent,
-        among the current partial path and the vertex mask ``placed``, only
-        to its predecessor x; adjacency to the target t is tolerated because
-        the step below then forces immediate closure at t.  The frame of x
-        holds that blocker mask.
+        among the current partial path, only to its predecessor x;
+        adjacency to the target t is tolerated because the step below then
+        forces immediate closure at t.  The frame of x holds that blocker
+        mask.  The length was cut short if some free, unblocked y that
+        reaches t at all (``dist[y]`` below n) was turned away only because
+        ``dist[y]`` was not below ``remaining``.
         """
         bits = self.bits
         adj = self.adj
         tick = self.meter.tick
+        n = len(dist)
+        cut = False
         path = [s]
         on_path = 1 << s
         free = allowed & ~on_path  # allowed vertices not on the path
         tick()
-        stack = [(s, length, iter(adj[s]), placed & ~on_path)]
+        stack = [(s, length, iter(adj[s]), 0)]
         while stack:
             x, remaining, candidates, blockers = stack[-1]
             for y in candidates:
-                if y == t or (free >> y & 1 and dist[y] < remaining and not bits[y] & blockers):
+                if y == t:
                     break
+                if free >> y & 1:
+                    if dist[y] < remaining:
+                        if not bits[y] & blockers:
+                            break
+                    elif not cut and dist[y] < n and not bits[y] & blockers:
+                        cut = True
             else:
                 stack.pop()
                 if x != s:
@@ -450,7 +509,8 @@ class _SubdivSearch:
                 nxt = [t] if remaining == 2 else []
             else:
                 nxt = adj[y]
-            stack.append((y, remaining - 1, iter(nxt), (on_path | placed) & ~(1 << y)))
+            stack.append((y, remaining - 1, iter(nxt), on_path & ~(1 << y)))
+        return cut
 
 
 def find_subdivision(
@@ -470,8 +530,11 @@ def find_subdivision(
     automorphism group (an image must be the least vertex of its orbit
     under the stabiliser of the images before it).  Pattern edges are then
     routed as internally disjoint chordless paths, tried shortest first,
-    with full backtracking.  In induced mode chords to other used vertices
-    are pruned as soon as they arise.
+    with full backtracking.  The lengths of one edge's paths stop at the
+    first length that no distance bound cut short, since no longer path
+    then exists.  In induced mode a path searches only the host vertices
+    adjacent to no other used vertex, as any other interior would leave a
+    chord.
 
     Exactness: automorphisms of host and pattern map witnesses to
     witnesses, and the least branch map of such an orbit passes both

@@ -395,6 +395,34 @@ def test_python_dash_m_runs_the_cli():
     assert "find-subdivision" in proc.stdout
 
 
+def test_repeated_main_calls_match_a_fresh_process(capsys, monkeypatch):
+    # main shares one parser across calls; no call may see what an earlier
+    # one left behind, so each prints and returns what a first call would
+    commands = [
+        ["gen", "cycle", "5"],
+        ["gen", "bogus"],
+        ["--help"],
+        ["find-subdivision", "--help"],
+        ["analyze"],
+        ["gen", "random-mtf", "12", "--seed", "3"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtfsubdiv", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in fresh] == [0, 3, 0, 0, 3, 0]
+    for k in [0, 1, 2, 3, 4, 5, 2, 1, 0, 4, 3, 5, 1, 2]:
+        assert run(capsys, *commands[k]) == fresh[k], commands[k]
+
+
 # -- hypergraph ---------------------------------------------------------
 
 

@@ -466,6 +466,64 @@ def test_symmetry_conditions_equal_their_definition():
         assert search.below == [tuple(b) for b in expected], pattern.edges()
 
 
+def brute_candidate_paths(host, s, t, placed, induced):
+    """Every path the routing may take from s to t, by (length, tuple).
+
+    Interiors avoid the placed vertices (branch images and routed
+    interiors); the path has no chord; in induced mode no interior is
+    adjacent to a placed vertex other than s and t.
+    """
+    paths = []
+
+    def extend(path):
+        if path[-1] == t:
+            paths.append(tuple(path))
+            return
+        for y in host.neighbors(path[-1]):
+            if y not in path and (y == t or y not in placed):
+                extend(path + [y])
+
+    extend([s])
+
+    def allowed(path):
+        for i, u in enumerate(path):
+            if any(host.has_edge(u, v) for v in path[i + 2 :]):
+                return False
+        others = placed - {s, t}
+        return not induced or not any(
+            host.has_edge(v, p) for v in path[1:-1] for p in others
+        )
+
+    return sorted(filter(allowed, paths), key=lambda p: (len(p), p))
+
+
+def test_candidate_paths_equal_brute_force_enumeration():
+    # the length loop stops early and induced routing searches a smaller
+    # region; neither may drop, add or reorder a path
+    rng = random.Random(21)
+    lengths = {False: 0, True: 0}
+    for trial in range(1_000):
+        n = rng.randint(5, 10)
+        host = random_graph(n, rng.choice((0.3, 0.35, 0.4)), seed=trial)
+        induced = trial % 2 == 1
+        s, t = rng.sample(range(n), 2)
+        if trial % 8 > 1 and host.has_edge(s, t):
+            # adjacent ends route only as their edge; keep that case rare
+            host = Graph(n, [e for e in host.edges() if e != (min(s, t), max(s, t))])
+        rest = [v for v in range(n) if v not in (s, t)]
+        branch = [s, t] + rng.sample(rest, rng.randint(0, 2))
+        rest = [v for v in rest if v not in branch]
+        interiors = set(rng.sample(rest, rng.randint(0, len(rest) // 4)))
+        search = _SubdivSearch(complete_graph(2), host, induced, meter_for(None))
+        search.branch_used = sum(1 << v for v in branch)
+        got = list(search._candidate_paths(s, t, sum(1 << v for v in interiors)))
+        expect = brute_candidate_paths(host, s, t, set(branch) | interiors, induced)
+        assert got == expect, (host.edges(), branch, interiors, induced)
+        lengths[induced] += len({len(path) for path in got}) > 1
+    # enough edges have paths of several lengths in each mode
+    assert min(lengths.values()) > 20, lengths
+
+
 def test_find_long_cycle_runs_on_explicit_stacks():
     # 600 branch levels and 600 routed edges: the assignment and the routing
     # would both recurse far past the interpreter's limit
@@ -484,9 +542,11 @@ def test_find_c100_in_c200_pattern_side_is_cheap():
 
 
 def test_find_k4_in_k55_search_tree_is_pinned():
-    # 2,000 nodes without the host's symmetry, then 69 with it
+    # 2,069 nodes (2,000 without the host's symmetry, then 69 with it) while
+    # every path length was tried; the proof now ends before the host's
+    # symmetry starts
     pattern, host = complete_graph(4), complete_bipartite(5, 5)
-    nodes = 2_069
+    nodes = 1_095
     assert find_subdivision(
         pattern, host, require_induced=True, budget=SearchBudget(max_nodes=nodes)
     ) is None
@@ -508,7 +568,10 @@ def _pinned_search(pattern, host, induced, nodes):
 
 
 def test_find_c5_in_k66_search_tree_is_pinned():
-    assert _pinned_search(gen_cycle(5), complete_bipartite(6, 6), True, 2_077) is None
+    # 2,000 nodes without the host's symmetry, then 78 with it (77 when every
+    # path length was tried: the host's symmetry then took over at an
+    # earlier branch map)
+    assert _pinned_search(gen_cycle(5), complete_bipartite(6, 6), True, 2_078) is None
 
 
 def test_find_plain_k4_in_petersen_search_tree_is_pinned():
@@ -526,9 +589,27 @@ def test_find_plain_k4_in_petersen_search_tree_is_pinned():
 
 def test_find_induced_k4_in_petersen_search_tree_is_pinned():
     # a path step that leaves the target out of reach of the edges left
-    # after it is not taken: 506 nodes when such dead steps were entered
-    w = _pinned_search(complete_graph(4), gen_petersen(), True, 488)
+    # after it is not taken: 506 nodes when such dead steps were entered,
+    # 488 while every path length was tried and neighbours of placed
+    # vertices were kept in the region the routing searches
+    w = _pinned_search(complete_graph(4), gen_petersen(), True, 164)
     assert w.branch_map == {0: 0, 1: 1, 2: 3, 3: 8}
+
+
+def test_find_induced_k4_in_random_mtf_search_tree_is_pinned():
+    # 19 of the 20 branch maps routed fail; 27,864 nodes, for the same
+    # witness, while every path length was tried and neighbours of placed
+    # vertices were kept in the region the routing searches
+    w = _pinned_search(complete_graph(4), gen_random_mtf(30, 1303), True, 1_761)
+    assert w.branch_map == {0: 0, 1: 1, 2: 2, 3: 22}
+    assert w.paths == {
+        (0, 1): (0, 29, 1),
+        (0, 2): (0, 27, 2),
+        (0, 3): (0, 22),
+        (1, 2): (1, 5, 2),
+        (1, 3): (1, 22),
+        (2, 3): (2, 21, 22),
+    }
 
 
 def test_find_plain_k33_in_random_mtf_routes_chordless_paths_only():
