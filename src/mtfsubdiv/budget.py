@@ -27,6 +27,12 @@ class SearchBudget:
     desk-scale instances.  ``max_nodes`` must be an int >= 0 and
     ``max_seconds`` a number >= 0 (``inf`` for no time limit); anything
     else raises :class:`~mtfsubdiv.errors.BadParameter`.
+
+    A node budget counts meter ticks, and some work is not ticked: the
+    breadth-first searches behind each routing of the subdivision search,
+    and each edge it forces between host-adjacent branch images.  So the
+    wall time a node budget allows varies from search to search;
+    ``max_seconds`` is the bound on time.
     """
 
     max_nodes: int = 10_000_000

@@ -171,10 +171,7 @@ def _summary_lines(rep) -> list[str]:
     lines.append(fact("dsw", "d"))
     lines.append(fact("x_restriction", "size", "benchmark"))
     if s["uniqueness"] is not None:
-        lines.append(
-            f"uniqueness: surviving={len(s['uniqueness']['surviving_pairs'])} "
-            f"discarded={len(s['uniqueness']['discarded_pairs'])}"
-        )
+        lines.append(f"uniqueness: surviving={len(s['uniqueness']['surviving_pairs'])}")
     else:
         lines.append("uniqueness: not reached")
     lines.append(fact("y_restriction", "size", "benchmark"))

@@ -338,14 +338,10 @@ def _route(
         u, v = sorted((origins[i], origins[j]))
         if u in s_frozen and v in s_frozen:
             surviving[(u, v)] = y
-    stages["uniqueness"] = {
-        "candidate_pairs": [[u, v, y] for (u, v), y in surviving.items()],
-        "surviving_pairs": [[u, v, y] for (u, v), y in surviving.items()],
-        "discarded_pairs": [],
-    }
+    stages["uniqueness"] = {"surviving_pairs": [[u, v, y] for (u, v), y in surviving.items()]}
 
-    # stage 6: exact stable restriction of the surviving witnesses
-    witness_vertices = sorted(set(surviving.values()))
+    # stage 6: exact stable restriction of the surviving (private, so distinct) witnesses
+    witness_vertices = sorted(surviving.values())
     y_prime = _stable_restriction(
         g, budget, stages, "y_restriction", "witness_vertices", witness_vertices
     )
@@ -372,15 +368,26 @@ def _route(
     if w_inner is None:
         raise _Stall("pattern-subdivision-not-found-in-derived")
 
-    # stage 9: lift the used subgraph of the derived witness into g
+    # stage 9: lift the used subgraph of the derived witness into g, which
+    # checks preconditions a–c, then restate the lift as a witness of f:
+    # each step p–q of a derived path becomes x_p, y, x_q
     used = sorted(w_inner.used_vertices())
     pos = {v: k for k, v in enumerate(used)}
     gdp = Graph(len(used), sorted((pos[u], pos[v]) for u, v in w_inner.path_edges()))
     lift = stages["lift"] = {"witness": None, "verified": False}
     try:
-        witness = lift_to_induced_subdivision(g, s_set, surviving, gdp, dict(enumerate(used)))
+        lift_to_induced_subdivision(g, s_set, surviving, gdp, dict(enumerate(used)))
     except PreconditionViolated as exc:
         raise _Stall(f"lifting-precondition-{exc.condition}") from None
+    paths = {}
+    for e, path in w_inner.paths.items():
+        xs = [s_set[p] for p in path]
+        lifted = [xs[0]]
+        for u, v in zip(xs, xs[1:]):
+            lifted += (surviving[(min(u, v), max(u, v))], v)
+        paths[e] = tuple(lifted)
+    branch = {a: s_set[p] for a, p in w_inner.branch_map.items()}
+    witness = SubdivisionWitness(f, g, branch, paths, induced=True)
     lift.update(
         witness=witness_to_dict(witness),
         verified=bool(verify_witness(witness, require_induced=True)),

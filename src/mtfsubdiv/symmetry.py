@@ -331,21 +331,12 @@ class Group:
     def least(self) -> list[int]:
         """Per point, the least point of its orbit."""
         if self._least is None:
-            least = list(range(self.n))
+            least = [-1] * self.n
             gens = self.generators
-            seen = [False] * self.n
             for x in range(self.n):
-                if seen[x]:
-                    continue
-                seen[x] = True
-                orbit = [x]
-                for y in orbit:
-                    for g in gens:
-                        z = g[y]
-                        if not seen[z]:
-                            seen[z] = True
-                            least[z] = x
-                            orbit.append(z)
+                if least[x] < 0:
+                    for y in _orbit(x, gens):
+                        least[y] = x
             self._least = least
         return self._least
 

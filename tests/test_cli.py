@@ -217,6 +217,17 @@ def test_pipeline_text_summary(capsys, tmp_path):
     assert "maximality: triangle_free=True" in out
 
 
+def test_pipeline_text_summary_on_route_success(capsys, tmp_path):
+    host, _, _ = gen_synthetic_dsw(SyntheticDswSpec(5, padding=True))
+    hostfile = graph_file(tmp_path, "d5.g6", host)
+    pattern = graph_file(tmp_path, "k3.g6", complete_graph(3))
+    code, out, _ = run(capsys, "pipeline", hostfile, "--pattern", pattern)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "verdict: route-success"
+    assert "uniqueness: surviving=10" in lines
+
+
 def test_pipeline_json_output(capsys, tmp_path):
     host = graph_file(tmp_path, "c5.g6", gen_cycle(5))
     pattern = graph_file(tmp_path, "k3.g6", complete_graph(3))

@@ -3,6 +3,7 @@ synthetic disjointly-witnessed hosts."""
 
 from __future__ import annotations
 
+import hashlib
 import time
 from itertools import combinations
 from math import comb
@@ -26,7 +27,7 @@ from mtfsubdiv import (
     is_triangle_free,
     neighborhood_hypergraph,
 )
-from mtfsubdiv.formats import MAX_VERTICES
+from mtfsubdiv.formats import MAX_VERTICES, to_graph6
 from mtfsubdiv.generators import MAX_KNESER_EDGES, MAX_RANDOM_MTF_VERTICES
 
 
@@ -92,6 +93,16 @@ def test_kneser_edge_list_is_unchanged_on_small_cases():
         g = gen_kneser(n, k)
         assert g.edges() == expected
         assert g.m == comb(n, k) * comb(n - k, k) // 2
+
+
+def test_random_mtf_graphs_are_unchanged():
+    # the bench's random hosts, the CI checks and the pinned node counts
+    # all depend on these graphs, so a change to the process must keep them
+    cases = [(n, s) for n in range(1, 41) for s in range(10)] + [(40, 1403), (45, 2)]
+    digest = hashlib.sha256()
+    for n, s in cases:
+        digest.update(to_graph6(gen_random_mtf(n, s)).encode() + b"\n")
+    assert digest.hexdigest() == "d332a7a161ae5dd832dfbf69f3a6afd46955e2751d04b0daddeba2a710edf231"
 
 
 def test_kneser_edge_limit_is_checked_before_building():

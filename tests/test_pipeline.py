@@ -16,12 +16,14 @@ from mtfsubdiv import (
     analyze,
     chromatic_number,
     compute_bounds,
+    derived_graph,
     find_subdivision,
     gen_cycle,
     gen_petersen,
     gen_random_mtf,
     gen_synthetic_dsw,
     is_proper_coloring,
+    lift_to_induced_subdivision,
     max_independent_set,
     neighborhood_hypergraph,
     run_pipeline,
@@ -439,15 +441,50 @@ def test_pipeline_on_random_mtf_hosts_always_reaches_a_verdict():
 
 def test_pipeline_never_discards_a_pair_or_stalls_in_lifting():
     # a private witness lies in no other chosen neighbourhood and S is
-    # stable, so stage 5 keeps every pair and the lifting preconditions hold
+    # stable, so stage 5 keeps every witnessed pair inside S and the
+    # lifting preconditions hold
     hosts = [gen_synthetic_dsw(SyntheticDswSpec(d, padding=True))[0] for d in (5, 6, 7)]
     hosts += [gen_random_mtf(8 + seed, seed) for seed in range(12)]
     for g in hosts:
         for f in (complete_graph(3), gen_cycle(4), complete_graph(4)):
             rep = run_pipeline(g, f)
-            if rep.stages["uniqueness"] is not None:
-                assert rep.stages["uniqueness"]["discarded_pairs"] == []
+            st = rep.stages
+            if st["uniqueness"] is not None:
+                assert list(st["uniqueness"]) == ["surviving_pairs"]
+                origins = st["dsw"]["edge_indices"]
+                s_set = set(st["x_restriction"]["stable_set"])
+                inside = []
+                for i, j, y in st["dsw"]["witnesses"]:
+                    u, v = sorted((origins[i], origins[j]))
+                    if u in s_set and v in s_set:
+                        inside.append([u, v, y])
+                assert st["uniqueness"]["surviving_pairs"] == inside
             assert not (rep.stall_reason or "").startswith("lifting-precondition")
+
+
+@pytest.mark.parametrize("d", [5, 6])
+@pytest.mark.parametrize("f", [path_graph(3), gen_cycle(5)], ids=["P3", "C5"])
+def test_route_witness_is_a_witness_of_the_given_pattern(d, f):
+    host, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d, padding=True))
+    rep = run_pipeline(host, f)
+    assert rep.verdict == "route-success"
+    w = rep.witness
+    assert w.pattern == f and w.host is host
+    assert verify_witness(w, require_induced=True)
+    assert rep.stages["lift"] == {"witness": witness_to_dict(w), "verified": True}
+    # the same vertices as the lift of the derived witness's used subgraph,
+    # which names that subgraph (relabelled) as its pattern
+    st = rep.stages
+    s_set = st["x_restriction"]["stable_set"]
+    surviving = {(u, v): y for u, v, y in st["uniqueness"]["surviving_pairs"]}
+    gprime, _ = derived_graph(s_set, surviving, st["y_restriction"]["stable_set"])
+    inner = find_subdivision(f, gprime, require_induced=False)
+    used = sorted(inner.used_vertices())
+    pos = {v: k for k, v in enumerate(used)}
+    gdp = Graph(len(used), sorted((pos[u], pos[v]) for u, v in inner.path_edges()))
+    lifted = lift_to_induced_subdivision(host, s_set, surviving, gdp, dict(enumerate(used)))
+    assert w.used_vertices() == lifted.used_vertices()
+    assert w.path_edges() == lifted.path_edges()
 
 
 # -- pipeline: stall records --------------------------------------------
