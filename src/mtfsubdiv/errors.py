@@ -70,10 +70,11 @@ class InconsistentWitnesses(MtfError):
 class PreconditionViolated(MtfError):
     """A lifting precondition failed.
 
-    The ``condition`` attribute names which one: ``"a"`` (the chosen branch
-    vertex set is not stable), ``"b"`` (the used witness set is not stable),
-    or ``"c"`` (some witness has adjacencies beyond its own pair inside the
-    used vertex set).
+    The ``condition`` attribute names which one: ``"a"`` (the x set is not
+    stable; it holds the branch vertices and the interiors of the derived
+    paths), ``"b"`` (the used witness set is not stable), or ``"c"`` (some
+    witness is not adjacent to exactly its own pair inside the x set plus
+    the used witnesses).
     """
 
     def __init__(self, condition: str, message: str):

@@ -368,26 +368,13 @@ def _route(
     if w_inner is None:
         raise _Stall("pattern-subdivision-not-found-in-derived")
 
-    # stage 9: lift the used subgraph of the derived witness into g, which
-    # checks preconditions a–c, then restate the lift as a witness of f:
-    # each step p–q of a derived path becomes x_p, y, x_q
-    used = sorted(w_inner.used_vertices())
-    pos = {v: k for k, v in enumerate(used)}
-    gdp = Graph(len(used), sorted((pos[u], pos[v]) for u, v in w_inner.path_edges()))
+    # stage 9: lift the derived witness into g, which checks preconditions
+    # a–c: each step p–q of a derived path becomes x_p, y, x_q
     lift = stages["lift"] = {"witness": None, "verified": False}
     try:
-        lift_to_induced_subdivision(g, s_set, surviving, gdp, dict(enumerate(used)))
+        witness = lift_to_induced_subdivision(g, s_set, surviving, w_inner)
     except PreconditionViolated as exc:
         raise _Stall(f"lifting-precondition-{exc.condition}") from None
-    paths = {}
-    for e, path in w_inner.paths.items():
-        xs = [s_set[p] for p in path]
-        lifted = [xs[0]]
-        for u, v in zip(xs, xs[1:]):
-            lifted += (surviving[(min(u, v), max(u, v))], v)
-        paths[e] = tuple(lifted)
-    branch = {a: s_set[p] for a, p in w_inner.branch_map.items()}
-    witness = SubdivisionWitness(f, g, branch, paths, induced=True)
     lift.update(
         witness=witness_to_dict(witness),
         verified=bool(verify_witness(witness, require_induced=True)),

@@ -413,7 +413,8 @@ class _SubdivSearch:
     def _candidate_paths(self, s: int, t: int, interiors: int):
         """Yield the chordless host paths from s to t, shortest first, then lex.
 
-        Host-adjacent endpoints force the direct edge.  Interiors avoid all
+        s and t are not host-adjacent: :meth:`_route` sets the edges
+        between adjacent branch images before it routes.  Interiors avoid all
         branch images and the routed ``interiors``.  In induced mode they
         are also adjacent to no placed vertex (branch image or routed
         interior) other than s and t, so such neighbours leave the region
@@ -428,9 +429,6 @@ class _SubdivSearch:
         longer length is one of this length's, all shorter than the longer
         length, and none reaches t.
         """
-        if self.bits[s] >> t & 1:
-            yield (s, t)
-            return
         bits, n = self.bits, self.h.n
         ends = (1 << s) | (1 << t)
         allowed = self.full & ~((self.branch_used & ~ends) | interiors)
@@ -558,10 +556,21 @@ def find_subdivision(
 
 
 def _normalize_pair(pair: Iterable[int]) -> tuple[int, int]:
-    u, v = sorted(pair)
+    try:
+        u, v = pair
+    except (TypeError, ValueError):
+        raise BadParameter(f"a witness pair must be two vertices, got {pair!r}") from None
+    if not (_is_int(u) and _is_int(v)):
+        raise BadParameter(f"witness pair {pair!r} must be two integers")
     if u == v:
         raise BadParameter(f"degenerate pair {(u, v)!r}")
-    return (u, v)
+    return (u, v) if u < v else (v, u)
+
+
+def _check_witness_vertex(y) -> None:
+    # before y is hashed or sorted
+    if not (_is_int(y) and y >= 0):
+        raise OutOfRange(f"witness vertex {y!r} is not a vertex id")
 
 
 def _normalized_witnesses(
@@ -571,6 +580,7 @@ def _normalized_witnesses(
     norm: dict[tuple[int, int], int] = {}
     for pair, y in witnesses.items():
         key = _normalize_pair(pair)
+        _check_witness_vertex(y)
         if key in norm and norm[key] != y:
             raise InconsistentWitnesses(
                 f"pair {key} recorded with witnesses {norm[key]} and {y}"
@@ -606,6 +616,9 @@ def derived_graph(
                 f"witness vertex {y} claimed by pairs {claimed[y]} and {(u, v)}"
             )
         claimed[y] = (u, v)
+    y_prime = list(y_prime)
+    for y in y_prime:
+        _check_witness_vertex(y)
     yset = set(y_prime)
     if not yset <= set(norm.values()):
         raise BadParameter("y_prime contains vertices that are not witnesses")
@@ -619,15 +632,17 @@ def lift_to_induced_subdivision(
     g: Graph,
     x_sub: Iterable[int],
     witnesses: Mapping[tuple[int, int], int],
-    g_double_prime: Graph,
-    mapping: Mapping[int, int],
+    derived: SubdivisionWitness,
 ) -> SubdivisionWitness:
-    """Lift a subgraph of the derived graph to an induced subdivision in g.
+    """Lift a subdivision found in the derived graph to an induced
+    subdivision of the same pattern in g.
 
-    ``mapping`` sends each vertex of ``g_double_prime`` to a position in
-    sorted(x_sub).  Each pattern edge (a, b) becomes the 2-edge path
-    x_a - y - x_b through the pair's recorded witness.  Three structural
-    preconditions are checked explicitly before assembly:
+    ``derived`` is a witness whose host vertices are positions in
+    sorted(x_sub), as :func:`derived_graph` numbers them.  Each pattern
+    vertex a goes to ``xs[derived.branch_map[a]]``, and each step p–q of
+    a derived path becomes ``xs[p], y, xs[q]`` through the pair's recorded
+    witness y.  Three structural preconditions are checked explicitly
+    before assembly:
 
     (a) x_sub is a stable set in g;
     (b) the used witnesses form a stable set in g;
@@ -638,31 +653,30 @@ def lift_to_induced_subdivision(
     returned, so a successful return is a machine-checked certificate.
     """
     xs = _sorted_ints(x_sub)
-    keys_ok = set(mapping.keys()) == set(range(g_double_prime.n))
-    values_ok = all(
-        _is_int(pos) and 0 <= pos < len(xs) for pos in mapping.values()
-    )
-    if not keys_ok or not values_ok:
-        raise BadParameter("mapping must send every pattern vertex to a valid x-position")
-    if len(set(mapping.values())) != len(mapping):
-        raise BadParameter("mapping must be injective")
     for v in xs:
         if not (_is_int(v) and 0 <= v < g.n):
             raise OutOfRange(f"x vertex {v!r} outside host range")
+    if derived.host.n > len(xs) or not verify_witness(derived, require_induced=False):
+        raise BadParameter("derived witness must be a subdivision in a graph on the x positions")
     norm = _normalized_witnesses(witnesses)
 
-    # (a) stability of the chosen x set
+    # (a) stability of the x set
     for i, u in enumerate(xs):
         for v in xs[i + 1 :]:
             if g.has_edge(u, v):
                 raise PreconditionViolated("a", f"x vertices {u} and {v} are adjacent")
 
     used: dict[tuple[int, int], int] = {}
-    for (a, b) in g_double_prime.edges():
-        key = _normalize_pair((xs[mapping[a]], xs[mapping[b]]))
-        if key not in norm:
-            raise BadParameter(f"no witness recorded for pair {key!r}")
-        used[(a, b)] = norm[key]
+    paths = {}
+    for e, path in derived.paths.items():
+        lifted = [xs[path[0]]]
+        for q in path[1:]:
+            key = _normalize_pair((lifted[-1], xs[q]))
+            if key not in norm:
+                raise BadParameter(f"no witness recorded for pair {key!r}")
+            used[key] = norm[key]
+            lifted += (norm[key], xs[q])
+        paths[e] = tuple(lifted)
 
     # (b) stability of the used witness vertices
     y_used = sorted(set(used.values()))
@@ -672,24 +686,19 @@ def lift_to_induced_subdivision(
                 raise PreconditionViolated("b", f"witnesses {u} and {v} are adjacent")
 
     # (c) exact adjacency inside x_sub ∪ Y''; a vertex witnessing two
-    # pattern edges necessarily fails this check for at least one of them
+    # derived edges necessarily fails this check for at least one of them
     inside = set(xs) | set(y_used)
-    for (a, b), y in sorted(used.items()):
-        expect = {xs[mapping[a]], xs[mapping[b]]}
+    for pair, y in sorted(used.items()):
         actual = set(g.neighbors(y)) & inside
-        if actual != expect:
+        if actual != set(pair):
             raise PreconditionViolated(
                 "c",
-                f"witness {y} for pattern edge {(a, b)} sees {sorted(actual)} "
-                f"instead of exactly {sorted(expect)}",
+                f"witness {y} for pair {pair} sees {sorted(actual)} "
+                f"instead of exactly {list(pair)}",
             )
 
-    branch = {a: xs[mapping[a]] for a in range(g_double_prime.n)}
-    paths = {
-        (a, b): (branch[a], used[(a, b)], branch[b])
-        for (a, b) in g_double_prime.edges()
-    }
-    witness = SubdivisionWitness(g_double_prime, g, branch, paths, induced=True)
+    branch = {a: xs[p] for a, p in derived.branch_map.items()}
+    witness = SubdivisionWitness(derived.pattern, g, branch, paths, induced=True)
     check = verify_witness(witness, require_induced=True)
     assert check.ok, f"lifting produced an invalid witness: {check.reason}"
     return witness

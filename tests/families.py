@@ -1,11 +1,11 @@
-"""Small graph constructors shared by the tests."""
+"""Small graph constructors and derived witnesses shared by the tests."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
 
-from mtfsubdiv import Graph
+from mtfsubdiv import Graph, SubdivisionWitness
 
 
 def complete_graph(n: int) -> Graph:
@@ -80,3 +80,10 @@ def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
         (i, a + j) for i in range(a) for j in range(b) if rng.random() < p
     ]
     return Graph(a + b, edges)
+
+
+def derived_witness(pattern: Graph, mapping: dict[int, int], n: int) -> SubdivisionWitness:
+    """``pattern`` drawn with one-edge paths in the graph on the n x positions
+    that has exactly its edges: pattern vertex a sits at ``mapping[a]``."""
+    paths = {(a, b): (mapping[a], mapping[b]) for a, b in pattern.edges()}
+    return SubdivisionWitness(pattern, Graph(n, paths.values()), dict(mapping), paths)

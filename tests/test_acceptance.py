@@ -41,7 +41,7 @@ from mtfsubdiv import (
     verify_witness,
 )
 
-from families import complete_graph, path_graph, paw_graph
+from families import complete_graph, derived_witness, path_graph, paw_graph
 from oracles import brute_subdivision
 
 
@@ -144,7 +144,8 @@ def test_criterion_06_lifting_lemma_1000_randomized_trials():
 
         gpp = Graph(k, pattern_edges)
         mapping = {i: verts[i] for i in range(k)}
-        w = lift_to_induced_subdivision(g, x, witnesses, gpp, mapping)
+        derived = derived_witness(gpp, mapping, len(x))
+        w = lift_to_induced_subdivision(g, x, witnesses, derived)
         check = verify_witness(w, require_induced=True)
         assert check.ok, check.reason
         assert len(w.used_vertices()) == k + len(pattern_edges)

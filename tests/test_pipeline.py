@@ -472,19 +472,12 @@ def test_route_witness_is_a_witness_of_the_given_pattern(d, f):
     assert w.pattern == f and w.host is host
     assert verify_witness(w, require_induced=True)
     assert rep.stages["lift"] == {"witness": witness_to_dict(w), "verified": True}
-    # the same vertices as the lift of the derived witness's used subgraph,
-    # which names that subgraph (relabelled) as its pattern
     st = rep.stages
     s_set = st["x_restriction"]["stable_set"]
     surviving = {(u, v): y for u, v, y in st["uniqueness"]["surviving_pairs"]}
     gprime, _ = derived_graph(s_set, surviving, st["y_restriction"]["stable_set"])
     inner = find_subdivision(f, gprime, require_induced=False)
-    used = sorted(inner.used_vertices())
-    pos = {v: k for k, v in enumerate(used)}
-    gdp = Graph(len(used), sorted((pos[u], pos[v]) for u, v in inner.path_edges()))
-    lifted = lift_to_induced_subdivision(host, s_set, surviving, gdp, dict(enumerate(used)))
-    assert w.used_vertices() == lifted.used_vertices()
-    assert w.path_edges() == lifted.path_edges()
+    assert w == lift_to_induced_subdivision(host, s_set, surviving, inner)
 
 
 # -- pipeline: stall records --------------------------------------------

@@ -34,6 +34,7 @@ from families import (
     clebsch_graph,
     complete_bipartite,
     complete_graph,
+    derived_witness,
     path_graph,
     paw_graph,
     random_graph,
@@ -507,9 +508,9 @@ def test_candidate_paths_equal_brute_force_enumeration():
         host = random_graph(n, rng.choice((0.3, 0.35, 0.4)), seed=trial)
         induced = trial % 2 == 1
         s, t = rng.sample(range(n), 2)
-        if trial % 8 > 1 and host.has_edge(s, t):
-            # adjacent ends route only as their edge; keep that case rare
-            host = Graph(n, [e for e in host.edges() if e != (min(s, t), max(s, t))])
+        # routing sets the edges between adjacent ends before it asks
+        # for candidate paths
+        host = Graph(n, [e for e in host.edges() if e != (min(s, t), max(s, t))])
         rest = [v for v in range(n) if v not in (s, t)]
         branch = [s, t] + rng.sample(rest, rng.randint(0, 2))
         rest = [v for v in rest if v not in branch]
@@ -681,6 +682,21 @@ def test_derived_graph_accepts_unordered_pair_keys():
 def test_derived_graph_rejects_bad_input():
     with pytest.raises(OutOfRange):
         derived_graph([0, 3], {(0, 5): 9}, [])
+    # a pair key is two ints: not a bool, a float, a string or a triple
+    for pair in ((0, True), (0, 1.0), (0, "a"), (0, 3, 4)):
+        with pytest.raises(BadParameter):
+            derived_graph([0, 1, 3], {pair: 9}, [9])
+    # a witness vertex and each y_prime item are vertex ids, checked before
+    # they are hashed or sorted
+    for y in ([9], "y", -1):
+        with pytest.raises(OutOfRange):
+            derived_graph([0, 3], {(0, 3): y}, [])
+        with pytest.raises(OutOfRange):
+            derived_graph([0, 3], {(0, 3): y}, [y])
+    with pytest.raises(OutOfRange):
+        derived_graph([0, 3], {(0, 3): 9}, [[9]])
+    with pytest.raises(OutOfRange):
+        derived_graph([0, 3], {(0, 3): 9}, ["y"])
     # items are checked before they are sorted or hashed
     with pytest.raises(OutOfRange):
         derived_graph(["a", 1], {}, [])
@@ -701,9 +717,8 @@ def test_derived_graph_rejects_bad_input():
 
 def test_lift_triangle_from_synthetic_structure_is_a_six_cycle():
     g, x, witnesses = gen_synthetic_dsw(SyntheticDswSpec(3))
-    w = lift_to_induced_subdivision(
-        g, x, witnesses, complete_graph(3), {0: 0, 1: 1, 2: 2}
-    )
+    derived = derived_witness(complete_graph(3), {0: 0, 1: 1, 2: 2}, len(x))
+    w = lift_to_induced_subdivision(g, x, witnesses, derived)
     assert w.induced
     assert verify_witness(w, require_induced=True)
     assert len(w.used_vertices()) == 6
@@ -715,7 +730,7 @@ def test_lift_triangle_from_synthetic_structure_is_a_six_cycle():
 def test_lift_single_edge_gives_a_two_edge_path():
     g, x, witnesses = gen_synthetic_dsw(SyntheticDswSpec(3))
     edge = Graph(2, [(0, 1)])
-    w = lift_to_induced_subdivision(g, x, witnesses, edge, {0: 0, 1: 2})
+    w = lift_to_induced_subdivision(g, x, witnesses, derived_witness(edge, {0: 0, 1: 2}, len(x)))
     assert verify_witness(w, require_induced=True)
     assert list(w.paths) == [(0, 1)]
     path = w.paths[(0, 1)]
@@ -724,8 +739,8 @@ def test_lift_single_edge_gives_a_two_edge_path():
 
 def test_lift_c4_from_d4_structure_is_a_chordless_eight_cycle():
     g, x, witnesses = gen_synthetic_dsw(SyntheticDswSpec(4))
-    c4 = gen_cycle(4)
-    w = lift_to_induced_subdivision(g, x, witnesses, c4, {i: i for i in range(4)})
+    derived = derived_witness(gen_cycle(4), {i: i for i in range(4)}, len(x))
+    w = lift_to_induced_subdivision(g, x, witnesses, derived)
     assert verify_witness(w, require_induced=True)
     used = sorted(w.used_vertices())
     assert len(used) == 8
@@ -737,17 +752,34 @@ def test_lift_c4_from_d4_structure_is_a_chordless_eight_cycle():
 
 def test_lift_survives_padding_to_a_larger_host():
     g, x, witnesses = gen_synthetic_dsw(SyntheticDswSpec(4, padding=True))
-    c4 = gen_cycle(4)
-    w = lift_to_induced_subdivision(g, x, witnesses, c4, {i: i for i in range(4)})
+    derived = derived_witness(gen_cycle(4), {i: i for i in range(4)}, len(x))
+    w = lift_to_induced_subdivision(g, x, witnesses, derived)
     assert verify_witness(w, require_induced=True)
     assert len(w.used_vertices()) == 8
+
+
+def test_lift_subdivided_derived_path_routes_through_each_witness():
+    # plain K3 in the derived C4 subdivides one edge into the path 0-3-2;
+    # its lift passes through the witness of each of the path's two steps
+    spec = SyntheticDswSpec(4, pattern_edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+    g, x, witnesses = gen_synthetic_dsw(spec)
+    c4, xs = derived_graph(x, witnesses, witnesses.values())
+    assert c4.edges() == gen_cycle(4).edges()
+    inner = find_subdivision(complete_graph(3), c4, require_induced=False)
+    assert (0, 3, 2) in inner.paths.values()
+    w = lift_to_induced_subdivision(g, x, witnesses, inner)
+    assert w.pattern == complete_graph(3) and w.host is g
+    assert (0, 5, 3, 7, 2) in w.paths.values()
+    assert len(w.used_vertices()) == 8
+    assert verify_witness(w, require_induced=True)
+    assert {a: xs[p] for a, p in inner.branch_map.items()} == w.branch_map
 
 
 def test_lift_precondition_a_branch_set_not_stable():
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(PreconditionViolated) as err:
         lift_to_induced_subdivision(
-            g, [0, 1], {(0, 1): 2}, Graph(2, [(0, 1)]), {0: 0, 1: 1}
+            g, [0, 1], {(0, 1): 2}, derived_witness(Graph(2, [(0, 1)]), {0: 0, 1: 1}, 2)
         )
     assert err.value.condition == "a"
 
@@ -759,8 +791,7 @@ def test_lift_precondition_b_witnesses_not_stable():
             g,
             [0, 1, 2],
             {(0, 1): 3, (1, 2): 4},
-            path_graph(3),
-            {0: 0, 1: 1, 2: 2},
+            derived_witness(path_graph(3), {0: 0, 1: 1, 2: 2}, 3),
         )
     assert err.value.condition == "b"
 
@@ -769,7 +800,7 @@ def test_lift_precondition_c_witness_with_extra_adjacency():
     g = Graph(4, [(0, 2), (1, 2), (2, 3)])
     with pytest.raises(PreconditionViolated) as err:
         lift_to_induced_subdivision(
-            g, [0, 1, 3], {(0, 1): 2}, Graph(2, [(0, 1)]), {0: 0, 1: 1}
+            g, [0, 1, 3], {(0, 1): 2}, derived_witness(Graph(2, [(0, 1)]), {0: 0, 1: 1}, 3)
         )
     assert err.value.condition == "c"
 
@@ -778,7 +809,7 @@ def test_lift_precondition_c_witness_missing_adjacency():
     g = Graph(3, [(0, 2)])
     with pytest.raises(PreconditionViolated) as err:
         lift_to_induced_subdivision(
-            g, [0, 1], {(0, 1): 2}, Graph(2, [(0, 1)]), {0: 0, 1: 1}
+            g, [0, 1], {(0, 1): 2}, derived_witness(Graph(2, [(0, 1)]), {0: 0, 1: 1}, 2)
         )
     assert err.value.condition == "c"
 
@@ -792,45 +823,64 @@ def test_lift_rejects_witness_shared_between_pattern_edges():
             g,
             [0, 1, 2],
             {(0, 1): 3, (1, 2): 3},
-            path_graph(3),
-            {0: 0, 1: 1, 2: 2},
+            derived_witness(path_graph(3), {0: 0, 1: 1, 2: 2}, 3),
         )
     assert err.value.condition == "c"
 
 
-def test_lift_rejects_malformed_mapping():
+def test_lift_rejects_malformed_derived_witness():
     g, x, witnesses = gen_synthetic_dsw(SyntheticDswSpec(3))
     edge = Graph(2, [(0, 1)])
-    with pytest.raises(BadParameter):
-        lift_to_induced_subdivision(g, x, witnesses, edge, {0: 0})
-    with pytest.raises(BadParameter):
-        lift_to_induced_subdivision(g, x, witnesses, edge, {0: 0, 1: 0})
-    for mapping in ({0: 0, 1: 9}, {0: 0, 1: True}):
+    # a branch map that misses a vertex, is not injective, or holds a bool
+    # does not verify in plain mode
+    for branch in ({0: 0}, {0: 0, 1: 0}, {0: 0, 1: True}):
+        bad = SubdivisionWitness(edge, complete_graph(3), branch, {(0, 1): (0, 1)})
         with pytest.raises(BadParameter):
-            lift_to_induced_subdivision(g, x, witnesses, edge, mapping)
-    for xs in ([0, 99], [0, True]):
+            lift_to_induced_subdivision(g, x, witnesses, bad)
+    # a path step that is no edge of the derived host
+    bad = SubdivisionWitness(edge, Graph(3, [(1, 2)]), {0: 0, 1: 1}, {(0, 1): (0, 1)})
+    with pytest.raises(BadParameter):
+        lift_to_induced_subdivision(g, x, witnesses, bad)
+    # position 9 lies outside sorted(x): its host has more vertices than x
+    far = derived_witness(edge, {0: 0, 1: 9}, 10)
+    assert verify_witness(far, require_induced=False)
+    with pytest.raises(BadParameter):
+        lift_to_induced_subdivision(g, x, witnesses, far)
+    good = derived_witness(edge, {0: 0, 1: 1}, len(x))
+    for xs in ([0, 99, 2], [0, True, 2]):
         with pytest.raises(OutOfRange):
-            lift_to_induced_subdivision(g, xs, witnesses, edge, {0: 0, 1: 1})
+            lift_to_induced_subdivision(g, xs, witnesses, good)
     # mixed and unhashable items are rejected before any sorting
+    empty = SubdivisionWitness(Graph(0), Graph(0), {}, {})
     for xs in (["a", 1], [[1], 1]):
         with pytest.raises(OutOfRange):
-            lift_to_induced_subdivision(gen_cycle(5), xs, {}, Graph(0), {})
+            lift_to_induced_subdivision(gen_cycle(5), xs, {}, empty)
+
+
+def test_lift_rejects_malformed_witness_map():
+    g, x, witnesses = gen_synthetic_dsw(SyntheticDswSpec(2))
+    derived = derived_witness(Graph(2, [(0, 1)]), {0: 0, 1: 1}, 2)
+    assert lift_to_induced_subdivision(g, x, witnesses, derived).paths == {(0, 1): (0, 2, 1)}
+    # True is not the vertex 1
+    with pytest.raises(BadParameter):
+        lift_to_induced_subdivision(g, x, {(0, True): 2}, derived)
+    for bad in ({(0, 1): -1}, {(0, 1): [2]}, {(0, 1): "y"}):
+        with pytest.raises(OutOfRange):
+            lift_to_induced_subdivision(g, x, bad, derived)
 
 
 def test_lift_requires_a_witness_for_every_pattern_edge():
     spec = SyntheticDswSpec(3, pattern_edges=frozenset({(0, 1), (1, 2)}))
     g, x, witnesses = gen_synthetic_dsw(spec)
+    derived = derived_witness(complete_graph(3), {0: 0, 1: 1, 2: 2}, len(x))
     with pytest.raises(BadParameter):
-        lift_to_induced_subdivision(
-            g, x, witnesses, complete_graph(3), {0: 0, 1: 1, 2: 2}
-        )
+        lift_to_induced_subdivision(g, x, witnesses, derived)
 
 
 def test_lift_of_partial_pattern_structure():
     spec = SyntheticDswSpec(4, pattern_edges=frozenset({(0, 1), (1, 2), (2, 3)}))
     g, x, witnesses = gen_synthetic_dsw(spec)
-    w = lift_to_induced_subdivision(
-        g, x, witnesses, path_graph(4), {i: i for i in range(4)}
-    )
+    derived = derived_witness(path_graph(4), {i: i for i in range(4)}, len(x))
+    w = lift_to_induced_subdivision(g, x, witnesses, derived)
     assert verify_witness(w, require_induced=True)
     assert len(w.used_vertices()) == 7
