@@ -15,7 +15,7 @@ import json
 from typing import TYPE_CHECKING
 
 from .errors import ParseError, RangeError
-from .graphs import Graph
+from .graphs import Graph, _is_int
 
 if TYPE_CHECKING:
     from .subdivisions import SubdivisionWitness
@@ -168,8 +168,7 @@ def to_graph6(g: Graph) -> str:
 
 
 def _require_int(value, what: str) -> int:
-    # bool is an int subclass; reject it explicitly
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -261,7 +260,7 @@ def to_dot(g: Graph, witness: "SubdivisionWitness | None" = None, name: str = "g
     lines = [f"graph {name} {{"]
     lines.append("  node [style=filled, fillcolor=white];")
     for v in range(g.n):
-        label = g.labels[v] if g.labels else str(v)
+        label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"') if g.labels else str(v)
         attrs = [f'label="{label}"']
         if v in branch:
             attrs.append("fillcolor=gold")

@@ -14,7 +14,7 @@ from math import comb
 
 from .errors import BadParameter
 from .formats import MAX_VERTICES
-from .graphs import Graph, _is_int, is_maximal_triangle_free
+from .graphs import Graph, _is_int, _vertex_pair, is_maximal_triangle_free
 
 __all__ = [
     "MAX_KNESER_EDGES",
@@ -164,15 +164,7 @@ class SyntheticDswSpec:
         _check_vertex_count(self.d + n_pairs + n_padding, f"synthetic-dsw with d={self.d}")
         if self.pattern_edges is None:
             return list(combinations(range(self.d), 2))
-        pairs = set()
-        for p in self.pattern_edges:
-            i, j = p
-            if i == j:
-                raise BadParameter(f"pattern pair {p!r} is degenerate")
-            if not (0 <= i < self.d and 0 <= j < self.d):
-                raise BadParameter(f"pattern pair {p!r} outside [0, {self.d})")
-            pairs.add((min(i, j), max(i, j)))
-        return sorted(pairs)
+        return sorted({_vertex_pair(p, self.d, "pattern pair") for p in self.pattern_edges})
 
 
 def gen_synthetic_dsw(

@@ -8,7 +8,7 @@ amortized membership) and as per-vertex int bitmasks for the exact solvers.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import BadParameter, EmptyGraph, OutOfRange
 
@@ -26,10 +26,41 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _sorted_ints(items: Iterable) -> list:
-    """sorted(set(items)), or the items unsorted for the caller to reject if one is not an int."""
-    items = list(items)
-    return sorted(set(items)) if all(map(_is_int, items)) else items
+def _vertex_ids(items: Iterable, n: int | None = None, what: str = "vertex") -> list[int]:
+    """sorted(set(items)) once each item is an int (not a bool) in [0, n).
+
+    Items are checked before anything is hashed or sorted; a bad item
+    raises OutOfRange, and items that are not iterable raise BadParameter.
+    """
+    try:
+        items = list(items)
+    except TypeError:
+        raise BadParameter(f"expected an iterable of {what} ids, got {items!r}") from None
+    for v in items:
+        if not (_is_int(v) and v >= 0 and (n is None or v < n)):
+            where = "" if n is None else f" in [0, {n})"
+            raise OutOfRange(f"{what} {v!r} is not a vertex id{where}")
+    return sorted(set(items))
+
+
+def _vertex_pair(pair, n: int | None = None, what: str = "pair") -> tuple[int, int]:
+    """(u, v) with u < v from exactly two distinct int vertex ids in [0, n).
+
+    A negative item, or one at or above n, raises OutOfRange; any other
+    malformed pair raises BadParameter.
+    """
+    try:
+        u, v = pair
+    except (TypeError, ValueError):
+        raise BadParameter(f"{what} must be two vertices, got {pair!r}") from None
+    if not (_is_int(u) and _is_int(v)):
+        raise BadParameter(f"{what} {pair!r} must be two integers")
+    if u == v:
+        raise BadParameter(f"{what} {pair!r} is degenerate")
+    if u < 0 or v < 0 or (n is not None and (u >= n or v >= n)):
+        where = "" if n is None else f" in [0, {n})"
+        raise OutOfRange(f"{what} {pair!r} has an item that is not a vertex id{where}")
+    return (u, v) if u < v else (v, u)
 
 
 class Graph:
@@ -53,21 +84,15 @@ class Graph:
             raise BadParameter(f"vertex count must be a non-negative integer, got {n!r}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for e in edges:
-            try:
-                u, v = e
-            except (TypeError, ValueError):
-                raise BadParameter(f"an edge must be a pair of vertices, got {e!r}") from None
-            # bool is an int subclass; reject it explicitly
-            if not (_is_int(u) and _is_int(v)):
-                raise BadParameter(f"edge endpoints must be integers, got {e!r}")
-            if u == v:
-                raise BadParameter(f"self-loop at vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise OutOfRange(f"edge {e!r} has an endpoint outside [0, {n})")
+            u, v = _vertex_pair(e, n, "edge")
             adj[u].add(v)
             adj[v].add(u)
-        if labels is not None and len(labels) != n:
-            raise BadParameter(f"expected {n} labels, got {len(labels)}")
+        if labels is not None and not (
+            isinstance(labels, Sequence)
+            and len(labels) == n
+            and all(isinstance(s, str) for s in labels)
+        ):
+            raise BadParameter(f"labels must be a sequence of {n} strings")
         self.n = n
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self._bits: tuple[int, ...] = tuple(sum(1 << w for w in s) for s in adj)
@@ -165,9 +190,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     returned tuple holds the original id of new vertex i.  The mapping is
     ascending, so re-indexing is order-preserving.
     """
-    members = _sorted_ints(s)
-    for v in members:
-        g._check_vertex(v)
+    members = _vertex_ids(s, g.n)
     index = {v: i for i, v in enumerate(members)}
     edges = [
         (index[u], index[v])

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, EmptyGraph, OutOfRange
-from .graphs import Graph, _is_int
+from .graphs import Graph, _is_int, _vertex_ids
 from .solvers import _mis_search
 
 # symmetry is imported where it is used: without a bytecode cache, its
@@ -57,12 +57,9 @@ class Hypergraph:
             raise BadParameter(f"ground-set size must be a non-negative integer, got {n!r}")
         es = []
         for e in edges:
-            fs = frozenset(e)
+            fs = frozenset(_vertex_ids(e, n, "hyperedge vertex"))
             if not fs:
                 raise BadParameter("empty hyperedges are not allowed")
-            for v in fs:
-                if not (_is_int(v) and 0 <= v < n):
-                    raise OutOfRange(f"hyperedge vertex {v!r} outside [0, {n})")
             es.append(fs)
         self.n = n
         self.edges: tuple[frozenset[int], ...] = tuple(es)
@@ -107,7 +104,8 @@ def packing_number(h: Hypergraph, budget: SearchBudget | None = None) -> int:
     packing = _mis_search(adjacency, meter_for(budget))
     union = 0
     for i in packing:
-        assert not union & h.masks[i], "edges not pairwise disjoint"
+        if union & h.masks[i]:
+            raise AssertionError("edges not pairwise disjoint")
         union |= h.masks[i]
     return len(packing)
 
@@ -221,7 +219,8 @@ def transversality(
         if _covers(h, sorted_edges, rest, v + 1, tau - len(chosen) - 1, meter):
             chosen.append(v)
             uncovered = rest
-    assert len(chosen) == tau and not uncovered
+    if len(chosen) != tau or uncovered:
+        raise AssertionError("the reconstructed transversal is not minimum")
     return tau, frozenset(chosen)
 
 
@@ -425,7 +424,8 @@ def _find_dsw(
                 }
                 found = DswStructure(tuple(chosen) + (c,), witnesses)
                 problems = dsw_structure_violations(h, found)
-                assert not problems, problems
+                if problems:
+                    raise AssertionError(problems)
                 return found
             meter.advance(cands.bit_count())
             fresh = mc & ~union

@@ -27,7 +27,7 @@ from .formats import witness_to_dict
 from .graphs import (
     Graph,
     _is_int,
-    _sorted_ints,
+    _vertex_ids,
     average_degree,
     find_triangle,
     induced_subgraph,
@@ -127,13 +127,10 @@ def star_cover_coloring(g: Graph, centers: Iterable[int]) -> list[int]:
     whose closed neighborhood contains it: color 2i for the center itself,
     2i+1 for the leaves.  On a triangle-free graph each leaf class is an
     independent set, so the coloring is proper; callers verify with
-    is_proper_coloring.  Raises BadParameter if some vertex is dominated
-    by no center.
+    is_proper_coloring.  Raises OutOfRange if a center is not a vertex of
+    g, and BadParameter if some vertex is dominated by no center.
     """
-    cs = _sorted_ints(centers)
-    for t in cs:
-        if not (_is_int(t) and 0 <= t < g.n):
-            raise BadParameter(f"center {t!r} is not a vertex")
+    cs = _vertex_ids(centers, g.n, "center")
     colors = [-1] * g.n
     for i, t in enumerate(cs):
         if colors[t] == -1:

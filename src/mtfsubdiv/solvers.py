@@ -208,7 +208,8 @@ def _dsatur(g: Graph, meter: _Meter) -> list[int]:
     lower = max(1, _greedy_clique_size(g))
     bound, cert = _mycielski_lower_bound(g, meter)
     if bound > lower:
-        assert _mycielski_certifies(g, cert, bound), "Mycielski certificate fails"
+        if not _mycielski_certifies(g, cert, bound):
+            raise AssertionError("Mycielski certificate fails")
         lower = bound
     best = n + 1
     coloring: list[int] = []
@@ -290,8 +291,10 @@ def chromatic_coloring(g: Graph, budget: SearchBudget | None = None) -> list[int
     classes = [0] * (max(coloring) + 1)
     for v, c in enumerate(coloring):
         classes[c] |= 1 << v
-    assert all(classes), "a color between 0 and the largest is unused"
-    assert not any(g._bits[v] & classes[c] for v, c in enumerate(coloring)), "not proper"
+    if not all(classes):
+        raise AssertionError("a color between 0 and the largest is unused")
+    if any(g._bits[v] & classes[c] for v, c in enumerate(coloring)):
+        raise AssertionError("not proper")
     return coloring
 
 
@@ -338,7 +341,8 @@ def clique_number(g: Graph, budget: SearchBudget | None = None) -> int:
     complement = [full & ~(bits | 1 << v) for v, bits in enumerate(g._bits)]
     clique = _mis_search(complement, meter_for(budget))
     mask = sum(1 << v for v in clique)
-    assert all((mask & ~g._bits[v]) == 1 << v for v in clique), "not a clique"
+    if not all((mask & ~g._bits[v]) == 1 << v for v in clique):
+        raise AssertionError("not a clique")
     return len(clique)
 
 
@@ -415,7 +419,8 @@ def max_independent_set(g: Graph, budget: SearchBudget | None = None) -> frozens
         return frozenset()
     stable = _mis_search(g._bits, meter_for(budget))
     mask = sum(1 << v for v in stable)
-    assert not any(g._bits[v] & mask for v in stable), "not independent"
+    if any(g._bits[v] & mask for v in stable):
+        raise AssertionError("not independent")
     return frozenset(stable)
 
 
@@ -453,5 +458,6 @@ def sqrt_stable_set_triangle_free(g: Graph) -> frozenset[int]:
             for w in g._adj[u]:
                 if w in alive:
                     deg[w] -= 1
-    assert len(chosen) >= k
+    if len(chosen) < k:
+        raise AssertionError(f"greedy found {len(chosen)} < {k} stable vertices")
     return frozenset(chosen)

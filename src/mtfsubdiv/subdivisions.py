@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, InconsistentWitnesses, OutOfRange, PreconditionViolated
-from .graphs import Graph, _is_int, _sorted_ints
+from .graphs import Graph, _is_int, _vertex_ids, _vertex_pair
 
 __all__ = [
     "SubdivisionWitness",
@@ -274,7 +274,8 @@ class _SubdivSearch:
                     self.p, self.h, dict(self.branch), dict(self.paths), self.induced
                 )
                 check = verify_witness(witness, self.induced)
-                assert check.ok, check.reason
+                if not check.ok:
+                    raise AssertionError(check.reason)
                 return witness
         return None
 
@@ -555,32 +556,15 @@ def find_subdivision(
 # -- derived graph and lifting ------------------------------------------
 
 
-def _normalize_pair(pair: Iterable[int]) -> tuple[int, int]:
-    try:
-        u, v = pair
-    except (TypeError, ValueError):
-        raise BadParameter(f"a witness pair must be two vertices, got {pair!r}") from None
-    if not (_is_int(u) and _is_int(v)):
-        raise BadParameter(f"witness pair {pair!r} must be two integers")
-    if u == v:
-        raise BadParameter(f"degenerate pair {(u, v)!r}")
-    return (u, v) if u < v else (v, u)
-
-
-def _check_witness_vertex(y) -> None:
-    # before y is hashed or sorted
-    if not (_is_int(y) and y >= 0):
-        raise OutOfRange(f"witness vertex {y!r} is not a vertex id")
-
-
 def _normalized_witnesses(
     witnesses: Mapping[tuple[int, int], int]
 ) -> dict[tuple[int, int], int]:
-    """Sort pair keys; reject a pair recorded twice with different values."""
+    """Check every witness vertex and pair key, sort pair keys, and reject
+    a pair recorded twice with different values."""
+    _vertex_ids(witnesses.values(), what="witness vertex")
     norm: dict[tuple[int, int], int] = {}
     for pair, y in witnesses.items():
-        key = _normalize_pair(pair)
-        _check_witness_vertex(y)
+        key = _vertex_pair(pair, what="witness pair")
         if key in norm and norm[key] != y:
             raise InconsistentWitnesses(
                 f"pair {key} recorded with witnesses {norm[key]} and {y}"
@@ -601,10 +585,7 @@ def derived_graph(
     vertex.  Witness vertices must be unique per pair at this stage; a
     vertex witnessing two different pairs raises InconsistentWitnesses.
     """
-    xs = _sorted_ints(x)
-    for v in xs:
-        if not (_is_int(v) and v >= 0):
-            raise OutOfRange(f"x vertex {v!r} is not a vertex id")
+    xs = _vertex_ids(x, what="x vertex")
     index = {v: i for i, v in enumerate(xs)}
     norm = _normalized_witnesses(witnesses)
     claimed: dict[int, tuple[int, int]] = {}
@@ -616,10 +597,7 @@ def derived_graph(
                 f"witness vertex {y} claimed by pairs {claimed[y]} and {(u, v)}"
             )
         claimed[y] = (u, v)
-    y_prime = list(y_prime)
-    for y in y_prime:
-        _check_witness_vertex(y)
-    yset = set(y_prime)
+    yset = set(_vertex_ids(y_prime, what="witness vertex"))
     if not yset <= set(norm.values()):
         raise BadParameter("y_prime contains vertices that are not witnesses")
     edges = [
@@ -652,10 +630,7 @@ def lift_to_induced_subdivision(
     The finished witness is re-verified in induced mode before being
     returned, so a successful return is a machine-checked certificate.
     """
-    xs = _sorted_ints(x_sub)
-    for v in xs:
-        if not (_is_int(v) and 0 <= v < g.n):
-            raise OutOfRange(f"x vertex {v!r} outside host range")
+    xs = _vertex_ids(x_sub, g.n, "x vertex")
     if derived.host.n > len(xs) or not verify_witness(derived, require_induced=False):
         raise BadParameter("derived witness must be a subdivision in a graph on the x positions")
     norm = _normalized_witnesses(witnesses)
@@ -671,7 +646,7 @@ def lift_to_induced_subdivision(
     for e, path in derived.paths.items():
         lifted = [xs[path[0]]]
         for q in path[1:]:
-            key = _normalize_pair((lifted[-1], xs[q]))
+            key = _vertex_pair((lifted[-1], xs[q]))
             if key not in norm:
                 raise BadParameter(f"no witness recorded for pair {key!r}")
             used[key] = norm[key]
@@ -700,5 +675,6 @@ def lift_to_induced_subdivision(
     branch = {a: xs[p] for a, p in derived.branch_map.items()}
     witness = SubdivisionWitness(derived.pattern, g, branch, paths, induced=True)
     check = verify_witness(witness, require_induced=True)
-    assert check.ok, f"lifting produced an invalid witness: {check.reason}"
+    if not check.ok:
+        raise AssertionError(f"lifting produced an invalid witness: {check.reason}")
     return witness

@@ -275,6 +275,12 @@ def test_dot_uses_stored_labels():
     assert 'label="y0-1"' in out
 
 
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    out = to_dot(Graph(2, [(0, 1)], labels=['a"b', "c\\d"]))
+    assert '0 [label="a\\"b"];' in out
+    assert '1 [label="c\\\\d"];' in out
+
+
 # -- report serialization -----------------------------------------------
 
 

@@ -14,6 +14,7 @@ from oracles import bfs_girth, is_isomorphic_small
 from mtfsubdiv import (
     BadParameter,
     Graph,
+    OutOfRange,
     SyntheticDswSpec,
     chromatic_number,
     find_dsw_structure,
@@ -172,7 +173,8 @@ def test_synthetic_dsw_validation():
         SyntheticDswSpec(d=1).normalized_pairs()
     with pytest.raises(BadParameter):
         SyntheticDswSpec(d=3, pattern_edges=frozenset({(0, 0)})).normalized_pairs()
-    with pytest.raises(BadParameter):
+    # a pattern pair with an item outside [0, d) is out of range, like an edge's
+    with pytest.raises(OutOfRange):
         SyntheticDswSpec(d=3, pattern_edges=frozenset({(0, 5)})).normalized_pairs()
     with pytest.raises(BadParameter):
         gen_synthetic_dsw(

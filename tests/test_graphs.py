@@ -46,8 +46,9 @@ def test_graph_rejects_bad_input():
             Graph(n, [])
     with pytest.raises(BadParameter):
         Graph(3, [(0, 0)])
-    with pytest.raises(BadParameter):
-        Graph(2, labels=["a"])
+    for labels in (["a"], 5, ["a", 1]):
+        with pytest.raises(BadParameter):
+            Graph(2, labels=labels)
     # an edge is a pair of integers, and bool is not one
     for edge in [(0, 1, 2), 5, (0,), (True, 2), (True, 1), (0, False)]:
         with pytest.raises(BadParameter):

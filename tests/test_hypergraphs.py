@@ -78,8 +78,9 @@ def test_hypergraph_validation():
     for n in (-1, True):
         with pytest.raises(BadParameter):
             Hypergraph(n, [])
-    with pytest.raises(BadParameter):
-        Hypergraph(3, [frozenset()])
+    for edge in (frozenset(), 5):
+        with pytest.raises(BadParameter):
+            Hypergraph(3, [edge])
     for edge in (frozenset({3}), [True, 2]):
         with pytest.raises(OutOfRange):
             Hypergraph(3, [edge])

@@ -10,6 +10,7 @@ from mtfsubdiv import (
     EmptyGraph,
     Graph,
     NotMaximalTriangleFree,
+    OutOfRange,
     PreconditionViolated,
     SearchBudget,
     SyntheticDswSpec,
@@ -116,13 +117,14 @@ def test_star_cover_bounds_chromatic_number_on_mtf_corpus(mtf_corpus):
 def test_star_cover_rejects_non_dominating_centers():
     with pytest.raises(BadParameter):
         star_cover_coloring(gen_cycle(5), [0])
-    with pytest.raises(BadParameter):
+    # a center that is not a vertex id is out of range, like any vertex set's item
+    with pytest.raises(OutOfRange):
         star_cover_coloring(gen_cycle(5), [7])
-    with pytest.raises(BadParameter):
+    with pytest.raises(OutOfRange):
         star_cover_coloring(gen_cycle(5), [True, 3])  # would dominate as [1, 3]
     # mixed and unhashable items are rejected before any sorting
     for bad in (["a", 1], [[1], 1]):
-        with pytest.raises(BadParameter):
+        with pytest.raises(OutOfRange):
             star_cover_coloring(gen_cycle(5), bad)
 
 

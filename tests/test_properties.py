@@ -1,5 +1,5 @@
 """Property-based tests of the exact searches on small random graphs and
-hypergraphs."""
+hypergraphs, and of the checks on the vertex items callers pass in."""
 
 from __future__ import annotations
 
@@ -12,19 +12,27 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_chromatic, check_mycielski_certificate
 from mtfsubdiv import (
+    BadParameter,
     DswStructure,
     Graph,
     Hypergraph,
+    OutOfRange,
+    SyntheticDswSpec,
     chromatic_number,
     clique_number,
+    derived_graph,
     dsw_structure_violations,
     find_dsw_structure,
     find_subdivision,
+    gen_synthetic_dsw,
+    induced_subgraph,
+    lift_to_induced_subdivision,
     max_dsw_size,
     max_independent_set,
     packing_number,
     parse_graph6,
     solvers,
+    star_cover_coloring,
     to_graph6,
     transversality,
     verify_witness,
@@ -153,3 +161,87 @@ def test_dsw_structure_is_hereditary(h):
                 {(a, b): s.witnesses[(kept[a], kept[b])] for a, b in combinations(range(size), 2)},
             )
             assert dsw_structure_violations(h, sub) == []
+
+
+# -- malformed vertex items ---------------------------------------------
+
+# synthetic d = 3: x = {0, 1, 2} and y_ij = 3, 4, 5 form a six-cycle, whose
+# derived graph on the x positions is a triangle
+HOST, X, WITNESSES = gen_synthetic_dsw(SyntheticDswSpec(3))
+N = HOST.n
+DERIVED = find_subdivision(
+    Graph(3, [(0, 1), (0, 2), (1, 2)]), derived_graph(X, WITNESSES, WITNESSES.values())[0]
+)
+
+
+def bad_items(n: int | None = None):
+    """Items that are no vertex id (below n, when n is given)."""
+    items = (
+        st.booleans()
+        | st.floats()
+        | st.integers(max_value=-1)
+        | st.text(max_size=2)
+        | st.none()
+        | st.lists(st.integers(min_value=0, max_value=3), max_size=2)
+    )
+    return items if n is None else items | st.just(n)
+
+
+@st.composite
+def vertex_sets(draw, n: int, bound: int | None = None) -> list:
+    """Vertex ids below n with one bad item inserted."""
+    items = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=4))
+    at = draw(st.integers(min_value=0, max_value=len(items)))
+    return items[:at] + [draw(bad_items(bound))] + items[at:]
+
+
+def bad_pairs(n: int, bound: int | None = None):
+    """A pair with a bad item, of the wrong length, degenerate, or no pair at all."""
+    v = st.integers(min_value=0, max_value=n - 1)
+    bad = bad_items(bound)
+    return st.one_of(
+        st.tuples(bad, v),
+        st.tuples(v, bad),
+        st.tuples(v),
+        st.tuples(v, v, v),
+        v.map(lambda u: (u, u)),
+        bad.filter(lambda p: not isinstance(p, list)),
+    )
+
+
+def _new_key(p) -> bool:
+    # a key equal to one of WITNESSES, such as (0, 1.0), would only replace its value
+    try:
+        return p not in WITNESSES
+    except TypeError:
+        return False
+
+
+# a witness map with one bad pair key or one bad witness vertex
+bad_witness_maps = st.one_of(
+    bad_pairs(3).filter(_new_key).map(lambda p: {**WITNESSES, p: 3}),
+    bad_items().map(lambda y: {**WITNESSES, (0, 1): y}),
+)
+# a hyperedge with one bad item, or one that is not iterable
+bad_hyperedges = vertex_sets(N, N) | st.none() | st.booleans() | st.floats() | st.integers()
+
+MALFORMED_CALLS = {
+    "graph-edge": lambda draw: Graph(N, [(0, 1), draw(bad_pairs(N, N))]),
+    "induced-subgraph": lambda draw: induced_subgraph(HOST, draw(vertex_sets(N, N))),
+    "hyperedge": lambda draw: Hypergraph(N, [[0, 1], draw(bad_hyperedges)]),
+    "star-centers": lambda draw: star_cover_coloring(HOST, draw(vertex_sets(N, N))),
+    "derived-x": lambda draw: derived_graph(draw(vertex_sets(3)), WITNESSES, WITNESSES.values()),
+    "derived-witnesses": lambda draw: derived_graph(X, draw(bad_witness_maps), WITNESSES.values()),
+    "derived-y-prime": lambda draw: derived_graph(X, WITNESSES, draw(vertex_sets(N))),
+    "lift-x": lambda draw: lift_to_induced_subdivision(HOST, draw(vertex_sets(N, N)), WITNESSES, DERIVED),
+    "lift-witnesses": lambda draw: lift_to_induced_subdivision(HOST, X, draw(bad_witness_maps), DERIVED),
+    "spec-pattern-pair": lambda draw: SyntheticDswSpec(4, [(0, 1), draw(bad_pairs(4, 4))]).normalized_pairs(),
+}
+
+
+@pytest.mark.parametrize("target", sorted(MALFORMED_CALLS))
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_malformed_vertex_items_raise_only_package_errors(target, data):
+    with pytest.raises((BadParameter, OutOfRange)):
+        MALFORMED_CALLS[target](data.draw)

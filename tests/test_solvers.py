@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,40 @@ def test_mycielski_bound_on_hosts_without_edges_or_without_the_structure():
         assert found == bound
         assert check_mycielski_certificate(g, cert, bound)
         assert solvers._mycielski_certifies(g, cert, bound)
+
+
+# each forced failure must still raise under -O, where assert statements vanish
+_FORCED_SELF_CHECK_FAILURES = """
+import sys
+from mtfsubdiv import chromatic_number, find_subdivision, gen_cycle, gen_mycielski, gen_petersen
+from mtfsubdiv import solvers, subdivisions
+if not sys.flags.optimize:
+    sys.exit("not run under -O")
+solvers._mycielski_certifies = lambda *args: False
+subdivisions.verify_witness = lambda *args: subdivisions.WitnessCheck(False, "forced")
+for name, call in [
+    ("chromatic_number(Grötzsch)", lambda: chromatic_number(gen_mycielski(gen_cycle(5)))),
+    ("find_subdivision(C3, Petersen)", lambda: find_subdivision(gen_cycle(3), gen_petersen())),
+]:
+    try:
+        call()
+    except AssertionError:
+        continue
+    sys.exit(name + " skipped its self-check")
+"""
+
+
+def test_self_checks_hold_under_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FORCED_SELF_CHECK_FAILURES],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_clique_named():
