@@ -34,10 +34,13 @@ __all__ = [
 
 _HEADER = ">>graph6<<"
 
-# Largest vertex count the parsers accept.  An empty graph costs about
-# 0.5 kB per vertex, so this caps a parsed graph near 50 MB before its
-# edges, far past the size any exact search in this package can finish
-# on, while an unchecked header could ask for gigabytes.
+# Largest vertex count the parsers accept.  A graph keeps one adjacency
+# bitmask per vertex, as wide as its highest neighbour id, so an edgeless
+# graph costs next to nothing, but a sparse one whose edges span the id
+# range costs about n²/16 bytes: gen_cycle(40000) peaks at 125 MB RSS and
+# gen_cycle(100000) at 675 MB (CPython 3.11, x86-64 Linux).  That is far
+# past the size any exact search in this package can finish on, while an
+# unchecked header could ask for more memory still.
 MAX_VERTICES = 100_000
 
 
@@ -124,44 +127,32 @@ def parse_graph6(text: str | bytes) -> Graph:
         )
     if len(data) > pos + nbytes:
         raise ParseError("trailing data after graph6 body", offset=pos + nbytes)
+    for k, byte in enumerate(body):
+        if not 63 <= byte <= 126:
+            raise ParseError(f"invalid graph6 byte 0x{byte:02x}", offset=pos + k)
+    # bit k of the body is the k-th pair (i, j), i < j, column j by column
+    bits = "".join([format(byte - 63, "06b") for byte in body])
+    if "1" in bits[nbits:]:
+        raise ParseError("nonzero padding bit", offset=pos + nbytes - 1)
     edges = []
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[bit // 6]
-            if not 63 <= byte <= 126:
-                raise ParseError(
-                    f"invalid graph6 byte 0x{byte:02x}", offset=pos + bit // 6
-                )
-            if (byte - 63) >> (5 - bit % 6) & 1:
-                edges.append((i, j))
-            bit += 1
-    # the padding sits in the last body byte, whose range the loop above
-    # has checked
-    while bit < 6 * nbytes:
-        if (body[bit // 6] - 63) >> (5 - bit % 6) & 1:
-            raise ParseError("nonzero padding bit", offset=pos + bit // 6)
-        bit += 1
+    j = start = 0  # the pairs of column j are bits start .. start + j - 1
+    k = bits.find("1")
+    while k >= 0:
+        while k >= start + j:
+            start += j
+            j += 1
+        edges.append((k - start, j))
+        k = bits.find("1", k + 1)
     return Graph(n, edges)
 
 
 def to_graph6(g: Graph) -> str:
     """Serialize to a canonical graph6 string (no header, no newline)."""
-    n = g.n
-    out = [_encode_size(n)]
-    acc = 0
-    filled = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
-            filled += 1
-            if filled == 6:
-                out.append(chr(acc + 63))
-                acc = filled = 0
-    if filled:
-        acc <<= 6 - filled
-        out.append(chr(acc + 63))
-    return "".join(out)
+    # column j is bits 0 .. j-1 of row j, low bit first: its last j binary digits, reversed
+    bits = "".join([format(row, "b").zfill(j)[-1 : -j - 1 : -1] for j, row in enumerate(g._bits)])
+    bits += "0" * (-len(bits) % 6)
+    body = [chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6)]
+    return _encode_size(g.n) + "".join(body)
 
 
 # -- JSON adjacency -----------------------------------------------------
@@ -245,6 +236,11 @@ def parse_graph(payload: str | bytes, fmt: str | None = None) -> Graph:
 # -- DOT export ---------------------------------------------------------
 
 
+def _dot_string(text: str) -> str:
+    """text as a quoted DOT string, with its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: Graph, witness: "SubdivisionWitness | None" = None, name: str = "g") -> str:
     """Render to DOT.  With a witness, branch vertices, path interiors and
     unused vertices get distinct fill colors, and path edges are drawn
@@ -257,11 +253,14 @@ def to_dot(g: Graph, witness: "SubdivisionWitness | None" = None, name: str = "g
         branch = set(witness.branch_map.values())
         interior = witness.used_vertices() - branch
         path_edges = witness.path_edges()
+    # a name that is no identifier, or is a DOT keyword, is quoted
+    name, keywords = str(name), ("node", "edge", "graph", "digraph", "subgraph", "strict")
+    if not name.isidentifier() or name.lower() in keywords:
+        name = _dot_string(name)
     lines = [f"graph {name} {{"]
     lines.append("  node [style=filled, fillcolor=white];")
     for v in range(g.n):
-        label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"') if g.labels else str(v)
-        attrs = [f'label="{label}"']
+        attrs = [f"label={_dot_string(g.labels[v] if g.labels else str(v))}"]
         if v in branch:
             attrs.append("fillcolor=gold")
         elif v in interior:

@@ -14,7 +14,7 @@ from math import comb
 
 from .errors import BadParameter
 from .formats import MAX_VERTICES
-from .graphs import Graph, _is_int, _vertex_pair, is_maximal_triangle_free
+from .graphs import Graph, _is_int, _listed, _vertex_pair, is_maximal_triangle_free
 
 __all__ = [
     "MAX_KNESER_EDGES",
@@ -104,13 +104,9 @@ def gen_mycielski(g: Graph) -> Graph:
     """
     n = g.n
     _check_vertex_count(2 * n + 1, f"mycielski of a graph on {n} vertices")
-    edges = list(g.edges())
-    for u in range(n):
-        for w in g.neighbors(u):
-            edges.append((n + u, w))
-    z = 2 * n
-    for u in range(n):
-        edges.append((z, n + u))
+    edges = [(n + u, 2 * n) for u in range(n)]
+    for u, w in g.edges():
+        edges += [(u, w), (n + u, w), (u, n + w)]
     return Graph(2 * n + 1, edges)
 
 
@@ -159,12 +155,13 @@ class SyntheticDswSpec:
             raise BadParameter(f"synthetic spec needs d >= 2, got {self.d!r}")
         # d x-vertices, a witness per pair, and with padding a w_i per x_i
         # and at most one hub
-        n_pairs = comb(self.d, 2) if self.pattern_edges is None else len(self.pattern_edges)
+        given = None if self.pattern_edges is None else _listed(self.pattern_edges, "pattern pairs")
+        n_pairs = comb(self.d, 2) if given is None else len(given)
         n_padding = self.d + 1 if self.padding else 0
         _check_vertex_count(self.d + n_pairs + n_padding, f"synthetic-dsw with d={self.d}")
-        if self.pattern_edges is None:
+        if given is None:
             return list(combinations(range(self.d), 2))
-        return sorted({_vertex_pair(p, self.d, "pattern pair") for p in self.pattern_edges})
+        return sorted({_vertex_pair(p, self.d, "pattern pair") for p in given})
 
 
 def gen_synthetic_dsw(

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, EmptyGraph, OutOfRange
-from .graphs import Graph, _is_int, _vertex_ids
+from .graphs import Graph, _is_int, _listed, _members, _vertex_ids
 from .solvers import _mis_search
 
 # symmetry is imported where it is used: without a bytecode cache, its
@@ -56,7 +56,7 @@ class Hypergraph:
         if not _is_int(n) or n < 0:
             raise BadParameter(f"ground-set size must be a non-negative integer, got {n!r}")
         es = []
-        for e in edges:
+        for e in _listed(edges, "hyperedges"):
             fs = frozenset(_vertex_ids(e, n, "hyperedge vertex"))
             if not fs:
                 raise BadParameter("empty hyperedges are not allowed")
@@ -85,7 +85,7 @@ def neighborhood_hypergraph(g: Graph) -> Hypergraph:
     """Hypergraph whose edge i is the closed neighborhood N[v_i] of vertex i."""
     if g.n == 0:
         raise EmptyGraph("neighborhood hypergraph needs at least one vertex")
-    edges = [set(g.neighbors(v)) | {v} for v in range(g.n)]
+    edges = [_members(b | 1 << v) for v, b in enumerate(g._bits)]
     return Hypergraph(g.n, edges)
 
 

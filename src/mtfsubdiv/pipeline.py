@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .budget import DEFAULT_BUDGET, SearchBudget, _guarded
 from .errors import (
@@ -146,6 +146,8 @@ def star_cover_coloring(g: Graph, centers: Iterable[int]) -> list[int]:
 
 def is_proper_coloring(g: Graph, colors: list[int]) -> bool:
     """Edge-by-edge properness check."""
+    if not isinstance(colors, Sequence):
+        raise BadParameter(f"colors must be a sequence of vertex colors, got {colors!r}")
     if len(colors) != g.n:
         return False
     return all(colors[u] != colors[v] for u, v in g.edges())

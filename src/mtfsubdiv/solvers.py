@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import NotTriangleFree
-from .graphs import Graph, find_triangle
+from .graphs import Graph, _members, find_triangle
 
 __all__ = [
     "chromatic_coloring",
@@ -30,11 +30,10 @@ __all__ = [
 # -- chromatic number ---------------------------------------------------
 
 
-def _greedy_clique_size(g: Graph) -> int:
-    """Size of a greedily grown clique; a quick lower bound for χ."""
+def _greedy_clique_size(g: Graph, order: list[int]) -> int:
+    """Largest clique grown greedily from one of the first 16 of ``order``; a lower bound for χ."""
     best = 0
-    order = sorted(range(g.n), key=lambda v: (-len(g._adj[v]), v))
-    for start in order[: min(g.n, 16)]:
+    for start in order[:16]:
         size = 1
         cand = g._bits[start]
         while cand:
@@ -125,10 +124,7 @@ def _mycielski_lower_bound(g: Graph, meter: _Meter) -> tuple[int, tuple]:
             meter.tick()
             nw = bits[w] & alive
             second = 0
-            rest = nw
-            while rest:
-                x = (rest & -rest).bit_length() - 1
-                rest ^= 1 << x
+            for x in _members(nw):
                 second |= bits[x]
             outside = alive & ~nw & ~(1 << w)
             if outside & ~second:
@@ -200,12 +196,12 @@ def _dsatur(g: Graph, meter: _Meter) -> list[int]:
     them back.
     """
     n = g.n
-    order = sorted(range(n), key=lambda v: (-len(g._adj[v]), v))
+    order = sorted(range(n), key=lambda v: (-g._bits[v].bit_count(), v))
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    nb = [sum(1 << pos[w] for w in g._adj[v]) for v in order]
-    lower = max(1, _greedy_clique_size(g))
+    nb = [sum(1 << pos[w] for w in _members(g._bits[v])) for v in order]
+    lower = max(1, _greedy_clique_size(g, order))
     bound, cert = _mycielski_lower_bound(g, meter)
     if bound > lower:
         if not _mycielski_certifies(g, cert, bound):
@@ -442,22 +438,21 @@ def sqrt_stable_set_triangle_free(g: Graph) -> frozenset[int]:
     if n == 0:
         return frozenset()
     k = isqrt(n)
-    v_max = min(range(n), key=lambda v: (-len(g._adj[v]), v))
-    if len(g._adj[v_max]) >= k:
-        return frozenset(sorted(g._adj[v_max])[:k])
+    bits, deg = g._bits, g.degrees()
+    v_max = max(range(n), key=deg.__getitem__)  # the least of largest degree
+    if deg[v_max] >= k:
+        return frozenset(_members(bits[v_max])[:k])
     # max degree < ⌊√n⌋: each greedy pick deletes at most Δ+1 ≤ ⌊√n⌋ vertices
     chosen: list[int] = []
     alive = set(range(n))
-    deg = {v: len(g._adj[v] & alive) for v in alive}
     while alive:
         v = min(alive, key=lambda u: (deg[u], u))
         chosen.append(v)
-        removed = ({v} | g._adj[v]) & alive
+        removed = alive & {v, *_members(bits[v])}
         alive -= removed
         for u in removed:
-            for w in g._adj[u]:
-                if w in alive:
-                    deg[w] -= 1
+            for w in alive.intersection(_members(bits[u])):
+                deg[w] -= 1
     if len(chosen) < k:
         raise AssertionError(f"greedy found {len(chosen)} < {k} stable vertices")
     return frozenset(chosen)

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, InconsistentWitnesses, OutOfRange, PreconditionViolated
-from .graphs import Graph, _is_int, _vertex_ids, _vertex_pair
+from .graphs import Graph, _is_int, _members, _vertex_ids, _vertex_pair
 
 __all__ = [
     "SubdivisionWitness",
@@ -199,7 +199,7 @@ def _pattern_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> lis
     from . import symmetry
 
     rank = {v: i for i, v in enumerate(porder)}
-    adj = [[rank[u] for u in pattern._adj[v]] for v in porder]
+    adj = [[rank[u] for u in _members(pattern._bits[v])] for v in porder]
     group = symmetry.graph_automorphisms(adj, meter)
     below: list[list[int]] = [[] for _ in range(pattern.n)]
     for level in group.levels:
@@ -264,7 +264,7 @@ class _SubdivSearch:
         self.below = _pattern_conditions(pattern, self.porder, meter)
         self.pdeg = pattern.degrees()
         self.hdeg = host.degrees()
-        self.adj = [sorted(nbrs) for nbrs in host._adj]
+        self.adj = [_members(b) for b in host._bits]
 
     def run(self) -> SubdivisionWitness | None:
         for _ in self._branch_maps():
@@ -298,7 +298,7 @@ class _SubdivSearch:
             yield
             return
         meter = self.meter
-        lex = symmetry.LexLeader(partial(symmetry.graph_automorphisms, self.h._adj, meter), meter)
+        lex = symmetry.LexLeader(partial(symmetry.graph_automorphisms, self.adj, meter), meter)
         image: list[int] = []
         nxt = [0] * size
         nxt[0] = self._first_image(porder[0])
@@ -561,6 +561,8 @@ def _normalized_witnesses(
 ) -> dict[tuple[int, int], int]:
     """Check every witness vertex and pair key, sort pair keys, and reject
     a pair recorded twice with different values."""
+    if not isinstance(witnesses, Mapping):
+        raise BadParameter(f"witnesses must map vertex pairs to vertices, got {witnesses!r}")
     _vertex_ids(witnesses.values(), what="witness vertex")
     norm: dict[tuple[int, int], int] = {}
     for pair, y in witnesses.items():

@@ -124,6 +124,14 @@ def test_graph6_invalid_bytes():
     assert "ASCII" in str(err.value)
 
 
+def test_graph6_reports_the_first_invalid_byte_before_the_padding():
+    # n = 5: ten data bits in two bytes, the last two bits of the second padding
+    for text, offset in (("D  ", 1), ("D~ ", 2), ("D?\x7f", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_graph6(text)
+        assert "invalid graph6 byte" in str(err.value) and err.value.offset == offset
+
+
 def test_graph6_size_field_boundaries():
     assert _encode_size(0) == "?"
     assert _encode_size(62) == "}"
@@ -266,6 +274,17 @@ def test_dot_with_witness_highlights_the_subdivision():
     w2 = find_subdivision(complete_graph(3), pet, require_induced=True)
     out2 = to_dot(pet, witness=w2)
     assert "gray70" in out2
+
+
+def test_dot_quotes_a_name_that_is_no_bare_identifier():
+    g = gen_cycle(3)
+    assert to_dot(g).startswith("graph g {\n")
+    assert to_dot(g, name="_my_graph2").startswith("graph _my_graph2 {\n")
+    assert to_dot(g, name="my graph").startswith('graph "my graph" {\n')
+    assert to_dot(g, name='a"b\\c').startswith('graph "a\\"b\\\\c" {\n')
+    # a leading digit, or a DOT keyword in any case
+    assert to_dot(g, name="2g").startswith('graph "2g" {\n')
+    assert to_dot(g, name="Node").startswith('graph "Node" {\n')
 
 
 def test_dot_uses_stored_labels():

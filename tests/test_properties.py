@@ -26,6 +26,7 @@ from mtfsubdiv import (
     find_subdivision,
     gen_synthetic_dsw,
     induced_subgraph,
+    is_proper_coloring,
     lift_to_induced_subdivision,
     max_dsw_size,
     max_independent_set,
@@ -224,6 +225,10 @@ bad_witness_maps = st.one_of(
 )
 # a hyperedge with one bad item, or one that is not iterable
 bad_hyperedges = vertex_sets(N, N) | st.none() | st.booleans() | st.floats() | st.integers()
+# a container of vertex items that is no container, or a list of pairs
+# where a mapping is expected
+not_iterable = st.integers() | st.none()
+not_a_mapping = not_iterable | st.just(list(WITNESSES.items())) | st.just([((0, 1), 3)])
 
 MALFORMED_CALLS = {
     "graph-edge": lambda draw: Graph(N, [(0, 1), draw(bad_pairs(N, N))]),
@@ -236,6 +241,13 @@ MALFORMED_CALLS = {
     "lift-x": lambda draw: lift_to_induced_subdivision(HOST, draw(vertex_sets(N, N)), WITNESSES, DERIVED),
     "lift-witnesses": lambda draw: lift_to_induced_subdivision(HOST, X, draw(bad_witness_maps), DERIVED),
     "spec-pattern-pair": lambda draw: SyntheticDswSpec(4, [(0, 1), draw(bad_pairs(4, 4))]).normalized_pairs(),
+    "graph-edge-container": lambda draw: Graph(N, draw(not_iterable)),
+    "hyperedge-container": lambda draw: Hypergraph(N, draw(not_iterable)),
+    # None is the spec's "every pair"
+    "spec-pattern-pair-container": lambda draw: SyntheticDswSpec(4, draw(st.integers())).normalized_pairs(),
+    "derived-witness-container": lambda draw: derived_graph(X, draw(not_a_mapping), WITNESSES.values()),
+    "lift-witness-container": lambda draw: lift_to_induced_subdivision(HOST, X, draw(not_a_mapping), DERIVED),
+    "coloring-container": lambda draw: is_proper_coloring(HOST, draw(not_iterable)),
 }
 
 
