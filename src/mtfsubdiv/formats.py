@@ -167,15 +167,22 @@ def _require_int(value, what: str) -> int:
 def parse_graph_json(text: str) -> Graph:
     """Parse the JSON adjacency format, strictly.
 
-    Structural violations (wrong keys, unsorted or duplicate edges,
-    u ≥ v) raise ParseError; semantic edge violations (self-loops via
-    u = v caught as u ≥ v upstream of range, endpoints outside 0..n-1)
-    raise RangeError, as does n above ``MAX_VERTICES``.
+    Text the decoder rejects (nesting too deep for it and integers past
+    Python's digit limit included) and structural violations (wrong
+    keys, unsorted or duplicate edges, u ≥ v) raise ParseError; semantic
+    edge violations (self-loops via u = v caught as u ≥ v upstream of
+    range, endpoints outside 0..n-1) raise RangeError, as does n above
+    ``MAX_VERTICES``.
     """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", offset=exc.pos) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError:
+        # past Python's digit limit for int(str); the decoder's own errors are caught above
+        raise ParseError("invalid JSON: an integer has too many digits") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     if set(obj.keys()) != {"n", "edges"}:

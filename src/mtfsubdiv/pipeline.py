@@ -21,12 +21,12 @@ from .errors import (
     BudgetExceeded,
     EmptyGraph,
     NotMaximalTriangleFree,
-    PreconditionViolated,
 )
 from .formats import witness_to_dict
 from .graphs import (
     Graph,
     _is_int,
+    _members,
     _vertex_ids,
     average_degree,
     find_triangle,
@@ -135,7 +135,7 @@ def star_cover_coloring(g: Graph, centers: Iterable[int]) -> list[int]:
     for i, t in enumerate(cs):
         if colors[t] == -1:
             colors[t] = 2 * i
-        for v in sorted(g.neighbors(t)):
+        for v in _members(g._bits[t]):
             if colors[v] == -1:
                 colors[v] = 2 * i + 1
     if any(c == -1 for c in colors):
@@ -298,8 +298,8 @@ def _stable_restriction(
     return stable
 
 
-# Every stage below writes the record a stall at that stage leaves, then
-# fills it in once its solve returns.
+# Every stage below that can stall writes the record its stall leaves,
+# then fills it in once its solve returns.
 # Look solvers up in this module at call time: bench/tracing.py swaps them here.
 
 
@@ -324,9 +324,9 @@ def _route(
     )
 
     # stage 4: exact stable restriction of the origin vertices (edge i of
-    # N[·] is N[i], so the chosen edge indices are the origins)
+    # N[·] is N[i], so the chosen edge indices, ascending, are the origins)
     origins = structure.edge_indices
-    s_set = _stable_restriction(g, budget, stages, "x_restriction", "x", sorted(origins))
+    s_set = _stable_restriction(g, budget, stages, "x_restriction", "x", list(origins))
 
     # stage 5: the pairs inside S with their witnesses.  Each witness sees
     # exactly its pair in S (a private witness lies in no other chosen
@@ -334,7 +334,7 @@ def _route(
     s_frozen = frozenset(s_set)
     surviving: dict[tuple[int, int], int] = {}
     for (i, j), y in witnessed:
-        u, v = sorted((origins[i], origins[j]))
+        u, v = origins[i], origins[j]
         if u in s_frozen and v in s_frozen:
             surviving[(u, v)] = y
     stages["uniqueness"] = {"surviving_pairs": [[u, v, y] for (u, v), y in surviving.items()]}
@@ -345,17 +345,17 @@ def _route(
         g, budget, stages, "y_restriction", "witness_vertices", witness_vertices
     )
 
-    # stage 7: derived graph on the surviving stable origin set
+    # stage 7: derived graph on S, nonempty since the structure has an origin
     gprime, dmap = derived_graph(s_set, surviving, y_prime)
     bounds = compute_bounds(f.n) if f.n >= 1 else None
-    avg = None if gprime.n == 0 else average_degree(gprime)
+    avg = average_degree(gprime)
     stages["derived"] = {
         "n": gprime.n,
         "m": gprime.m,
         "mapping": list(dmap),
-        "average_degree": None if avg is None else str(avg),
+        "average_degree": str(avg),
         "mader_avg_degree": None if bounds is None else bounds.mader_avg_degree,
-        "meets_mader": None if bounds is None or avg is None else avg >= bounds.mader_avg_degree,
+        "meets_mader": None if bounds is None else avg >= bounds.mader_avg_degree,
     }
 
     # stage 8: exact subdivision search inside the derived graph
@@ -367,17 +367,14 @@ def _route(
     if w_inner is None:
         raise _Stall("pattern-subdivision-not-found-in-derived")
 
-    # stage 9: lift the derived witness into g, which checks preconditions
-    # a–c: each step p–q of a derived path becomes x_p, y, x_q
-    lift = stages["lift"] = {"witness": None, "verified": False}
-    try:
-        witness = lift_to_induced_subdivision(g, s_set, surviving, w_inner)
-    except PreconditionViolated as exc:
-        raise _Stall(f"lifting-precondition-{exc.condition}") from None
-    lift.update(
-        witness=witness_to_dict(witness),
-        verified=bool(verify_witness(witness, require_induced=True)),
-    )
+    # stage 9: lift the derived witness into g (a step p–q of a derived path
+    # becomes x_p, y, x_q).  It cannot fail: S is stable (stage 4), the used
+    # witnesses are stable (stage 6), each witness is private to its pair (stage 3)
+    witness = lift_to_induced_subdivision(g, s_set, surviving, w_inner)
+    stages["lift"] = {
+        "witness": witness_to_dict(witness),
+        "verified": bool(verify_witness(witness, require_induced=True)),
+    }
     return witness
 
 
@@ -393,10 +390,12 @@ def run_pipeline(
     largest disjointly-witnessed family; exact stable restriction of the
     origin set; the witnessed pairs inside it; exact stable
     restriction of the witnesses; derived-graph construction; subdivision
-    search in the derived graph; lifting to an induced witness in g.  Any
-    stall (budget, structure too small, pattern absent from the derived
-    graph) routes to the fallback: find_subdivision(f, g,
-    require_induced=True) directly.  With cross_check the fallback runs
+    search in the derived graph; lifting to an induced witness in g.  A
+    stall, ``budget-exceeded:<dsw|x-restriction|y-restriction|derived-search>``
+    or ``pattern-subdivision-not-found-in-derived``, routes to the
+    fallback: find_subdivision(f, g, require_induced=True) directly.  The
+    lift cannot stall, as the earlier stages fix its preconditions; should
+    it fail, that is a bug and it raises.  With cross_check the fallback runs
     even after route success and both witnesses are verified
     independently; they need not coincide.
 

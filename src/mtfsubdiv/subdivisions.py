@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, InconsistentWitnesses, OutOfRange, PreconditionViolated
@@ -77,34 +77,39 @@ def verify_witness(w: SubdivisionWitness, require_induced: bool) -> WitnessCheck
     was produced.  Returns a falsy check with a machine-readable
     ``reason`` on the first violated invariant.
     """
-    p, h = w.pattern, w.host
-    if set(w.branch_map.keys()) != set(range(p.n)):
+    p, h, branch_map, paths = w.pattern, w.host, w.branch_map, w.paths
+    # each type test spares the usual container its slower ABC check
+    if not (type(branch_map) is dict or isinstance(branch_map, Mapping)):
         return WitnessCheck(False, "branch-map-domain")
-    images = list(w.branch_map.values())
+    if set(branch_map) != set(range(p.n)):
+        return WitnessCheck(False, "branch-map-domain")
+    images = list(branch_map.values())
     for v in images:
         if not (_is_int(v) and 0 <= v < h.n):
             return WitnessCheck(False, "branch-out-of-range")
     if len(set(images)) != len(images):
         return WitnessCheck(False, "branch-not-injective")
-    if set(w.paths.keys()) != set(p.edges()):
+    if not (type(paths) is dict or isinstance(paths, Mapping)) or set(paths) != set(p.edges()):
         return WitnessCheck(False, "paths-domain")
     branch_set = set(images)
     interiors_seen: set[int] = set()
     # per used vertex, the mask of its neighbours along the paths
     path_nb: dict[int, int] = {}
-    for (a, b) in sorted(w.paths.keys()):
-        path = w.paths[(a, b)]
+    for (a, b) in sorted(paths):
+        path = paths[(a, b)]
+        if not (type(path) is tuple or isinstance(path, Sequence)):
+            return WitnessCheck(False, "path-not-a-sequence")
         if len(path) < 2:
             return WitnessCheck(False, "path-too-short")
         for v in path:
             if not (_is_int(v) and 0 <= v < h.n):
                 return WitnessCheck(False, "path-out-of-range")
-        if path[0] != w.branch_map[a] or path[-1] != w.branch_map[b]:
+        if path[0] != branch_map[a] or path[-1] != branch_map[b]:
             return WitnessCheck(False, "path-endpoints")
         if len(set(path)) != len(path):
             return WitnessCheck(False, "path-repeats-vertex")
         for u, v in zip(path, path[1:]):
-            if not h.has_edge(u, v):
+            if not h._bits[u] >> v & 1:
                 return WitnessCheck(False, "path-not-adjacent")
             path_nb[u] = path_nb.get(u, 0) | 1 << v
             path_nb[v] = path_nb.get(v, 0) | 1 << u
@@ -259,10 +264,10 @@ class _SubdivSearch:
         self.owner = [0] * host.n
         self.branch_used = 0
         self.paths: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.pdeg = pdeg = pattern.degrees()
         # pattern vertices in branching order: descending degree, ties by id
-        self.porder = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+        self.porder = sorted(range(pattern.n), key=lambda v: (-pdeg[v], v))
         self.below = _pattern_conditions(pattern, self.porder, meter)
-        self.pdeg = pattern.degrees()
         self.hdeg = host.degrees()
         self.adj = [_members(b) for b in host._bits]
 
@@ -637,11 +642,14 @@ def lift_to_induced_subdivision(
         raise BadParameter("derived witness must be a subdivision in a graph on the x positions")
     norm = _normalized_witnesses(witnesses)
 
-    # (a) stability of the x set
-    for i, u in enumerate(xs):
-        for v in xs[i + 1 :]:
-            if g.has_edge(u, v):
-                raise PreconditionViolated("a", f"x vertices {u} and {v} are adjacent")
+    # (a) stability of the x set; per vertex its least later neighbour in
+    # it, so the first pair reported is the lex-first adjacent pair
+    bits = g._bits
+    x_mask = sum(1 << u for u in xs)
+    for u in xs:
+        if later := bits[u] & x_mask >> u + 1 << u + 1:
+            v = (later & -later).bit_length() - 1
+            raise PreconditionViolated("a", f"x vertices {u} and {v} are adjacent")
 
     used: dict[tuple[int, int], int] = {}
     paths = {}
@@ -656,22 +664,23 @@ def lift_to_induced_subdivision(
         paths[e] = tuple(lifted)
 
     # (b) stability of the used witness vertices
-    y_used = sorted(set(used.values()))
-    for i, u in enumerate(y_used):
-        for v in y_used[i + 1 :]:
-            if g.has_edge(u, v):
-                raise PreconditionViolated("b", f"witnesses {u} and {v} are adjacent")
+    y_used = _vertex_ids(used.values(), g.n, "witness vertex")
+    y_mask = sum(1 << u for u in y_used)
+    for u in y_used:
+        if later := bits[u] & y_mask >> u + 1 << u + 1:
+            v = (later & -later).bit_length() - 1
+            raise PreconditionViolated("b", f"witnesses {u} and {v} are adjacent")
 
     # (c) exact adjacency inside x_sub ∪ Y''; a vertex witnessing two
     # derived edges necessarily fails this check for at least one of them
-    inside = set(xs) | set(y_used)
-    for pair, y in sorted(used.items()):
-        actual = set(g.neighbors(y)) & inside
-        if actual != set(pair):
+    inside = x_mask | y_mask
+    for (u, v), y in sorted(used.items()):
+        actual = bits[y] & inside
+        if actual != 1 << u | 1 << v:
             raise PreconditionViolated(
                 "c",
-                f"witness {y} for pair {pair} sees {sorted(actual)} "
-                f"instead of exactly {list(pair)}",
+                f"witness {y} for pair {(u, v)} sees {_members(actual)} "
+                f"instead of exactly {[u, v]}",
             )
 
     branch = {a: xs[p] for a, p in derived.branch_map.items()}

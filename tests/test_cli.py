@@ -498,11 +498,18 @@ def test_missing_file_exits_3(capsys):
 
 
 def test_malformed_input_exits_3(capsys, tmp_path):
-    path = tmp_path / "junk.g6"
-    path.write_text("garbage{\n")
-    code, _, err = run(capsys, "analyze", str(path))
-    assert code == 3
-    assert "error" in err
+    # JSON nested deeper than the decoder recurses, and an integer past
+    # Python's digit limit, are malformed input too
+    for payload in (
+        "garbage{\n",
+        '{"n": 1, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"n": ' + "1" * 5_000 + ', "edges": []}',
+    ):
+        path = tmp_path / "junk"
+        path.write_text(payload)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_output_never_contains_ansi_escapes(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from mtfsubdiv import (
     Graph,
+    MtfError,
     ParseError,
     RangeError,
     canonical_json,
@@ -189,6 +190,13 @@ def test_json_rejects_malformed_documents():
         parse_graph_json('{"n": 2, "edges": [[0, 1, 1]]}')
     with pytest.raises(ParseError):
         parse_graph_json('{"n": 2, "edges": [["0", 1]]}')
+    # the decoder recurses once per nesting level
+    with pytest.raises(ParseError):
+        parse_graph_json('{"n": 1, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    # past Python's digit limit for int(str) a ParseError; with the limit
+    # switched off the number parses, far above the vertex cap
+    with pytest.raises(MtfError):
+        parse_graph_json('{"n": ' + "1" * 5_000 + ', "edges": []}')
 
 
 def test_json_rejects_unordered_edges():

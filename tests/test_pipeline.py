@@ -35,7 +35,7 @@ from mtfsubdiv import (
 )
 from mtfsubdiv import pipeline
 
-from families import complete_graph, path_graph
+from families import complete_graph, path_graph, paw_graph
 
 
 # -- closed-form bounds -------------------------------------------------
@@ -444,11 +444,15 @@ def test_pipeline_on_random_mtf_hosts_always_reaches_a_verdict():
 def test_pipeline_never_discards_a_pair_or_stalls_in_lifting():
     # a private witness lies in no other chosen neighbourhood and S is
     # stable, so stage 5 keeps every witnessed pair inside S and the
-    # lifting preconditions hold
+    # lifting preconditions hold: a pattern found in the derived graph is
+    # a route success
     hosts = [gen_synthetic_dsw(SyntheticDswSpec(d, padding=True))[0] for d in (5, 6, 7)]
     hosts += [gen_random_mtf(8 + seed, seed) for seed in range(12)]
+    patterns = [complete_graph(3), gen_cycle(4), complete_graph(4), path_graph(3)]
+    patterns += [gen_cycle(5), paw_graph(), Graph(4, [(0, 1), (2, 3)]), Graph(1)]
+    found = 0
     for g in hosts:
-        for f in (complete_graph(3), gen_cycle(4), complete_graph(4)):
+        for f in patterns:
             rep = run_pipeline(g, f)
             st = rep.stages
             if st["uniqueness"] is not None:
@@ -461,7 +465,11 @@ def test_pipeline_never_discards_a_pair_or_stalls_in_lifting():
                     if u in s_set and v in s_set:
                         inside.append([u, v, y])
                 assert st["uniqueness"]["surviving_pairs"] == inside
-            assert not (rep.stall_reason or "").startswith("lifting-precondition")
+            if st["search_in_derived"] is not None and st["search_in_derived"]["found"]:
+                found += 1
+                assert rep.verdict == "route-success" and rep.stall_reason is None
+    # 50 of the 120 runs find f in the derived graph
+    assert found == 50
 
 
 @pytest.mark.parametrize("d", [5, 6])
@@ -520,10 +528,6 @@ def _stop_plain_search(pattern, host, require_induced=False, budget=None):
     return find_subdivision(pattern, host, require_induced, budget)
 
 
-def _stop_lift(*args, **kwargs):
-    raise PreconditionViolated("b", "forced stop")
-
-
 STALL_CASES = [
     (
         "dsw",
@@ -570,13 +574,6 @@ STALL_CASES = [
         "budget-exceeded:derived-search",
         [("found", None), ("budget_exceeded", True)],
     ),
-    (
-        "lift",
-        "lift_to_induced_subdivision",
-        lambda: _stop_lift,
-        "lifting-precondition-b",
-        [("witness", None), ("verified", False)],
-    ),
 ]
 
 
@@ -604,6 +601,18 @@ def test_pipeline_stall_records(monkeypatch, stage, name, make, reason, record):
         ("budget_exceeded", False),
     ]
     assert rep.verdict == "fallback-success"
+
+
+def test_pipeline_raises_when_the_lift_fails(monkeypatch):
+    # the route fixes the lift's preconditions, so a failed lift is a bug:
+    # it propagates instead of stalling into the fallback
+    def fail(*args, **kwargs):
+        raise PreconditionViolated("b", "forced failure")
+
+    host, _, _ = gen_synthetic_dsw(SyntheticDswSpec(5, padding=True))
+    monkeypatch.setattr(pipeline, "lift_to_induced_subdivision", fail)
+    with pytest.raises(PreconditionViolated):
+        run_pipeline(host, complete_graph(3))
 
 
 def test_pipeline_stall_record_when_fallback_runs_out_too(monkeypatch):

@@ -17,6 +17,7 @@ from mtfsubdiv import (
     Graph,
     Hypergraph,
     OutOfRange,
+    SubdivisionWitness,
     SyntheticDswSpec,
     chromatic_number,
     clique_number,
@@ -229,6 +230,17 @@ bad_hyperedges = vertex_sets(N, N) | st.none() | st.booleans() | st.floats() | s
 # where a mapping is expected
 not_iterable = st.integers() | st.none()
 not_a_mapping = not_iterable | st.just(list(WITNESSES.items())) | st.just([((0, 1), 3)])
+# a derived witness whose branch map or paths are no mapping, or with a
+# path that is no sequence
+bad_derived = st.one_of(
+    not_a_mapping.map(lambda b: SubdivisionWitness(DERIVED.pattern, DERIVED.host, b, DERIVED.paths)),
+    not_a_mapping.map(lambda p: SubdivisionWitness(DERIVED.pattern, DERIVED.host, DERIVED.branch_map, p)),
+    (not_iterable | st.sets(st.integers(0, 2))).map(
+        lambda q: SubdivisionWitness(
+            DERIVED.pattern, DERIVED.host, DERIVED.branch_map, {**DERIVED.paths, (0, 1): q}
+        )
+    ),
+)
 
 MALFORMED_CALLS = {
     "graph-edge": lambda draw: Graph(N, [(0, 1), draw(bad_pairs(N, N))]),
@@ -240,6 +252,7 @@ MALFORMED_CALLS = {
     "derived-y-prime": lambda draw: derived_graph(X, WITNESSES, draw(vertex_sets(N))),
     "lift-x": lambda draw: lift_to_induced_subdivision(HOST, draw(vertex_sets(N, N)), WITNESSES, DERIVED),
     "lift-witnesses": lambda draw: lift_to_induced_subdivision(HOST, X, draw(bad_witness_maps), DERIVED),
+    "lift-derived": lambda draw: lift_to_induced_subdivision(HOST, X, WITNESSES, draw(bad_derived)),
     "spec-pattern-pair": lambda draw: SyntheticDswSpec(4, [(0, 1), draw(bad_pairs(4, 4))]).normalized_pairs(),
     "graph-edge-container": lambda draw: Graph(N, draw(not_iterable)),
     "hyperedge-container": lambda draw: Hypergraph(N, draw(not_iterable)),

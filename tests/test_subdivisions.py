@@ -98,6 +98,21 @@ def test_verify_reason_paths_domain():
     assert verify_witness(bad, False).reason == "paths-domain"
 
 
+@pytest.mark.parametrize("induced", [False, True])
+def test_verify_reports_containers_of_the_wrong_shape(induced):
+    # a falsy check with its reason, not an AttributeError or a TypeError
+    w = c6_triangle_witness()
+    for branch in (5, None, list(w.branch_map.items())):
+        bad = SubdivisionWitness(w.pattern, w.host, branch, w.paths)
+        assert verify_witness(bad, induced).reason == "branch-map-domain"
+    for paths in (5, None, list(w.paths.items())):
+        bad = SubdivisionWitness(w.pattern, w.host, w.branch_map, paths)
+        assert verify_witness(bad, induced).reason == "paths-domain"
+    for path in (5, None, {0, 1, 2}):
+        bad = SubdivisionWitness(w.pattern, w.host, w.branch_map, {**w.paths, (0, 1): path})
+        assert verify_witness(bad, induced).reason == "path-not-a-sequence"
+
+
 def test_verify_reason_path_too_short():
     w = c6_triangle_witness()
     paths = dict(w.paths)
