@@ -107,7 +107,10 @@ class _Meter:
 
 
 def meter_for(budget: SearchBudget | None) -> _Meter:
-    """Meter for a fresh top-level call under ``budget`` (None means default)."""
+    """Meter for a fresh top-level call under ``budget`` (None means default);
+    any other value raises BadParameter."""
+    if budget is not None and not isinstance(budget, SearchBudget):
+        raise BadParameter(f"budget must be a SearchBudget or None, got {budget!r}")
     return _Meter(budget)
 
 

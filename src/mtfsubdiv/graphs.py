@@ -176,12 +176,16 @@ def find_triangle(g: Graph) -> tuple[int, int, int] | None:
     """Return a triangle of g as a sorted vertex triple, or None: the first
     vertex u on a triangle (the least of every triangle through it), u's
     least neighbour on one, and the least common neighbour of the two."""
-    for u, bu in enumerate(g._bits):
-        for v in _members(bu >> u << u):
-            common = bu & g._bits[v]
-            if common:
+    bits = g._bits
+    for u, bu in enumerate(bits):
+        above = bu >> u << u
+        while above:
+            low = above & -above
+            v = low.bit_length() - 1
+            if common := bu & bits[v]:
                 w = (common & -common).bit_length() - 1
                 return (u, min(v, w), max(v, w))
+            above ^= low
     return None
 
 

@@ -521,11 +521,11 @@ def max_dsw_structure(
     valid, so when no two edges form a structure the result is edge 0
     alone.
     """
+    meter = meter_for(budget)
     m = len(h.edges)
     if m == 0:
         return None
     best = DswStructure(edge_indices=(0,), witnesses={})
-    meter = meter_for(budget)
     lex = _lex_leader(h, meter)
     for d in range(2, m + 1):
         found = _find_dsw(h, d, meter, lex)

@@ -281,9 +281,10 @@ def chromatic_coloring(g: Graph, budget: SearchBudget | None = None) -> list[int
     order), re-verified here to be proper and to use exactly χ colors.
     Raises BudgetExceeded when the search budget runs out.
     """
+    meter = meter_for(budget)
     if g.n == 0:
         return []
-    coloring = _dsatur(g, meter_for(budget))
+    coloring = _dsatur(g, meter)
     classes = [0] * (max(coloring) + 1)
     for v, c in enumerate(coloring):
         classes[c] |= 1 << v
@@ -411,9 +412,10 @@ def max_independent_set(g: Graph, budget: SearchBudget | None = None) -> frozens
     pipeline's stable-set stages to a unique deterministic answer.  The set
     is re-verified to be independent before it is returned.
     """
+    meter = meter_for(budget)
     if g.n == 0:
         return frozenset()
-    stable = _mis_search(g._bits, meter_for(budget))
+    stable = _mis_search(g._bits, meter)
     mask = sum(1 << v for v in stable)
     if any(g._bits[v] & mask for v in stable):
         raise AssertionError("not independent")

@@ -214,10 +214,53 @@ def _pattern_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> lis
     return [tuple(b) for b in below]
 
 
+def _chains(pattern: Graph, suppress: bool) -> tuple[set[int], list[tuple[int, ...]]]:
+    """The branch vertices of ``pattern`` and its chains, as walks of its vertices.
+
+    With ``suppress`` the branch vertices are those of degree ≠ 2 and the
+    least vertex of each cycle component, its anchor, and a chain is a
+    maximal walk between them through vertices of degree 2; it is a loop
+    when it ends where it starts.  Without it every vertex is a branch
+    vertex and every edge a chain.  A chain starts at its lower end, towards
+    that end's lower neighbour.
+    """
+    bits = pattern._bits
+    inner = [suppress and d == 2 for d in pattern.degrees()]
+    seen = [False] * pattern.n
+    branch: set[int] = set()
+    chains = []
+    for anchors in (False, True):
+        for b in range(pattern.n):
+            if inner[b] != anchors or seen[b]:
+                continue
+            inner[b] = False
+            branch.add(b)
+            for c in _members(bits[b]):
+                if inner[c] and not seen[c]:
+                    walk = [b, c]
+                    while inner[walk[-1]]:
+                        seen[walk[-1]] = True
+                        walk.append((bits[walk[-1]] & ~(1 << walk[-2])).bit_length() - 1)
+                    chains.append(tuple(walk))
+                elif b < c and not inner[c]:
+                    chains.append((b, c))
+    return branch, chains
+
+
 class _SubdivSearch:
     """Backtracking state for one find_subdivision call.
 
-    Branch maps are tuples of host vertices, the images of the pattern
+    In induced mode the pattern's vertices of degree 2 are suppressed
+    (:func:`_chains`): only the branch vertices are placed, and a chain of
+    k edges is routed as one chordless host path of at least k edges.  A
+    loop, or the cycle of an anchor, at image a is two host neighbours
+    x < y of a joined by such a path of at least k − 2 edges, or by their
+    edge when k is 3; a cycle's other vertices lie above a.  The k-th inner
+    vertex of a chain takes the k-th interior vertex of its path.  Plain
+    mode places every vertex, since there a chord may not shortcut a path
+    of a minimum length.
+
+    Branch maps are tuples of host vertices, the images of the branch
     vertices in ``porder``, tried in lexicographic order.  Two filters cut
     them, one per symmetry group:
 
@@ -229,17 +272,18 @@ class _SubdivSearch:
       images (lex-leader pruning by :class:`symmetry.LexLeader`), once the
       call has counted ``symmetry.START_AFTER`` nodes.
 
-    Say a witness exists.  Its branch maps form an orbit under
-    Aut(host) × Aut(pattern), acting by phi ↦ σ∘phi∘π⁻¹, and every map in
-    it is a witness's: relabelling a witness by σ and π gives another.
-    The least tuple of that orbit passes both filters, since a failed
-    condition names a σ or a π that makes it smaller.  It is also the
-    least tuple that meets the pattern conditions alone, so the search
-    returns the same branch map as without the host filter.
+    Say a witness exists.  The least branch map of a witness passes both
+    filters: a failed pattern condition names a π in Aut(pattern) that
+    makes it smaller, and a failed host test a σ in Aut(host) fixing the
+    first k images and lowering the k-th, which moves the witness to one
+    whose map, once each anchor is again its cycle's least vertex, is
+    smaller.  So the search returns the same branch map as without the
+    host filter.  The branch vertices open the base of the pattern
+    conditions, which thus see Aut(pattern) act on them.
 
-    Pattern edges are routed along chordless host paths only, in both
-    modes: any witness can be shortened to one whose paths are chordless,
-    because a chord cuts a path to a sub-path with fewer interior vertices.
+    Chains are routed along chordless host paths only, in both modes: any
+    witness can be shortened to one whose paths are chordless, because a
+    chord cuts a path to a sub-path with fewer interior vertices.
 
     Host state is kept as vertex bitmasks over the host's adjacency masks
     ``host._bits``: ``branch_used`` holds the branch images, the routing
@@ -258,31 +302,46 @@ class _SubdivSearch:
         self.meter = meter
         self.bits = host._bits
         self.pbits = pattern._bits
-        self.pedges = pattern.edges()
         self.full = (1 << host.n) - 1
         self.branch: dict[int, int] = {}
         self.owner = [0] * host.n
         self.branch_used = 0
-        self.paths: dict[tuple[int, int], tuple[int, ...]] = {}
         self.pdeg = pdeg = pattern.degrees()
-        # pattern vertices in branching order: descending degree, ties by id
-        self.porder = sorted(range(pattern.n), key=lambda v: (-pdeg[v], v))
-        self.below = _pattern_conditions(pattern, self.porder, meter)
+        branch, self.chains = _chains(pattern, induced)
+        self.routes: list[tuple[int, ...]] = [()] * len(self.chains)
+        # branch vertices by descending degree, ties by id, then the rest; a
+        # lone branch vertex has no condition to meet
+        order = sorted(range(pattern.n), key=lambda v: (v not in branch, -pdeg[v], v))
+        self.porder = order[: len(branch)]
+        self.below = [()] * pattern.n
+        if len(branch) > 1:
+            self.below = _pattern_conditions(pattern, order, meter)
         self.hdeg = host.degrees()
         self.adj = [_members(b) for b in host._bits]
 
     def run(self) -> SubdivisionWitness | None:
         for _ in self._branch_maps():
-            edge_order = self._edge_order()
-            if edge_order is not None and self._route(edge_order):
-                witness = SubdivisionWitness(
-                    self.p, self.h, dict(self.branch), dict(self.paths), self.induced
-                )
+            order = self._chain_order()
+            if order is not None and self._route(order):
+                witness = SubdivisionWitness(self.p, self.h, *self._expand(), self.induced)
                 check = verify_witness(witness, self.induced)
                 if not check.ok:
                     raise AssertionError(check.reason)
                 return witness
         return None
+
+    def _expand(self) -> tuple[dict[int, int], dict[tuple[int, int], tuple[int, ...]]]:
+        """The pattern's branch map and paths: the k-th vertex of a chain
+        takes the k-th vertex of its route, and its last edge the rest."""
+        branch = dict(self.branch)
+        paths = {}
+        for walk, path in zip(self.chains, self.routes):
+            last = len(walk) - 2
+            for i, (u, v) in enumerate(zip(walk, walk[1:])):
+                step = path[i : i + 2] if i < last else path[i:]
+                branch[v] = step[-1]
+                paths[(u, v) if u < v else (v, u)] = step if u < v else step[::-1]
+        return branch, paths
 
     # branch-vertex assignment ------------------------------------------
 
@@ -362,41 +421,47 @@ class _SubdivSearch:
 
     # path routing ------------------------------------------------------
 
-    def _edge_order(self) -> list[tuple[int, int]] | None:
-        """Pattern edges sorted by host BFS distance of their images."""
+    def _chain_order(self) -> list[int] | None:
+        """Chain indices sorted by the host BFS distance of their ends'
+        images, raised to the chain's length; a loop sorts by its length."""
+        branch, bits, full, used = self.branch, self.bits, self.full, self.branch_used
         order = []
-        for (a, b) in self.pedges:
-            s, t = self.branch[a], self.branch[b]
-            allowed = self.full & ~(self.branch_used & ~((1 << s) | (1 << t)))
-            d = _bfs_distance(self.bits, s, t, allowed)
-            if d < 0:
-                return None
-            order.append((d, (a, b)))
+        for i, walk in enumerate(self.chains):
+            s, t = branch[walk[0]], branch[walk[-1]]
+            length = len(walk) - 1
+            if s != t:
+                d = _bfs_distance(bits, s, t, full & ~(used & ~((1 << s) | (1 << t))))
+                if d < 0:
+                    return None
+                if d > length:
+                    length = d
+            order.append((length, i))
         order.sort()
-        return [e for _, e in order]
+        return [i for _, i in order]
 
-    def _route(self, edge_order: list[tuple[int, int]]) -> bool:
-        """Route every edge of ``edge_order`` into ``self.paths``.
+    def _route(self, order: list[int]) -> bool:
+        """Route every chain of ``order`` into ``self.routes``.
 
-        The edges of host-adjacent images sort first and route as that
-        edge alone, so they are set once.  The rest go depth-first over an
-        explicit stack with one candidate-path iterator per routed edge;
-        ``interiors[-1]`` masks the interiors of the paths routed so far.
-        Every edge is rewritten before the paths are read, so a failed try
-        needs no undo.
+        The chains of length 1 between host-adjacent images sort first and
+        route as that edge alone, so they are set once.  The rest go
+        depth-first over an explicit stack with one candidate-path iterator
+        per routed chain; ``interiors[-1]`` masks the interiors of the paths
+        routed so far.  Every route is rewritten before the routes are
+        read, so a failed try needs no undo.
         """
-        branch, bits = self.branch, self.bits
+        branch, bits, chains, routes = self.branch, self.bits, self.chains, self.routes
         first = 0
-        for a, b in edge_order:
-            s, t = branch[a], branch[b]
+        for i in order:
+            if len(chains[i]) > 2:
+                break
+            s, t = branch[chains[i][0]], branch[chains[i][1]]
             if not bits[s] >> t & 1:
                 break
-            self.paths[(a, b)] = (s, t)
+            routes[i] = (s, t)
             first += 1
-        if first == len(edge_order):
+        if first == len(order):
             return True
-        a, b = edge_order[first]
-        iters = [self._candidate_paths(branch[a], branch[b], 0)]
+        iters = [self._chain_paths(order[first], 0)]
         interiors = [0]
         while iters:
             path = next(iters[-1], None)
@@ -405,50 +470,86 @@ class _SubdivSearch:
                 interiors.pop()
                 continue
             k = first + len(iters) - 1
-            self.paths[edge_order[k]] = path
-            if k + 1 == len(edge_order):
+            routes[order[k]] = path
+            if k + 1 == len(order):
                 return True
             inner = interiors[-1]
             for v in path[1:-1]:
                 inner |= 1 << v
-            a, b = edge_order[k + 1]
-            iters.append(self._candidate_paths(branch[a], branch[b], inner))
+            iters.append(self._chain_paths(order[k + 1], inner))
             interiors.append(inner)
         return False
 
-    def _candidate_paths(self, s: int, t: int, interiors: int):
-        """Yield the chordless host paths from s to t, shortest first, then lex.
+    def _chain_paths(self, i: int, interiors: int):
+        """The candidate paths of chain i: :meth:`_candidate_paths` between its
+        ends' images, or :meth:`_loop_paths` at the image of a loop's end,
+        above that image when the loop is a cycle's."""
+        walk = self.chains[i]
+        s, t = self.branch[walk[0]], self.branch[walk[-1]]
+        if s != t:
+            return self._candidate_paths(s, t, interiors, len(walk) - 1)
+        above = ~((2 << s) - 1) if self.pdeg[walk[0]] == 2 else -1
+        return self._loop_paths(s, interiors, len(walk) - 1, above)
 
-        s and t are not host-adjacent: :meth:`_route` sets the edges
-        between adjacent branch images before it routes.  Interiors avoid all
-        branch images and the routed ``interiors``.  In induced mode they
-        are also adjacent to no placed vertex (branch image or routed
-        interior) other than s and t, so such neighbours leave the region
-        before the BFS: its distances are exact bounds for the paths
-        searched, and an unreachable s ends the edge at once.
+    def _loop_paths(self, a: int, interiors: int, length: int, region: int):
+        """Yield the chordless closed paths (a, x, ..., y, a) of at least
+        ``length`` ≥ 3 edges with x < y, inside the vertex mask ``region``:
+        two neighbours of a joined by a candidate path of at least
+        length − 2 edges, or by their edge alone when length is 3.  One
+        tick per pair x, y tried."""
+        bits, tick = self.bits, self.meter.tick
+        ends = self._region(1 << a, interiors) & region & bits[a]
+        for x in _members(ends):
+            for y in _members(ends >> x + 1 << x + 1):
+                tick()
+                if not bits[x] >> y & 1:
+                    for path in self._candidate_paths(x, y, interiors, length - 2, region):
+                        yield (a, *path, a)
+                elif length == 3:
+                    yield (a, x, y, a)
 
-        Lengths are tried from ``dist[s]`` up, and the loop stops after the
-        first length that :meth:`_paths_of_length` did not cut short.  A
-        longer length then accepts, at every prefix, no vertex this one
-        turned away: the distance test turned none away, and a neighbour of
-        t may close the path only at the last step.  So each prefix of a
-        longer length is one of this length's, all shorter than the longer
-        length, and none reaches t.
+    def _region(self, ends: int, interiors: int) -> int:
+        """The vertices a path between the ``ends`` may use.
+
+        Interiors avoid all branch images and the routed ``interiors``.  In
+        induced mode they are also adjacent to no placed vertex (branch
+        image or routed interior) other than the ends, so such neighbours
+        leave the region.
         """
-        bits, n = self.bits, self.h.n
-        ends = (1 << s) | (1 << t)
         allowed = self.full & ~((self.branch_used & ~ends) | interiors)
         if self.induced:
+            bits = self.bits
             placed = (self.branch_used | interiors) & ~ends
             while placed:
                 low = placed & -placed
                 allowed &= ~bits[low.bit_length() - 1]
                 placed ^= low
             allowed |= ends
-        dist = _bfs_dist(bits, n, t, allowed)
+        return allowed
+
+    def _candidate_paths(self, s: int, t: int, interiors: int, min_len: int = 1, region: int = -1):
+        """Yield the chordless host paths from s to t of at least ``min_len``
+        edges inside :meth:`_region` and ``region``, shortest first, then lex.
+
+        s and t are host-adjacent only when their edge is routed on its own
+        and ``min_len`` exceeds 1 (a chain parallel to it).  The region is
+        cut before the BFS, so its distances are exact bounds for the paths
+        searched, and an unreachable s ends the chain at once.
+
+        Lengths are tried from ``max(dist[s], min_len)`` up, and the loop
+        stops after the first length that :meth:`_paths_of_length` did not
+        cut short.  A longer length then accepts, at every prefix, no vertex
+        this one turned away: the distance test turned none away, and a
+        neighbour of t may close the path only at the last step.  So each
+        prefix of a longer length is one of this length's, all shorter than
+        the longer length, and none reaches t.
+        """
+        n = self.h.n
+        allowed = self._region((1 << s) | (1 << t), interiors) & region
+        dist = _bfs_dist(self.bits, n, t, allowed)
         if dist[s] == n:
             return
-        for length in range(dist[s], allowed.bit_count()):
+        for length in range(dist[s] if dist[s] > min_len else min_len, allowed.bit_count()):
             cut = yield from self._paths_of_length(s, t, length, allowed, dist)
             if not cut:
                 return
@@ -479,7 +580,11 @@ class _SubdivSearch:
         on_path = 1 << s
         free = allowed & ~on_path  # allowed vertices not on the path
         tick()
-        stack = [(s, length, iter(adj[s]), 0)]
+        first = adj[s]
+        if length > 1 and bits[s] >> t & 1:
+            # a longer path parallel to the edge s-t must not close at once
+            first = [y for y in first if y != t]
+        stack = [(s, length, iter(first), 0)]
         while stack:
             x, remaining, candidates, blockers = stack[-1]
             for y in candidates:
@@ -525,20 +630,26 @@ def find_subdivision(
 ) -> SubdivisionWitness | None:
     """Exact search for a (possibly induced) subdivision of pattern in host.
 
-    Branch maps, the tuples of images of the pattern vertices in a fixed
+    Branch maps, the tuples of images of the branch vertices in a fixed
     order, are tried in lexicographic order, subject to degree feasibility
     and two symmetry filters: one map per orbit of the pattern's
     automorphism group (symmetry-breaking conditions on the images,
     Grochow & Kellis 2007), and, on searches that run past
     ``symmetry.START_AFTER`` nodes, lex-leader pruning under the host's
     automorphism group (an image must be the least vertex of its orbit
-    under the stabiliser of the images before it).  Pattern edges are then
-    routed as internally disjoint chordless paths, tried shortest first,
-    with full backtracking.  The lengths of one edge's paths stop at the
-    first length that no distance bound cut short, since no longer path
-    then exists.  In induced mode a path searches only the host vertices
-    adjacent to no other used vertex, as any other interior would leave a
-    chord.
+    under the stabiliser of the images before it).  In plain mode every
+    pattern vertex is a branch vertex.  In induced mode the vertices of
+    degree 2 are suppressed: the branch vertices are those of degree ≠ 2,
+    each maximal chain between them is one routed edge of at least its
+    number of pattern edges, and a cycle component is one chordless cycle
+    at least as long, anchored at its least host vertex.  The chains are
+    then routed as internally disjoint chordless paths, tried shortest
+    first, with full backtracking.  The lengths of one chain's paths stop
+    at the first length that no distance bound cut short, since no longer
+    path then exists.  In induced mode a path searches only the host
+    vertices adjacent to no other used vertex, as any other interior would
+    leave a chord.  A chain's inner pattern vertices take the first
+    interior vertices of its path.
 
     Exactness: automorphisms of host and pattern map witnesses to
     witnesses, and the least branch map of such an orbit passes both
@@ -551,9 +662,9 @@ def find_subdivision(
     Returns the first witness (always verified before returning), or None
     once the search space is exhausted.
     """
+    meter = meter_for(budget)
     if pattern.n > host.n:
         return None
-    meter = meter_for(budget)
     search = _SubdivSearch(pattern, host, require_induced, meter)
     return search.run()
 

@@ -48,3 +48,41 @@ def test_budget_rejects_values_outside_its_domain(limits):
 def test_budget_accepts_its_boundary_values():
     assert SearchBudget(max_nodes=0, max_seconds=0).max_nodes == 0
     assert SearchBudget(max_seconds=float("inf")).max_seconds == float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "analyze(g, 5)",
+        "run_pipeline(g, f, budget=5)",
+        "chromatic_number(g, 'x')",
+        "transversality(h, 1.5)",
+        "find_subdivision(f, g, budget={'max_nodes': 10})",
+        # the value is checked before any answer that needs no search
+        "find_subdivision(g, f, budget=5)",
+        "chromatic_number(Graph(0), 5)",
+        "max_independent_set(Graph(0), 5)",
+        "max_dsw_structure(Hypergraph(1, []), 5)",
+    ],
+)
+def test_public_solvers_reject_a_budget_that_is_not_a_search_budget(call):
+    # a bad budget is a bad parameter, not an AttributeError from the meter
+    from mtfsubdiv import (
+        Graph,
+        Hypergraph,
+        analyze,
+        chromatic_number,
+        find_subdivision,
+        gen_cycle,
+        gen_petersen,
+        max_dsw_structure,
+        max_independent_set,
+        neighborhood_hypergraph,
+        run_pipeline,
+        transversality,
+    )
+
+    g, f = gen_petersen(), gen_cycle(5)
+    h = neighborhood_hypergraph(g)
+    with pytest.raises(BadParameter, match="budget must be a SearchBudget"):
+        eval(call)

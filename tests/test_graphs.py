@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,26 @@ def test_find_triangle_matches_oracle():
             a, b, c = tri
             assert a < b < c
             assert g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+
+
+def test_find_triangle_is_the_first_triangle_by_its_rule():
+    # the least vertex u on a triangle, u's least neighbour v on one, and
+    # the least common neighbour of u and v, read from neighbour sets
+    rng = random.Random(61)
+    for trial in range(300):
+        n = rng.randint(1, 40)
+        g = random_graph(n, rng.random() * 0.4, seed=trial)
+        nbrs = [set(g.neighbors(v)) for v in range(n)]
+        expect = next(
+            (
+                tuple(sorted((u, v, min(nbrs[u] & nbrs[v]))))
+                for u in range(n)
+                for v in sorted(nbrs[u])
+                if v > u and nbrs[u] & nbrs[v]
+            ),
+            None,
+        )
+        assert find_triangle(g) == expect
 
 
 def test_triangle_free_families():

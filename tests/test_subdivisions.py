@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 
 import pytest
 
@@ -19,6 +19,7 @@ from mtfsubdiv import (
     WitnessCheck,
     derived_graph,
     find_subdivision,
+    find_triangle,
     gen_cycle,
     gen_mycielski,
     gen_petersen,
@@ -28,7 +29,7 @@ from mtfsubdiv import (
     verify_witness,
 )
 from mtfsubdiv.budget import meter_for
-from mtfsubdiv.subdivisions import _SubdivSearch
+from mtfsubdiv.subdivisions import _SubdivSearch, _chains
 
 from families import (
     clebsch_graph,
@@ -584,10 +585,10 @@ def _pinned_search(pattern, host, induced, nodes):
 
 
 def test_find_c5_in_k66_search_tree_is_pinned():
-    # 2,000 nodes without the host's symmetry, then 78 with it (77 when every
-    # path length was tried: the host's symmetry then took over at an
-    # earlier branch map)
-    assert _pinned_search(gen_cycle(5), complete_bipartite(6, 6), True, 2_078) is None
+    # one anchored chordless cycle per host vertex; 2,078 nodes while all
+    # five cycle vertices were branch vertices (2,000 of them before the
+    # host's symmetry started)
+    assert _pinned_search(gen_cycle(5), complete_bipartite(6, 6), True, 372) is None
 
 
 def test_find_plain_k4_in_petersen_search_tree_is_pinned():
@@ -652,9 +653,10 @@ def test_find_induced_k4_in_groetzsch_search_tree_is_pinned():
 
 
 def test_find_c9_in_clebsch_search_tree_is_pinned():
-    # the proof of absence took 200,194 nodes before Aut(Clebsch), of order
-    # 1,920, pruned the host side
-    assert _pinned_search(gen_cycle(9), clebsch_graph(), True, 2_571) is None
+    # one anchored chordless cycle per host vertex; 2,571 nodes while all
+    # nine cycle vertices were branch vertices and Aut(Clebsch), of order
+    # 1,920, pruned the host side, and 200,194 before that
+    assert _pinned_search(gen_cycle(9), clebsch_graph(), True, 576) is None
 
 
 def test_clebsch_has_no_induced_nine_cycle():
@@ -664,11 +666,105 @@ def test_clebsch_has_no_induced_nine_cycle():
     assert find_subdivision(gen_cycle(6), host, require_induced=True, budget=budget) is not None
 
 
+def _longest_chordless_cycle(nx, g: Graph) -> int:
+    return max((len(c) for c in nx.chordless_cycles(nx.Graph(g.edges()))), default=0)
+
+
+def test_induced_cycles_match_networkx_chordless_cycles():
+    # an induced subdivision of C_L is a chordless cycle of length >= L
+    nx = pytest.importorskip("networkx")
+    hosts = []
+    for n in range(8, 25, 4):
+        for k in range(3):
+            hosts.append(gen_random_mtf(n, 1000 + 10 * n + k))
+            graphs = (random_graph(n, 0.2 + 0.05 * k, seed=s) for s in count(10 * n + k, 100))
+            hosts.append(next(g for g in graphs if find_triangle(g) is not None))
+    longest = set()
+    for host in hosts:
+        top = _longest_chordless_cycle(nx, host)
+        longest.add(top)
+        for length in range(3, 14):
+            w = find_subdivision(gen_cycle(length), host, require_induced=True)
+            assert (w is not None) == (top >= length), (host.edges(), length)
+            if w is not None:
+                assert verify_witness(w, require_induced=True)
+    assert len(longest) >= 5, longest
+
+
+def test_chains_suppress_degree_two_vertices_in_induced_mode_only():
+    diamond = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    assert _chains(diamond, True) == ({0, 1}, [(0, 1), (0, 2, 1), (0, 3, 1)])
+    # a loop at 0 beside a pendant edge, and one cycle anchored at its least vertex
+    assert _chains(paw_graph(), True) == ({0, 3}, [(0, 1, 2, 0), (0, 3)])
+    assert _chains(Graph(5, [(1, 2), (2, 3), (3, 4), (1, 4)]), True) == ({0, 1}, [(1, 2, 3, 4, 1)])
+    assert _chains(diamond, False) == ({0, 1, 2, 3}, [(u, v) for u, v in diamond.edges()])
+
+
+def test_find_induced_parallel_chains_beside_their_edge():
+    # the diamond's two chains of length 2 run parallel to the edge between
+    # their ends; a longer path there must not close along that edge
+    diamond = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    theta = Graph(6, [(0, 1), (0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
+    for host in (diamond, theta):
+        w = find_subdivision(diamond, host, require_induced=True)
+        assert w is not None and verify_witness(w, require_induced=True)
+        assert w.paths[(0, 1)] == (w.branch_map[0], w.branch_map[1])
+    assert find_subdivision(diamond, gen_cycle(6), require_induced=True) is None
+
+
+def _planted_host(f: Graph, rng: random.Random) -> Graph:
+    """A random subdivision of f plus up to two more vertices and three random
+    edges, relabelled at random; at most 9 vertices."""
+    n, edges = f.n, []
+    for u, v in f.edges():
+        k = rng.choice((0, 0, 1, 2)) if n < 8 else 0
+        chain = [u, *range(n, n + k), v]
+        n += k
+        edges += zip(chain, chain[1:])
+    n += rng.randint(0, min(2, 9 - n))
+    edges += [rng.sample(range(n), 2) for _ in range(rng.randint(0, 3))]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges})
+
+
+def test_find_induced_chain_patterns_agree_with_brute_force():
+    # patterns with degree-2 vertices: chains, a loop (paw, bull), parallel
+    # chains (diamond), and cycle components beside other components
+    patterns = [
+        path_graph(3),
+        path_graph(4),
+        path_graph(5),
+        paw_graph(),
+        Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]),  # diamond
+        Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]),  # bull
+        Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]),  # C4 plus a pendant
+        Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)]),  # K4, one edge subdivided
+        Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # 2K3
+        Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]),  # C4 + K2
+    ]
+    common = [gen_cycle(7), complete_bipartite(3, 3), complete_graph(5), path_graph(6)]
+    common += [random_graph(n, p, seed=10 * n + k) for n, p, k in ((6, 0.4, 0), (6, 0.45, 1), (7, 0.35, 0), (7, 0.4, 1))]
+    common += [gen_random_mtf(n, 600 + n) for n in (6, 7)]
+    rng = random.Random(27)
+    found = 0
+    for pattern in patterns:
+        hosts = common + [_planted_host(pattern, rng) for _ in range(4)]
+        if pattern.n <= 5:
+            hosts.append(gen_petersen())
+        for host in hosts:
+            w = find_subdivision(pattern, host, require_induced=True)
+            expect = brute_subdivision(pattern, host, require_induced=True)
+            assert (w is not None) == expect, (pattern.edges(), host.edges())
+            if w is not None:
+                assert verify_witness(w, require_induced=True)
+                found += 1
+    assert 50 < found < 120, found
+
+
 def test_clebsch_longest_induced_cycle_matches_networkx():
     nx = pytest.importorskip("networkx")
-    host = clebsch_graph()
-    longest = max(len(c) for c in nx.chordless_cycles(nx.Graph(host.edges())))
-    assert longest == 6
+    assert _longest_chordless_cycle(nx, clebsch_graph()) == 6
 
 
 # -- derived graph ------------------------------------------------------
