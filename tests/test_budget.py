@@ -2,7 +2,23 @@
 
 import pytest
 
-from mtfsubdiv import BadParameter, BudgetExceeded, SearchBudget
+from mtfsubdiv import (
+    BadParameter,
+    BudgetExceeded,
+    Graph,
+    Hypergraph,
+    SearchBudget,
+    analyze,
+    chromatic_number,
+    find_subdivision,
+    gen_cycle,
+    gen_petersen,
+    max_dsw_structure,
+    max_independent_set,
+    neighborhood_hypergraph,
+    run_pipeline,
+    transversality,
+)
 from mtfsubdiv.budget import _TIME_CHECK_INTERVAL, meter_for
 
 
@@ -50,39 +66,26 @@ def test_budget_accepts_its_boundary_values():
     assert SearchBudget(max_seconds=float("inf")).max_seconds == float("inf")
 
 
+_PETERSEN = gen_petersen()
+_C5 = gen_cycle(5)
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        "analyze(g, 5)",
-        "run_pipeline(g, f, budget=5)",
-        "chromatic_number(g, 'x')",
-        "transversality(h, 1.5)",
-        "find_subdivision(f, g, budget={'max_nodes': 10})",
+        pytest.param(lambda: analyze(_PETERSEN, 5), id="analyze"),
+        pytest.param(lambda: run_pipeline(_PETERSEN, _C5, budget=5), id="run_pipeline"),
+        pytest.param(lambda: chromatic_number(_PETERSEN, "x"), id="chromatic_number"),
+        pytest.param(lambda: transversality(neighborhood_hypergraph(_PETERSEN), 1.5), id="transversality"),
+        pytest.param(lambda: find_subdivision(_C5, _PETERSEN, budget={"max_nodes": 10}), id="find_subdivision"),
         # the value is checked before any answer that needs no search
-        "find_subdivision(g, f, budget=5)",
-        "chromatic_number(Graph(0), 5)",
-        "max_independent_set(Graph(0), 5)",
-        "max_dsw_structure(Hypergraph(1, []), 5)",
+        pytest.param(lambda: find_subdivision(_PETERSEN, _C5, budget=5), id="find_subdivision-pattern-too-large"),
+        pytest.param(lambda: chromatic_number(Graph(0), 5), id="chromatic_number-empty"),
+        pytest.param(lambda: max_independent_set(Graph(0), 5), id="max_independent_set-empty"),
+        pytest.param(lambda: max_dsw_structure(Hypergraph(1, []), 5), id="max_dsw_structure-no-edges"),
     ],
 )
 def test_public_solvers_reject_a_budget_that_is_not_a_search_budget(call):
     # a bad budget is a bad parameter, not an AttributeError from the meter
-    from mtfsubdiv import (
-        Graph,
-        Hypergraph,
-        analyze,
-        chromatic_number,
-        find_subdivision,
-        gen_cycle,
-        gen_petersen,
-        max_dsw_structure,
-        max_independent_set,
-        neighborhood_hypergraph,
-        run_pipeline,
-        transversality,
-    )
-
-    g, f = gen_petersen(), gen_cycle(5)
-    h = neighborhood_hypergraph(g)
     with pytest.raises(BadParameter, match="budget must be a SearchBudget"):
-        eval(call)
+        call()
