@@ -132,6 +132,7 @@ def _covers(
     lo: int,
     k: int,
     meter: _Meter,
+    lex: symmetry.LexLeader | None = None,
 ) -> bool:
     """Whether at most k vertices ≥ lo cover the edges of ``uncovered``.
 
@@ -146,6 +147,20 @@ def _covers(
     ``uncovered & ~incidence[v]`` is 0.  On a maximal triangle-free host
     any two closed neighborhoods meet (the diameter is at most 2), so
     ``_cover_lb`` is always 1 there and that test is the whole last level.
+
+    Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio 2011), given
+    the host graph's group by ``lex.orbits()`` (for a test of every edge,
+    ``lo`` = 0): a node whose chosen vertices are C expands one choice per
+    orbit of the subgroup generated by the generators that fix every vertex
+    of C, the first in branching order.  Each such σ fixes C, so it
+    permutes the edges C leaves uncovered and maps every cover through u
+    to one through σ(u) of the same size: a failed child proves its whole
+    orbit failed.  A node carries the bits of those generators, and a child
+    keeps those that also fix its vertex.  Until the group is found, each
+    branching node asks for it, in this frame, as a search must run with
+    the interpreter's stack nearly full; when it comes, the test starts
+    again from its root, as the nodes already expanded kept every child.
+    A trivial group restarts nothing.
     """
     incidence, conflict = h.incidence, h.conflict
     opts = [e[bisect_left(e, lo):] for e in sorted_edges]
@@ -158,9 +173,12 @@ def _covers(
         c = max(len(o), 1)
         by_count[c] = by_count.get(c, 0) | (1 << i)
     levels = [by_count[c] for c in sorted(by_count)]
-    stack = [(uncovered, 0)]
+    orbits = None if lex is None else lex.orbits()
+    waiting = lex is not None and orbits is None
+    root = uncovered
+    stack = [(root, 0, 0 if orbits is None else orbits.all)]
     while stack:
-        uncovered, used = stack.pop()
+        uncovered, used, which = stack.pop()
         meter.tick()
         if not uncovered:
             return True
@@ -178,8 +196,25 @@ def _covers(
                 if not uncovered & ~incidence[v]:
                     return True
             continue
+        if waiting:
+            orbits = lex.orbits()
+            if orbits is not None:
+                waiting = False
+                if orbits.all:
+                    stack = [(root, 0, orbits.all)]
+                    continue
+        if which:
+            least, fixers = orbits.least(which), orbits.fixers
+            seen = 0
+            kept = []
+            for v in choices:
+                bit = 1 << least[v]
+                if not seen & bit:
+                    seen |= bit
+                    kept.append(v)
+            choices = kept
         for v in reversed(choices):
-            stack.append((uncovered & ~incidence[v], used + 1))
+            stack.append((uncovered & ~incidence[v], used + 1, which and which & fixers[v]))
     return False
 
 
@@ -196,6 +231,21 @@ def transversality(
     lexicographically least among all minimum transversals, grown vertex
     by vertex: v is kept exactly when the edges that the kept vertices and
     v leave uncovered can be covered by τ - |kept| - 1 vertices above v.
+
+    Symmetry, when edge i of h is the closed neighbourhood N[i] of a graph:
+    a search that runs past ``symmetry.START_AFTER`` nodes finds that
+    graph's automorphism group (each search its own) and uses it in both
+    phases.  The cover tests for τ branch by orbits (:func:`_covers`).  The
+    witness phase skips v when some element of the subgroup generated by
+    the generators fixing every kept vertex maps v below v (lex-leader
+    pruning: Margot 2002); the cover tests it runs keep their branching,
+    as σ need not keep vertices ≥ lo.  Such a skipped test fails: were the
+    kept P, then v, then R above v a minimum cover, so would be
+    C' = P ∪ σ({v} ∪ R), whose least vertex w outside P is at most
+    σ(v) < v.  C' extends P ∩ [0, w) and w by vertices above w, so the
+    test of w passed, unless w hit nothing new (then C' - w is a smaller
+    cover) or was skipped itself (a contradiction by induction on v).
+    Neither τ nor the witness changes.
     """
     m = len(h.edges)
     if m == 0:
@@ -204,8 +254,13 @@ def transversality(
     all_edges = (1 << m) - 1
     incidence = h.incidence
     sorted_edges = [tuple(sorted(e)) for e in h.edges]
+    lex = None
+    if _is_closed_neighbourhoods(h):
+        from .symmetry import LexLeader
+
+        lex = LexLeader(partial(_host_group, h, meter), meter)
     tau = _cover_lb(h.conflict, all_edges)
-    while not _covers(h, sorted_edges, all_edges, 0, tau, meter):
+    while not _covers(h, sorted_edges, all_edges, 0, tau, meter, lex):
         tau += 1
     chosen: list[int] = []
     uncovered = all_edges
@@ -215,6 +270,11 @@ def transversality(
         if not (incidence[v] & uncovered):
             # v hits nothing new; no minimum transversal keeps it
             continue
+        orbits = None if lex is None else lex.orbits()
+        if orbits is not None:
+            which = orbits.fixing(chosen)
+            if which and orbits.least(which)[v] < v:
+                continue
         rest = uncovered & ~incidence[v]
         if _covers(h, sorted_edges, rest, v + 1, tau - len(chosen) - 1, meter):
             chosen.append(v)
@@ -464,10 +524,38 @@ def _find_dsw(
     return None
 
 
+def _host_group(h: Hypergraph, meter: _Meter, base: Sequence[int]) -> symmetry.Group:
+    """The automorphism group of the graph whose closed neighbourhoods are
+    h's edges, acting on edge i as on vertex i, its chain's base beginning
+    with ``base``; only for h with :func:`_is_closed_neighbourhoods`.
+
+    It is found on the n vertices of that graph, not on the 2n nodes of
+    h's incidence graph, and it is a subgroup of the incidence graph's
+    group (σ maps N[i] to N[σ(i)]), so it prunes soundly wherever that
+    group does; the two can differ, as on the Clebsch graph (1,920 against
+    11,520).
+    """
+    from .symmetry import _automorphisms
+
+    # graph_automorphisms' body, called a frame nearer the search: a search
+    # must find its group with the interpreter's stack nearly full
+    adjacency = [_members(mask ^ 1 << i) for i, mask in enumerate(h.masks)]
+    return _automorphisms(adjacency, [list(range(h.n))], h.n, meter, base)
+
+
+def _is_closed_neighbourhoods(h: Hypergraph) -> bool:
+    """Whether edge i of h is N[i] of a graph: membership is symmetric and
+    every i lies in edge i."""
+    return h.incidence == h.masks and all(mask >> i & 1 for i, mask in enumerate(h.masks))
+
+
 def _lex_leader(h: Hypergraph, meter: _Meter) -> symmetry.LexLeader:
-    """The lex-leader policy of one call, under the group of h's incidence graph."""
+    """The lex-leader policy of one call: under the host graph's group for a
+    closed-neighbourhood hypergraph, else under h's incidence graph's."""
     from .symmetry import LexLeader, hypergraph_automorphisms
 
+    if _is_closed_neighbourhoods(h):
+        return LexLeader(partial(_host_group, h, meter), meter)
     return LexLeader(partial(hypergraph_automorphisms, h.n, h.edges, meter), meter)
 
 

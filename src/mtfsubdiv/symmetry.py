@@ -5,7 +5,10 @@ A tuple that is not the least of its orbit under the symmetries of the
 input can be skipped (lex-leader pruning: Margot 2002, "Pruning by
 isomorphism in branch-and-cut"): at position k a candidate c is tried only
 if c is the least point of its orbit under the pointwise stabiliser of the
-tuple's first k entries.  This module supplies those stabilisers:
+tuple's first k entries.  The cover test behind τ reads the group itself:
+it tries one choice per orbit of the subgroup generated by the generators
+that fix the chosen vertices (orbital branching; :class:`GeneratorOrbits`
+gives those orbits).  This module supplies the groups and stabilisers:
 
 - colour refinement of an ordered partition to an equitable one;
 - an individualisation–refinement search (McKay & Piperno 2014, "Practical
@@ -35,6 +38,7 @@ from .budget import _Meter
 __all__ = [
     "START_AFTER",
     "Group",
+    "GeneratorOrbits",
     "LexLeader",
     "graph_automorphisms",
     "hypergraph_automorphisms",
@@ -290,6 +294,16 @@ def _orbit(point: int, gens: list[list[int]]) -> list[int]:
     return orbit
 
 
+def _orbit_least(n: int, gens: Sequence[list[int]]) -> list[int]:
+    """Per point of range(n), the least point of its orbit under ``gens``."""
+    least = [-1] * n
+    for x in range(n):
+        if least[x] < 0:
+            for y in _orbit(x, gens):
+                least[y] = x
+    return least
+
+
 def _sift(levels: list[_Level], g: list[int]) -> tuple[list[int], int]:
     """Strip g through the chain: the residue and the level it stopped at."""
     for i, level in enumerate(levels):
@@ -331,13 +345,7 @@ class Group:
     def least(self) -> list[int]:
         """Per point, the least point of its orbit."""
         if self._least is None:
-            least = [-1] * self.n
-            gens = self.generators
-            for x in range(self.n):
-                if least[x] < 0:
-                    for y in _orbit(x, gens):
-                        least[y] = x
-            self._least = least
+            self._least = _orbit_least(self.n, self.generators)
         return self._least
 
     def stabiliser(self, point: int, meter: _Meter) -> Group:
@@ -400,6 +408,42 @@ class Group:
             for level in new:
                 order *= len(level.orbit)
         return Group(n, new[1:])
+
+
+class GeneratorOrbits:
+    """Orbits of the subgroups that subsets of a group's generators generate.
+
+    ``fixers[x]`` holds the bits of the generators that fix x and ``all``
+    those of every generator (0 for the trivial group); ``least(which)``
+    gives per point the least point of its orbit under the generators
+    whose bits are in ``which``, kept per ``which``.  The generators that
+    fix every point of a set (``fixing``) generate a subgroup of its
+    pointwise stabiliser: all of it when the set begins the chain's base,
+    and without a new chain for any other set.
+    """
+
+    __slots__ = ("n", "gens", "all", "fixers", "_tables")
+
+    def __init__(self, group: Group):
+        self.n = n = group.n
+        self.gens = gens = group.generators
+        self.all = (1 << len(gens)) - 1
+        self.fixers = [sum(1 << i for i, g in enumerate(gens) if g[x] == x) for x in range(n)]
+        self._tables: dict[int, list[int]] = {}
+
+    def fixing(self, points: Iterable[int]) -> int:
+        """The bits of the generators that fix every point of ``points``."""
+        which = self.all
+        for x in points:
+            which &= self.fixers[x]
+        return which
+
+    def least(self, which: int) -> list[int]:
+        table = self._tables.get(which)
+        if table is None:
+            gens = [g for i, g in enumerate(self.gens) if which >> i & 1]
+            table = self._tables[which] = _orbit_least(self.n, gens)
+        return table
 
 
 # -- individualisation–refinement ----------------------------------------
@@ -608,9 +652,16 @@ class LexLeader:
     nodes, so starting late is exact: the subtree the search is in when
     the group is found is finished with its tables.  Stabilisers are kept
     per prefix for the life of this object.
+
+    ``orbits()`` serves a search that reads the group itself, the cover
+    test of ``hypergraphs.transversality``, under the same policy: None
+    before the meter reaches ``START_AFTER``, then the group's
+    :class:`GeneratorOrbits` (``all`` is 0 for a trivial group), the group
+    found by ``find(())`` at the first call past it unless ``least`` found
+    it first.
     """
 
-    __slots__ = ("_find", "_meter", "_groups", "_found")
+    __slots__ = ("_find", "_meter", "_groups", "_group", "_orbits")
 
     def __init__(self, find: Callable[[Sequence[int]], Group], meter: _Meter):
         self._find = find
@@ -618,15 +669,28 @@ class LexLeader:
         # per prefix asked for, its stabiliser; empty until a nontrivial
         # group is found
         self._groups: dict[tuple[int, ...], Group] = {}
-        self._found = False  # whether find has been called
+        self._group: Group | None = None  # the group, once found
+        self._orbits: GeneratorOrbits | None = None
+
+    def orbits(self) -> GeneratorOrbits | None:
+        if self._orbits is None:
+            if self._group is None:
+                if self._meter.nodes < START_AFTER:
+                    return None
+                self._group = group = self._find(())
+                if group.order > 1:
+                    self._groups[()] = group
+            self._orbits = GeneratorOrbits(self._group)
+        return self._orbits
 
     def least(self, prefix: Sequence[int]) -> list[int] | None:
         groups = self._groups
         if not groups:
-            if self._found or self._meter.nodes < START_AFTER:
+            if self._group is not None or self._meter.nodes < START_AFTER:
                 return None
-            self._found = True
-            group = self._find(prefix)
+            # found here, not through orbits(): the searches must run with
+            # the interpreter's stack nearly full, so no frame is added
+            self._group = group = self._find(prefix)
             if group.order == 1:
                 return None
             groups[()] = group

@@ -43,6 +43,8 @@ from mtfsubdiv import (
     packing_number,
     transversality,
 )
+from mtfsubdiv import hypergraphs, symmetry
+from mtfsubdiv.budget import meter_for
 
 
 def _h(*edges) -> Hypergraph:
@@ -189,6 +191,70 @@ def test_transversality_search_tree_is_pinned():
     assert transversality(h, SearchBudget(max_nodes=1_706))[0] == 5
     with pytest.raises(BudgetExceeded):
         transversality(h, SearchBudget(max_nodes=1_705))
+
+
+def test_transversality_synthetic_d9_search_tree_is_pinned():
+    # 8,335 nodes decide N[synthetic d = 9], the group search included
+    # (29,499 without the host's symmetry): past symmetry.START_AFTER the
+    # cover tests branch by orbits of S_9 and the witness phase skips
+    # vertices that a symmetry fixing the kept ones maps lower
+    g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=9, padding=True))
+    h = neighborhood_hypergraph(g)
+    assert transversality(h, SearchBudget(max_nodes=8_335)) == (6, frozenset({0, 17, 30, 39, 44, 45}))
+    with pytest.raises(BudgetExceeded):
+        transversality(h, SearchBudget(max_nodes=8_334))
+
+
+def _symmetric_hosts() -> list[Graph]:
+    groetzsch = gen_mycielski(gen_cycle(5))
+    hosts = [gen_cycle(n) for n in range(4, 19)]
+    hosts += [complete_bipartite(a, b) for a, b in ((1, 4), (2, 2), (2, 5), (3, 3), (3, 6), (4, 4), (5, 7))]
+    hosts += [gen_petersen(), groetzsch, gen_mycielski(groetzsch)]
+    hosts += [gen_synthetic_dsw(SyntheticDswSpec(d=d, padding=True))[0] for d in range(3, 8)]
+    hosts += [gen_random_mtf(n, 900 + n) for n in range(6, 26)]
+    return hosts
+
+
+@pytest.mark.parametrize("start", [0, 25])
+def test_transversality_under_host_symmetry_matches_oracles(monkeypatch, start):
+    # with the group found at once, or in the middle of a cover test, which
+    # then starts again, the cover tests branch by orbits and the witness
+    # phase skips by the lex-leader rule; τ and the lex-least transversal
+    # must match brute force where it finishes, and the search that never
+    # finds the group elsewhere
+    hosts = _symmetric_hosts()
+    monkeypatch.setattr(symmetry, "START_AFTER", 10**9)
+    unpruned = [transversality(neighborhood_hypergraph(g)) for g in hosts]
+    monkeypatch.setattr(symmetry, "START_AFTER", start)
+    for g, expected in zip(hosts, unpruned):
+        tau, witness = transversality(neighborhood_hypergraph(g))
+        if g.n <= 12:
+            assert (tau, tuple(sorted(witness))) == brute_domination(g), g
+        assert (tau, witness) == expected, g
+
+
+@pytest.mark.parametrize("start", [0, 7, 100])
+def test_transversality_with_a_trivial_group_restarts_nothing(monkeypatch, start):
+    # a group found trivial (here without a single search node), before a
+    # cover test or in the middle of one, leaves the search tree as it was:
+    # no cover test starts again
+    meters = []
+
+    def capture(budget):
+        meters.append(meter_for(budget))
+        return meters[-1]
+
+    def trivial(adj, cells, points, meter, base=()):
+        return symmetry.Group(points, [])
+
+    monkeypatch.setattr(hypergraphs, "meter_for", capture)
+    hosts = [gen_petersen(), gen_random_mtf(30, 4), gen_synthetic_dsw(SyntheticDswSpec(d=7, padding=True))[0]]
+    before = [transversality(neighborhood_hypergraph(g)) for g in hosts]
+    monkeypatch.setattr(symmetry, "START_AFTER", start)
+    monkeypatch.setattr(symmetry, "_automorphisms", trivial)
+    assert [transversality(neighborhood_hypergraph(g)) for g in hosts] == before
+    counts = [m.nodes for m in meters]
+    assert counts[:3] == counts[3:] and min(counts) > 0
 
 
 def test_transversality_on_c1200_runs_on_an_explicit_stack():

@@ -36,7 +36,7 @@ from mtfsubdiv import (
     neighborhood_hypergraph,
     verify_witness,
 )
-from mtfsubdiv import symmetry
+from mtfsubdiv import hypergraphs, symmetry
 from mtfsubdiv.budget import meter_for
 from families import (
     clebsch_graph,
@@ -226,6 +226,75 @@ def test_lex_leader_waits_for_start_after_and_drops_a_trivial_group(monkeypatch)
     assert lex.least((4,)) is None and bases == [(4,)]
     assert lex.least(()) is None and lex.least((4, 2)) is None
     assert bases == [(4,)] and meter.nodes == 10
+
+
+@pytest.mark.parametrize(
+    "name, g, order, incidence_order",
+    [
+        ("petersen", gen_petersen(), 120, 120),
+        ("groetzsch", gen_mycielski(gen_cycle(5)), 10, 10),
+        # the closed neighbourhoods of the Clebsch graph have symmetries
+        # that no graph automorphism induces
+        ("clebsch", clebsch_graph(), 1_920, 11_520),
+        ("M(groetzsch)", gen_mycielski(gen_mycielski(gen_cycle(5))), 10, 10),
+    ]
+    + [
+        (f"synthetic-{d}", gen_synthetic_dsw(SyntheticDswSpec(d=d, padding=True))[0], factorial(d), factorial(d))
+        for d in (5, 6, 7)
+    ],
+)
+def test_host_graph_group_against_incidence_graph_group(monkeypatch, name, g, order, incidence_order):
+    # the group found on the host graph of N[g] acts on edge i as on vertex
+    # i by automorphisms of the incidence graph, so the DSW search may prune
+    # by it: it returns the same structure under either group
+    h = neighborhood_hypergraph(g)
+    assert hypergraphs._is_closed_neighbourhoods(h)
+    host = hypergraphs._host_group(h, meter_for(None), ())
+    incidence = symmetry.hypergraph_automorphisms(h.n, h.edges, meter_for(None))
+    for gen in host.generators:
+        assert all(frozenset(gen[v] for v in e) == h.edges[gen[i]] for i, e in enumerate(h.edges))
+    assert (host.order, incidence.order) == (order, incidence_order)
+    monkeypatch.setattr(symmetry, "START_AFTER", 0)
+    on_host = max_dsw_structure(h)
+    monkeypatch.setattr(hypergraphs, "_is_closed_neighbourhoods", lambda h: False)
+    assert max_dsw_structure(h) == on_host
+
+
+def test_only_closed_neighbourhood_hypergraphs_use_the_host_graph():
+    c5 = neighborhood_hypergraph(gen_cycle(5))
+    assert hypergraphs._is_closed_neighbourhoods(c5)
+    # open neighbourhoods (no i in edge i), and closed ones listed out of
+    # vertex order: the DSW search takes the incidence graph's group, and τ
+    # runs without symmetry
+    opened = Hypergraph(5, [{(i - 1) % 5, (i + 1) % 5} for i in range(5)])
+    rotated = Hypergraph(5, c5.edges[1:] + c5.edges[:1])
+    assert not hypergraphs._is_closed_neighbourhoods(opened)
+    assert not hypergraphs._is_closed_neighbourhoods(rotated)
+
+
+def test_lex_leader_orbits_wait_for_start_after(monkeypatch):
+    # the group itself, for the τ search, under the same policy: found once
+    # with no base prescribed; the stabiliser tables are read from it, and
+    # the generators fixing a point generate orbits inside its stabiliser's
+    monkeypatch.setattr(symmetry, "START_AFTER", 10)
+    meter = meter_for(None)
+    bases = []
+    c9 = list(map(gen_cycle(9).neighbors, range(9)))
+
+    def find(base):
+        bases.append(tuple(base))
+        return symmetry.graph_automorphisms(c9, meter, base)
+
+    lex = symmetry.LexLeader(find, meter)
+    assert lex.orbits() is None and not bases
+    meter.advance(10)
+    orbits = lex.orbits()
+    assert lex.orbits() is orbits and bases == [()]
+    assert orbits.least(orbits.all) == [0] * 9
+    assert orbits.least(orbits.fixing([0])) == [0, 1, 2, 3, 4, 4, 3, 2, 1]
+    assert orbits.fixing([0, 1]) == 0
+    assert lex.least((4,)) == [0, 1, 2, 3, 4, 3, 2, 1, 0]
+    assert lex.least((4, 2)) is None and bases == [()]
 
 
 def _trivial(adj, cells, points, meter, base=()):
