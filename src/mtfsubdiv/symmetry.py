@@ -417,9 +417,9 @@ class GeneratorOrbits:
     those of every generator (0 for the trivial group); ``least(which)``
     gives per point the least point of its orbit under the generators
     whose bits are in ``which``, kept per ``which``.  The generators that
-    fix every point of a set (``fixing``) generate a subgroup of its
-    pointwise stabiliser: all of it when the set begins the chain's base,
-    and without a new chain for any other set.
+    fix every point of a set generate a subgroup of its pointwise
+    stabiliser: all of it when the set begins the chain's base, and
+    without a new chain for any other set.
     """
 
     __slots__ = ("n", "gens", "all", "fixers", "_tables")
@@ -430,13 +430,6 @@ class GeneratorOrbits:
         self.all = (1 << len(gens)) - 1
         self.fixers = [sum(1 << i for i, g in enumerate(gens) if g[x] == x) for x in range(n)]
         self._tables: dict[int, list[int]] = {}
-
-    def fixing(self, points: Iterable[int]) -> int:
-        """The bits of the generators that fix every point of ``points``."""
-        which = self.all
-        for x in points:
-            which &= self.fixers[x]
-        return which
 
     def least(self, which: int) -> list[int]:
         table = self._tables.get(which)

@@ -194,15 +194,15 @@ def test_transversality_search_tree_is_pinned():
 
 
 def test_transversality_synthetic_d9_search_tree_is_pinned():
-    # 8,335 nodes decide N[synthetic d = 9], the group search included
+    # 8,178 nodes decide N[synthetic d = 9], the group search included
     # (29,499 without the host's symmetry): past symmetry.START_AFTER the
     # cover tests branch by orbits of S_9 and the witness phase skips
     # vertices that a symmetry fixing the kept ones maps lower
     g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=9, padding=True))
     h = neighborhood_hypergraph(g)
-    assert transversality(h, SearchBudget(max_nodes=8_335)) == (6, frozenset({0, 17, 30, 39, 44, 45}))
+    assert transversality(h, SearchBudget(max_nodes=8_178)) == (6, frozenset({0, 17, 30, 39, 44, 45}))
     with pytest.raises(BudgetExceeded):
-        transversality(h, SearchBudget(max_nodes=8_334))
+        transversality(h, SearchBudget(max_nodes=8_177))
 
 
 def _symmetric_hosts() -> list[Graph]:
@@ -217,8 +217,8 @@ def _symmetric_hosts() -> list[Graph]:
 
 @pytest.mark.parametrize("start", [0, 25])
 def test_transversality_under_host_symmetry_matches_oracles(monkeypatch, start):
-    # with the group found at once, or in the middle of a cover test, which
-    # then starts again, the cover tests branch by orbits and the witness
+    # with the group found at once, or in the middle of a cover test, whose
+    # pending nodes are then pruned, the cover tests branch by orbits and the witness
     # phase skips by the lex-leader rule; τ and the lex-least transversal
     # must match brute force where it finishes, and the search that never
     # finds the group elsewhere
@@ -234,10 +234,9 @@ def test_transversality_under_host_symmetry_matches_oracles(monkeypatch, start):
 
 
 @pytest.mark.parametrize("start", [0, 7, 100])
-def test_transversality_with_a_trivial_group_restarts_nothing(monkeypatch, start):
+def test_transversality_with_a_trivial_group_keeps_its_search_tree(monkeypatch, start):
     # a group found trivial (here without a single search node), before a
-    # cover test or in the middle of one, leaves the search tree as it was:
-    # no cover test starts again
+    # cover test or in the middle of one, leaves the search tree as it was
     meters = []
 
     def capture(budget):
@@ -255,6 +254,28 @@ def test_transversality_with_a_trivial_group_restarts_nothing(monkeypatch, start
     assert [transversality(neighborhood_hypergraph(g)) for g in hosts] == before
     counts = [m.nodes for m in meters]
     assert counts[:3] == counts[3:] and min(counts) > 0
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_transversality_with_a_group_found_mid_test_searches_nothing_twice(monkeypatch, seed):
+    # N[random MTF 50] has a twin pair (a group of order 2) and runs past
+    # symmetry.START_AFTER inside a cover test: the children pushed before
+    # the group came are pruned against their finished siblings, not
+    # searched again from the root, so the count, group search included,
+    # stays at most that of the search without symmetry
+    meters = []
+
+    def capture(budget):
+        meters.append(meter_for(budget))
+        return meters[-1]
+
+    monkeypatch.setattr(hypergraphs, "meter_for", capture)
+    h = neighborhood_hypergraph(gen_random_mtf(50, seed))
+    start = symmetry.START_AFTER
+    found = transversality(h)
+    monkeypatch.setattr(symmetry, "START_AFTER", 10**9)
+    assert transversality(h) == found
+    assert start < meters[0].nodes <= meters[1].nodes
 
 
 def test_transversality_on_c1200_runs_on_an_explicit_stack():

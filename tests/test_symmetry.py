@@ -291,8 +291,8 @@ def test_lex_leader_orbits_wait_for_start_after(monkeypatch):
     orbits = lex.orbits()
     assert lex.orbits() is orbits and bases == [()]
     assert orbits.least(orbits.all) == [0] * 9
-    assert orbits.least(orbits.fixing([0])) == [0, 1, 2, 3, 4, 4, 3, 2, 1]
-    assert orbits.fixing([0, 1]) == 0
+    assert orbits.least(orbits.fixers[0]) == [0, 1, 2, 3, 4, 4, 3, 2, 1]
+    assert orbits.fixers[0] & orbits.fixers[1] == 0
     assert lex.least((4,)) == [0, 1, 2, 3, 4, 3, 2, 1, 0]
     assert lex.least((4, 2)) is None and bases == [()]
 
