@@ -270,10 +270,10 @@ def transversality(
     a search that runs past ``symmetry.START_AFTER`` nodes finds that
     graph's automorphism group (each search its own) and uses it in both
     phases.  The cover tests for τ branch by orbits (:func:`_covers`).  The
-    witness phase skips v when some element of the pointwise stabiliser of
-    the kept vertices maps v below v (lex-leader pruning: Margot 2002, by
-    ``LexLeader.least``); the cover tests it runs keep their branching,
-    as σ need not keep vertices ≥ lo.  Such a skipped test fails: were the
+    witness phase skips v when some element of the subgroup generated by
+    the generators that fix the kept vertices maps v below v (lex-leader
+    pruning: Margot 2002, by ``LexLeader.least``); the cover tests it runs
+    keep their branching, as σ need not keep vertices ≥ lo.  Such a skipped test fails: were the
     kept P, then v, then R above v a minimum cover, so would be
     C' = P ∪ σ({v} ∪ R), whose least vertex w outside P is at most
     σ(v) < v.  C' extends P ∩ [0, w) and w by vertices above w, so the
@@ -467,11 +467,11 @@ def _find_dsw(
     Survivors that fail are dropped without further ticks.
 
     Symmetry: with two or more edges still needed, a candidate c is tried
-    only if it is the least edge of its orbit under the pointwise
-    stabiliser of the chosen edges in the hypergraph's automorphism group:
-    ``lex.least(chosen)`` gives per edge the least edge of its orbit, or
-    None to try every candidate.  Say σ fixes the chosen edges and
-    σ(c) < c.  Then σ maps every structure that extends chosen + [c] to a
+    only if it is the least edge of its orbit under the subgroup generated
+    by the generators of the hypergraph's automorphism group that fix the
+    chosen edges: ``lex.least(chosen)`` gives per edge the least edge of
+    its orbit, or None to try every candidate.  Say σ fixes the chosen
+    edges and σ(c) < c.  Then σ maps every structure that extends chosen + [c] to a
     structure whose sorted index tuple is lexicographically smaller, so the
     first structure in lexicographic order, which is the least of its
     orbit, is never cut.  The last edge needs no test: the first survivor
@@ -614,11 +614,12 @@ def find_dsw_structure(
     Symmetry: a search that runs past ``symmetry.START_AFTER`` nodes finds
     the automorphism group of the hypergraph's incidence graph and from
     then on tries an edge only if it is the least of its orbit under the
-    stabiliser of the edges chosen before it (lex-leader pruning, by
-    :class:`symmetry.LexLeader`).  This is exact and changes no answer: an
-    automorphism maps structures to structures, so the first structure in
-    lexicographic order, being the least of its orbit, passes every test,
-    and the same structure, with the same witnesses, is returned.
+    group's generators that fix the edges chosen before it (lex-leader
+    pruning, by :class:`symmetry.LexLeader`).  This is exact and changes no
+    answer: an automorphism maps structures to structures, so the first
+    structure in lexicographic order, being the least of its orbit, passes
+    every test, and the same structure, with the same witnesses, is
+    returned.
 
     Returns the first structure in that order, or None; the result is
     re-checked by :func:`dsw_structure_violations` before being returned.
@@ -641,7 +642,7 @@ def max_dsw_structure(
     lexicographic order, with the same witness-capacity and lex-leader
     pruning, which is exact for the same reason.  The group is found at
     most once per call, and the searches for later d reuse it and the
-    stabilisers already computed.  A single-edge choice is vacuously
+    orbit tables already computed.  A single-edge choice is vacuously
     valid, so when no two edges form a structure the result is edge 0
     alone.
     """

@@ -193,9 +193,9 @@ def _pattern_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> lis
     ``porder``.  These orbits are the basic orbits of Aut(pattern) along the
     base ``porder``: the pattern is relabelled so that ``porder`` is its
     vertex order, and the individualisation–refinement search, whose first
-    path takes the least non-singleton vertex at every level, returns its
-    stabiliser chain along that base (a vertex it skips is fixed, so its
-    orbit is itself).  Returns ``below`` with ``below[w]`` the vertices
+    path takes the least non-singleton vertex at every level, returns the
+    basic orbits along that base (a vertex it skips is fixed, so its orbit
+    is itself).  Returns ``below`` with ``below[w]`` the vertices
     whose images must be smaller than w's image.  Of each orbit of
     injective maps under Aut(pattern), exactly one map meets every
     condition.
@@ -207,10 +207,10 @@ def _pattern_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> lis
     adj = [[rank[u] for u in _members(pattern._bits[v])] for v in porder]
     group = symmetry.graph_automorphisms(adj, meter)
     below: list[list[int]] = [[] for _ in range(pattern.n)]
-    for level in group.levels:
-        for w in level.orbit:
-            if w != level.base:
-                below[porder[w]].append(porder[level.base])
+    for base, orbit in group.levels:
+        for w in orbit:
+            if w != base:
+                below[porder[w]].append(porder[base])
     return [tuple(b) for b in below]
 
 
@@ -268,9 +268,10 @@ class _SubdivSearch:
       of :func:`_pattern_conditions`, so one map per orbit of Aut(pattern)
       is tried;
     - host side: the image c at position k must be the least vertex of its
-      orbit under the pointwise stabiliser, in Aut(host), of the first k
-      images (lex-leader pruning by :class:`symmetry.LexLeader`), once the
-      call has counted ``symmetry.START_AFTER`` nodes.
+      orbit under the subgroup generated by the generators of Aut(host)
+      that fix the first k images (lex-leader pruning by
+      :class:`symmetry.LexLeader`), once the call has counted
+      ``symmetry.START_AFTER`` nodes.
 
     Say a witness exists.  The least branch map of a witness passes both
     filters: a failed pattern condition names a π in Aut(pattern) that
@@ -351,8 +352,8 @@ class _SubdivSearch:
         An explicit stack of levels: ``image`` holds the host vertices placed
         so far.  Every step at level i reads the level's table from the
         call's :class:`symmetry.LexLeader` (per host vertex, the least of
-        its orbit under the stabiliser in Aut(host) of the images above
-        level i; once the group is found, a cache hit).
+        its orbit under the generators of Aut(host) that fix the images
+        above level i; once the group is found, a cache hit).
         """
         from . import symmetry
 
@@ -637,9 +638,9 @@ def find_subdivision(
     Grochow & Kellis 2007), and, on searches that run past
     ``symmetry.START_AFTER`` nodes, lex-leader pruning under the host's
     automorphism group (an image must be the least vertex of its orbit
-    under the stabiliser of the images before it).  In plain mode every
-    pattern vertex is a branch vertex.  In induced mode the vertices of
-    degree 2 are suppressed: the branch vertices are those of degree ≠ 2,
+    under the generators that fix the images before it).  In plain mode
+    every pattern vertex is a branch vertex.  In induced mode the vertices
+    of degree 2 are suppressed: the branch vertices are those of degree ≠ 2,
     each maximal chain between them is one routed edge of at least its
     number of pattern edges, and a cycle component is one chordless cycle
     at least as long, anchored at its least host vertex.  The chains are

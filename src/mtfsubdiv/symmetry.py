@@ -4,32 +4,26 @@ The exact searches build tuples one entry at a time in lexicographic order.
 A tuple that is not the least of its orbit under the symmetries of the
 input can be skipped (lex-leader pruning: Margot 2002, "Pruning by
 isomorphism in branch-and-cut"): at position k a candidate c is tried only
-if c is the least point of its orbit under the pointwise stabiliser of the
-tuple's first k entries.  The cover test behind τ reads the group itself:
-it tries one choice per orbit of the subgroup generated by the generators
-that fix the chosen vertices (orbital branching; :class:`GeneratorOrbits`
-gives those orbits).  This module supplies the groups and stabilisers:
+if c is the least point of its orbit under a subgroup of the pointwise
+stabiliser of the tuple's first k entries.  The cover test behind τ tries
+one choice per orbit of such a subgroup (orbital branching).  Both read
+the subgroup generated by the group's generators that fix those entries,
+whose orbits :class:`GeneratorOrbits` gives.  This module supplies:
 
 - colour refinement of an ordered partition to an equitable one;
 - an individualisation–refinement search (McKay & Piperno 2014, "Practical
   graph isomorphism, II") for automorphism generators.  Its first path
   individualises, at every level, the least vertex of a non-singleton
-  cell, and the automorphisms it finds form a strong generating set along
-  that path;
-- a stabiliser chain (Schreier–Sims; Seress 2003, *Permutation Group
-  Algorithms*).  Orbits are read from the chain's generators.  The
-  stabiliser of a point off the chain's base comes from a new chain with
-  that point first, built by sifting elements of the group until the known
-  group order is reached, so the group is never listed.
+  cell (or the next given base point), and the automorphisms it finds
+  form a strong generating set along that path: those fixing the path's
+  first k vertices generate their whole pointwise stabiliser.
 
 Everything is pure Python and deterministic, and all work ticks the
-caller's meter: one tick per refined search-tree node and one per element
-sifted into a new chain.
+caller's meter: one tick per refined search-tree node.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
@@ -49,18 +43,6 @@ __all__ = [
 # a LexLeader prunes nothing until its search has counted this many nodes,
 # and a shorter search never pays for it.
 START_AFTER = 2_000
-
-
-def _compose(a: list[int], b: list[int]) -> list[int]:
-    """The permutation a∘b: x ↦ a[b[x]]."""
-    return list(map(a.__getitem__, b))
-
-
-def _inverse(a: list[int]) -> list[int]:
-    inv = [0] * len(a)
-    for i, x in enumerate(a):
-        inv[x] = i
-    return inv
 
 
 # -- colour refinement --------------------------------------------------
@@ -230,68 +212,7 @@ class _Partition:
         return trace
 
 
-# -- stabiliser chains --------------------------------------------------
-
-
-class _Level:
-    """One level of a stabiliser chain.
-
-    ``gens`` holds (g, g⁻¹) pairs of group elements that fix every earlier
-    base point and ``orbit`` the orbit of ``base`` under them.  The
-    transversal, with ``transversal()[x]`` = u⁻¹ for a group element u with
-    u(base) = x, is built when first asked for: orbit tests never need it.
-    """
-
-    __slots__ = ("base", "n", "gens", "orbit", "_inv")
-
-    def __init__(
-        self,
-        base: int,
-        n: int,
-        gens: Iterable[tuple[list[int], list[int]]] = (),
-        orbit: list[int] | None = None,
-    ):
-        self.base = base
-        self.n = n
-        self.gens = list(gens)
-        self.orbit = _orbit(base, [g for g, _ in self.gens]) if orbit is None else orbit
-        self._inv: dict[int, list[int]] | None = None
-
-    def transversal(self) -> dict[int, list[int]]:
-        if self._inv is None:
-            self._inv = {self.base: list(range(self.n))}
-            self.orbit = [self.base]
-            self._close()
-        return self._inv
-
-    def add(self, g: list[int], ginv: list[int]) -> None:
-        self.transversal()
-        self.gens.append((g, ginv))
-        self._close()
-
-    def _close(self) -> None:
-        orbit, inv, gens = self.orbit, self._inv, self.gens
-        i = 0
-        while i < len(orbit):
-            x = orbit[i]
-            i += 1
-            for s, sinv in gens:
-                y = s[x]
-                if y not in inv:
-                    inv[y] = _compose(inv[x], sinv)
-                    orbit.append(y)
-
-
-def _orbit(point: int, gens: list[list[int]]) -> list[int]:
-    orbit = [point]
-    seen = {point}
-    for x in orbit:
-        for g in gens:
-            y = g[x]
-            if y not in seen:
-                seen.add(y)
-                orbit.append(y)
-    return orbit
+# -- groups ---------------------------------------------------------------
 
 
 def _orbit_least(n: int, gens: Sequence[list[int]]) -> list[int]:
@@ -299,115 +220,40 @@ def _orbit_least(n: int, gens: Sequence[list[int]]) -> list[int]:
     least = [-1] * n
     for x in range(n):
         if least[x] < 0:
-            for y in _orbit(x, gens):
-                least[y] = x
+            least[x] = x
+            orbit = [x]
+            for y in orbit:
+                for g in gens:
+                    z = g[y]
+                    if least[z] < 0:
+                        least[z] = x
+                        orbit.append(z)
     return least
 
 
-def _sift(levels: list[_Level], g: list[int]) -> tuple[list[int], int]:
-    """Strip g through the chain: the residue and the level it stopped at."""
-    for i, level in enumerate(levels):
-        u = level.transversal().get(g[level.base])
-        if u is None:
-            return g, i
-        g = _compose(u, g)
-    return g, len(levels)
-
-
 class Group:
-    """A permutation group on range(n), held as a stabiliser chain.
+    """A permutation group on range(n), held by a strong generating set.
 
-    ``levels[i]`` carries the stabiliser of the first i base points; its
-    generators are a strong generating set, so the group's order is the
-    product of the basic orbit lengths.  An empty chain is the trivial
+    ``generators`` lists the group's generators, none the identity, and
+    ``levels`` the base points each with its basic orbit: the orbit of
+    ``levels[i][0]`` under the stabiliser of the base points before it,
+    levels with a one-point orbit left out.  The group's order is the
+    product of the basic orbit lengths.  With no levels it is the trivial
     group.
     """
 
-    __slots__ = ("n", "levels", "order", "_least")
+    __slots__ = ("n", "generators", "levels", "order")
 
-    def __init__(self, n: int, levels: list[_Level]):
+    def __init__(
+        self, n: int, generators: list[list[int]], levels: Sequence[tuple[int, list[int]]] = ()
+    ):
         self.n = n
+        self.generators = generators
         self.levels = levels
         order = 1
-        for level in levels:
-            order *= len(level.orbit)
+        for _, orbit in levels:
+            order *= len(orbit)
         self.order = order
-        self._least: list[int] | None = None
-
-    @property
-    def generators(self) -> list[list[int]]:
-        return [g for g, _ in self.levels[0].gens] if self.levels else []
-
-    def orbit(self, point: int) -> list[int]:
-        """The orbit of ``point``, in discovery order."""
-        return _orbit(point, self.generators)
-
-    def least(self) -> list[int]:
-        """Per point, the least point of its orbit."""
-        if self._least is None:
-            self._least = _orbit_least(self.n, self.generators)
-        return self._least
-
-    def stabiliser(self, point: int, meter: _Meter) -> Group:
-        """The subgroup fixing ``point``.
-
-        Free when ``point`` is the first base point or is fixed by the whole
-        group.  Next, the strong generators that fix ``point`` are kept on
-        the same base; the basic orbits they give multiply to at most the
-        order of the group they generate, which is at most |G| / |orbit|,
-        so when the product reaches that target they are a strong
-        generating set of the stabiliser.  Otherwise a new chain with
-        ``point`` as its first base point is built from seeded random
-        elements of this one (products of one transversal element per
-        level, which are uniform on the group), each stripped through the
-        new chain, its residue added, until the new chain reaches this
-        group's order.  The order certifies the result, and the seed makes
-        it deterministic.
-        """
-        levels = self.levels
-        if not levels:
-            return self
-        if point == levels[0].base:
-            return Group(self.n, levels[1:])
-        size = len(self.orbit(point))
-        if size == 1:
-            return self
-        target = self.order // size
-        if target == 1:
-            return Group(self.n, [])
-        n = self.n
-        kept = []
-        order = 1
-        for level in levels:
-            gens = [pair for pair in level.gens if pair[0][point] == point]
-            orbit = _orbit(level.base, [g for g, _ in gens])
-            if len(orbit) > 1:
-                kept.append(_Level(level.base, n, gens, orbit))
-                order *= len(orbit)
-        if order == target:
-            return Group(n, kept)
-        rng = random.Random(point)
-        new = [_Level(point, n)]
-        order = 1
-        while order < self.order:
-            meter.tick()
-            g = list(range(n))
-            for level in levels:
-                inv = level.transversal()
-                g = _compose(inv[level.orbit[rng.randrange(len(level.orbit))]], g)
-            g, stop = _sift(new, g)
-            if stop == len(new):
-                moved = next((x for x in range(n) if g[x] != x), None)
-                if moved is None:
-                    continue
-                new.append(_Level(moved, n))
-            ginv = _inverse(g)
-            for level in new[: stop + 1]:
-                level.add(g, ginv)
-            order = 1
-            for level in new:
-                order *= len(level.orbit)
-        return Group(n, new[1:])
 
 
 class GeneratorOrbits:
@@ -418,8 +264,7 @@ class GeneratorOrbits:
     gives per point the least point of its orbit under the generators
     whose bits are in ``which``, kept per ``which``.  The generators that
     fix every point of a set generate a subgroup of its pointwise
-    stabiliser: all of it when the set begins the chain's base, and
-    without a new chain for any other set.
+    stabiliser: all of it when the set begins the chain's base.
     """
 
     __slots__ = ("n", "gens", "all", "fixers", "_tables")
@@ -562,7 +407,6 @@ def _automorphisms(
                     parent[max(rx, ry)] = min(rx, ry)
 
     gens: list[list[int]] = []
-    found_below: list[int] = [0] * depth  # gens[:found_below[l]] were found at levels >= l
     orbits: dict[int, list[int]] = {}  # the basic orbit of each explored level
     top = path.copy()
     for level in reversed(range(depth)):
@@ -587,22 +431,17 @@ def _automorphisms(
                 join(g)
             root = find(v)
             orbits[level] = [x for x in range(points) if find(x) == root]
-        found_below[level] = len(gens)
 
-    # the automorphisms on the points, each with its inverse
-    pairs = []
-    for g in gens:
-        gp = g[:points]
-        pairs.append((gp, _inverse(gp)) if gp != identity else None)
+    # the automorphisms on the points, the identity dropped
+    on_points = [gp for gp in (g[:points] for g in gens) if gp != identity]
     levels = []
     for level in range(depth):
         v = choice[level]
         if v >= points:
             break
         if len(orbits[level]) > 1:
-            gens_below = [pair for pair in pairs[: found_below[level]] if pair]
-            levels.append(_Level(v, points, gens_below, orbits[level]))
-    return Group(points, levels)
+            levels.append((v, orbits[level]))
+    return Group(points, on_points, levels)
 
 
 def graph_automorphisms(
@@ -637,14 +476,17 @@ class LexLeader:
     """The lex-leader policy of a search that extends tuples in lexicographic order.
 
     ``least(prefix)`` gives, per point, the least point of its orbit under
-    the pointwise stabiliser of ``prefix`` in the group, or None to let
-    every candidate pass: before ``meter`` reaches ``START_AFTER``, or once
-    the stabiliser is trivial.  The first call past that finds the group
-    once, by ``find(prefix)``, the prefix beginning the chain's base; every
-    later call only reads tables.  The test may be applied at any set of
-    nodes, so starting late is exact: the subtree the search is in when
-    the group is found is finished with its tables.  Stabilisers are kept
-    per prefix for the life of this object.
+    the subgroup generated by the group's generators that fix every point
+    of ``prefix``, or None to let every candidate pass: before ``meter``
+    reaches ``START_AFTER``, or when no generator fixes the prefix.  The
+    first call past that finds the group once, by ``find(prefix)``, the
+    prefix beginning the chain's base, so that prefix gets its whole
+    pointwise stabiliser; every later call only reads tables.  Each search
+    that prunes by these tables is exact under any subgroup of the
+    stabiliser, as its proof only uses elements that fix the prefix, so a
+    smaller subgroup prunes less and changes no answer.  The test may be
+    applied at any set of nodes, so starting late is exact: the subtree
+    the search is in when the group is found is finished with its tables.
 
     ``orbits()`` serves a search that reads the group itself, the cover
     test of ``hypergraphs.transversality``, under the same policy: None
@@ -654,47 +496,29 @@ class LexLeader:
     it first.
     """
 
-    __slots__ = ("_find", "_meter", "_groups", "_group", "_orbits")
+    __slots__ = ("_find", "_meter", "_orbits")
 
     def __init__(self, find: Callable[[Sequence[int]], Group], meter: _Meter):
         self._find = find
         self._meter = meter
-        # per prefix asked for, its stabiliser; empty until a nontrivial
-        # group is found
-        self._groups: dict[tuple[int, ...], Group] = {}
-        self._group: Group | None = None  # the group, once found
-        self._orbits: GeneratorOrbits | None = None
+        self._orbits: GeneratorOrbits | None = None  # the group's, once found
 
     def orbits(self) -> GeneratorOrbits | None:
         if self._orbits is None:
-            if self._group is None:
-                if self._meter.nodes < START_AFTER:
-                    return None
-                self._group = group = self._find(())
-                if group.order > 1:
-                    self._groups[()] = group
-            self._orbits = GeneratorOrbits(self._group)
+            if self._meter.nodes < START_AFTER:
+                return None
+            self._orbits = GeneratorOrbits(self._find(()))
         return self._orbits
 
     def least(self, prefix: Sequence[int]) -> list[int] | None:
-        groups = self._groups
-        if not groups:
-            if self._group is not None or self._meter.nodes < START_AFTER:
+        orbits = self._orbits
+        if orbits is None:
+            if self._meter.nodes < START_AFTER:
                 return None
             # found here, not through orbits(): the searches must run with
             # the interpreter's stack nearly full, so no frame is added
-            self._group = group = self._find(prefix)
-            if group.order == 1:
-                return None
-            groups[()] = group
-        prefix = tuple(prefix)
-        if prefix not in groups:
-            known = len(prefix) - 1
-            while prefix[:known] not in groups:
-                known -= 1
-            group = groups[prefix[:known]]
-            for k in range(known, len(prefix)):
-                group = group.stabiliser(prefix[k], self._meter)
-                groups[prefix[: k + 1]] = group
-        group = groups[prefix]
-        return group.least() if group.order > 1 else None
+            orbits = self._orbits = GeneratorOrbits(self._find(prefix))
+        which, fixers = orbits.all, orbits.fixers
+        for x in prefix:
+            which &= fixers[x]
+        return orbits.least(which) if which else None

@@ -277,14 +277,29 @@ def brute_subdivision(pattern: Graph, host: Graph, require_induced: bool = False
     exhaustive enumeration: every injective branch map, every system of
     internally disjoint paths.  Separate code path from the package's
     search (no degree feasibility, no distance pruning, different
-    enumeration order)."""
+    enumeration order).
+
+    Induced mode rejects a partial system as soon as its used vertices
+    span a host edge that no placed path uses and no later one can: a
+    later path adds new interior vertices only, so among the used
+    vertices it can add just the edge between its two ends.  Hence two
+    adjacent branch images must be the ends of a pattern edge, routed by
+    that edge alone, and each path's interior vertices may be adjacent
+    only to their neighbours on the path.
+    """
     n, big = pattern.n, host.n
     if n > big:
         return False
     pedges = pattern.edges()
+    pedge_set = set(pedges)
 
     for images in permutations(range(big), n):
         branch_set = set(images)
+        if require_induced and any(
+            host.has_edge(images[a], images[b]) and (a, b) not in pedge_set
+            for a, b in combinations(range(n), 2)
+        ):
+            continue
 
         def paths_between(s: int, t: int, blocked: set[int]):
             acc = [s]
@@ -309,26 +324,30 @@ def brute_subdivision(pattern: Graph, host: Graph, require_induced: bool = False
                 return
             yield from dfs(s)
 
-        def route(k: int, interiors: set[int], edge_sets: list[set[tuple[int, int]]]) -> bool:
-            if k == len(pedges):
-                if not require_induced:
-                    return True
-                used = branch_set | interiors
-                allowed = set()
-                for es in edge_sets:
-                    allowed |= es
-                for u, v in combinations(sorted(used), 2):
-                    if host.has_edge(u, v) and (u, v) not in allowed:
+        def chordless(path: tuple[int, ...], interiors: set[int]) -> bool:
+            # the interior vertices of a newly placed path, against every
+            # used vertex and each other
+            if len(path) > 2 and host.has_edge(path[0], path[-1]):
+                return False
+            used = branch_set | interiors | set(path)
+            for i in range(1, len(path) - 1):
+                x = path[i]
+                for y in used:
+                    if y not in (path[i - 1], path[i + 1]) and y != x and host.has_edge(x, y):
                         return False
+            return True
+
+        def route(k: int, interiors: set[int]) -> bool:
+            if k == len(pedges):
                 return True
             a, b = pedges[k]
             for path in paths_between(images[a], images[b], interiors):
-                inner = set(path[1:-1])
-                es = {(min(x, y), max(x, y)) for x, y in zip(path, path[1:])}
-                if route(k + 1, interiors | inner, edge_sets + [es]):
+                if require_induced and not chordless(path, interiors):
+                    continue
+                if route(k + 1, interiors | set(path[1:-1])):
                     return True
             return False
 
-        if route(0, set(), []):
+        if route(0, set()):
             return True
     return False

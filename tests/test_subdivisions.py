@@ -730,7 +730,8 @@ def _planted_host(f: Graph, rng: random.Random) -> Graph:
 
 def test_find_induced_chain_patterns_agree_with_brute_force():
     # patterns with degree-2 vertices: chains, a loop (paw, bull), parallel
-    # chains (diamond), and cycle components beside other components
+    # chains (diamond), and cycle components beside other components, on
+    # hosts of up to ten vertices (Petersen and gen_random_mtf(10, 610))
     patterns = [
         path_graph(3),
         path_graph(4),
@@ -745,13 +746,12 @@ def test_find_induced_chain_patterns_agree_with_brute_force():
     ]
     common = [gen_cycle(7), complete_bipartite(3, 3), complete_graph(5), path_graph(6)]
     common += [random_graph(n, p, seed=10 * n + k) for n, p, k in ((6, 0.4, 0), (6, 0.45, 1), (7, 0.35, 0), (7, 0.4, 1))]
-    common += [gen_random_mtf(n, 600 + n) for n in (6, 7)]
+    common += [gen_random_mtf(n, 600 + n) for n in (6, 7, 10)]
+    common.append(gen_petersen())
     rng = random.Random(27)
     found = 0
     for pattern in patterns:
         hosts = common + [_planted_host(pattern, rng) for _ in range(4)]
-        if pattern.n <= 5:
-            hosts.append(gen_petersen())
         for host in hosts:
             w = find_subdivision(pattern, host, require_induced=True)
             expect = brute_subdivision(pattern, host, require_induced=True)
