@@ -227,7 +227,7 @@ def _cmd_hypergraph(args) -> int:
     def show(field: str, value) -> None:
         print(f"{field}: {'budget-exceeded' if value is None else value}")
 
-    print(f"edge_count: {len(h.edges)}")
+    print(f"edge_count: {len(h.masks)}")
     show("packing_number", packing)
     show("transversality", tau)
     if tau is not None:

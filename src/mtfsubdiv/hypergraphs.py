@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .budget import SearchBudget, _Meter, meter_for
 from .errors import BadParameter, EmptyGraph, OutOfRange
@@ -44,49 +44,61 @@ class Hypergraph:
     """Hypergraph over ground set {0..n-1} with an ordered edge list.
 
     Edge order is significant (it defines the e_i indexing) and duplicate
-    edges are allowed.  The exact searches read three bitmask tables,
-    built once here: ``masks[i]`` holds the vertices of edge i,
+    edges are allowed.  The edges are held once, as three bitmask tables
+    that every search reads: ``masks[i]`` holds the vertices of edge i,
     ``incidence[v]`` the edges containing vertex v, and ``conflict[i]``
-    the edges meeting edge i (itself included).
+    the edges meeting edge i (itself included).  ``edges`` builds the
+    edges as frozensets from ``masks`` on each read.
     """
 
-    __slots__ = ("n", "edges", "masks", "incidence", "conflict")
+    __slots__ = ("n", "masks", "incidence", "conflict")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         if not _is_int(n) or n < 0:
             raise BadParameter(f"ground-set size must be a non-negative integer, got {n!r}")
-        es = []
+        masks = []
         for e in _listed(edges, "hyperedges"):
-            fs = frozenset(_vertex_ids(e, n, "hyperedge vertex"))
-            if not fs:
+            mask = sum(1 << v for v in _vertex_ids(e, n, "hyperedge vertex"))
+            if not mask:
                 raise BadParameter("empty hyperedges are not allowed")
-            es.append(fs)
+            masks.append(mask)
+        self._tabulate(n, masks)
+
+    def _tabulate(self, n: int, masks: list[int]) -> None:
+        """Set n and the tables from the edges' vertex masks, nonzero and below 1 << n."""
         self.n = n
-        self.edges: tuple[frozenset[int], ...] = tuple(es)
-        self.masks: tuple[int, ...] = tuple(sum(1 << v for v in e) for e in es)
+        self.masks: tuple[int, ...] = tuple(masks)
+        members = [_members(mask) for mask in masks]
         incidence = [0] * n
-        for i, e in enumerate(es):
-            for v in e:
-                incidence[v] |= 1 << i
+        for i, vs in enumerate(members):
+            bit = 1 << i
+            for v in vs:
+                incidence[v] |= bit
         self.incidence: tuple[int, ...] = tuple(incidence)
         conflict = []
-        for e in es:
-            mask = 0
-            for v in e:
-                mask |= incidence[v]
-            conflict.append(mask)
+        for vs in members:
+            met = 0
+            for v in vs:
+                met |= incidence[v]
+            conflict.append(met)
         self.conflict: tuple[int, ...] = tuple(conflict)
 
+    @property
+    def edges(self) -> tuple[frozenset[int], ...]:
+        """The edges as vertex sets, in order, duplicates kept."""
+        return tuple(frozenset(_members(mask)) for mask in self.masks)
+
     def __repr__(self) -> str:
-        return f"Hypergraph(n={self.n}, edges={len(self.edges)})"
+        return f"Hypergraph(n={self.n}, edges={len(self.masks)})"
 
 
 def neighborhood_hypergraph(g: Graph) -> Hypergraph:
     """Hypergraph whose edge i is the closed neighborhood N[v_i] of vertex i."""
     if g.n == 0:
         raise EmptyGraph("neighborhood hypergraph needs at least one vertex")
-    edges = [_members(b | 1 << v) for v, b in enumerate(g._bits)]
-    return Hypergraph(g.n, edges)
+    h = Hypergraph.__new__(Hypergraph)
+    h._tabulate(g.n, [b | 1 << v for v, b in enumerate(g._bits)])
+    return h
 
 
 def packing_number(h: Hypergraph, budget: SearchBudget | None = None) -> int:
@@ -97,7 +109,7 @@ def packing_number(h: Hypergraph, budget: SearchBudget | None = None) -> int:
     itself.  The packing it finds is re-verified on the edges' vertex
     masks to be pairwise disjoint before its size is returned.
     """
-    m = len(h.edges)
+    m = len(h.masks)
     if m == 0:
         raise BadParameter("packing number needs at least one hyperedge")
     adjacency = [mask & ~(1 << i) for i, mask in enumerate(h.conflict)]
@@ -127,7 +139,7 @@ def _cover_lb(conflict: Sequence[int], uncovered: int) -> int:
 
 def _covers(
     h: Hypergraph,
-    sorted_edges: list[tuple[int, ...]],
+    sorted_edges: list[list[int]],
     uncovered: int,
     lo: int,
     k: int,
@@ -281,18 +293,14 @@ def transversality(
     cover) or was skipped itself (a contradiction by induction on v).
     Neither τ nor the witness changes.
     """
-    m = len(h.edges)
+    m = len(h.masks)
     if m == 0:
         raise BadParameter("transversality needs at least one hyperedge")
     meter = meter_for(budget)
     all_edges = (1 << m) - 1
     incidence = h.incidence
-    sorted_edges = [tuple(sorted(e)) for e in h.edges]
-    lex = None
-    if _is_closed_neighbourhoods(h):
-        from .symmetry import LexLeader
-
-        lex = LexLeader(partial(_host_group, h, meter), meter)
+    sorted_edges = [_members(mask) for mask in h.masks]
+    lex = _lex_leader(h, meter) if _is_closed_neighbourhoods(h) else None
     tau = _cover_lb(h.conflict, all_edges)
     while not _covers(h, sorted_edges, all_edges, 0, tau, meter, lex):
         tau += 1
@@ -354,31 +362,29 @@ def dsw_structure_violations(h: Hypergraph, s: DswStructure) -> list[str]:
     Returns a list of violation descriptions; empty means valid.  Kept
     free of any search-state reuse so it can audit search output.
     """
-    problems: list[str] = []
-    d = len(s.edge_indices)
-    m = len(h.edges)
-    if len(set(s.edge_indices)) != d:
-        problems.append("edge indices are not distinct")
-    for idx in s.edge_indices:
+    try:
+        indices = tuple(s.edge_indices)
+    except TypeError:
+        return [f"edge indices {s.edge_indices!r} are not a sequence"]
+    d, m = len(indices), len(h.masks)
+    for idx in indices:
         if not (_is_int(idx) and 0 <= idx < m):
-            problems.append(f"edge index {idx!r} outside [0, {m})")
-            return problems
-    expected_pairs = {(i, j) for i in range(d) for j in range(i + 1, d)}
-    if set(s.witnesses.keys()) != expected_pairs:
+            return [f"edge index {idx!r} outside [0, {m})"]
+    problems: list[str] = []
+    if len(set(indices)) != d:
+        problems.append("edge indices are not distinct")
+    pairs = {(i, j) for i in range(d) for j in range(i + 1, d)}
+    if not isinstance(s.witnesses, Mapping) or set(s.witnesses) != pairs:
         problems.append("witness map does not cover exactly the position pairs")
         return problems
+    chosen = [h.masks[idx] for idx in indices]
     for (i, j), y in sorted(s.witnesses.items()):
-        ei = h.edges[s.edge_indices[i]]
-        ej = h.edges[s.edge_indices[j]]
-        if y not in ei or y not in ej:
-            problems.append(f"witness {y} for pair ({i},{j}) not in both edges")
+        if not (_is_int(y) and 0 <= y < h.n and (chosen[i] & chosen[j]) >> y & 1):
+            problems.append(f"witness {y!r} for pair ({i},{j}) not in both edges")
+            continue
         for k in range(d):
-            if k in (i, j):
-                continue
-            if y in h.edges[s.edge_indices[k]]:
-                problems.append(
-                    f"witness {y} for pair ({i},{j}) lies in chosen edge position {k}"
-                )
+            if k not in (i, j) and chosen[k] >> y & 1:
+                problems.append(f"witness {y} for pair ({i},{j}) lies in chosen edge position {k}")
     return problems
 
 
@@ -561,11 +567,10 @@ def _host_group(h: Hypergraph, meter: _Meter, base: Sequence[int]) -> symmetry.G
     h's edges, acting on edge i as on vertex i, its chain's base beginning
     with ``base``; only for h with :func:`_is_closed_neighbourhoods`.
 
-    τ needs a group that acts on vertices, which the incidence graph's
-    group of :func:`symmetry.hypergraph_automorphisms` (on edges) is not.
-    As σ maps N[i] to N[σ(i)], this group is a subgroup of that one, so
-    the DSW search prunes soundly by it too; the two can differ, as on the
-    Clebsch graph (1,920 against 11,520).
+    τ needs a group that acts on vertices, which :func:`_incidence_group`'s
+    (on edges) is not.  As σ maps N[i] to N[σ(i)], this group is a subgroup
+    of that one, so the DSW search prunes soundly by it too; the two can
+    differ, as on the Clebsch graph (1,920 against 11,520).
     """
     from .symmetry import _automorphisms
 
@@ -573,6 +578,18 @@ def _host_group(h: Hypergraph, meter: _Meter, base: Sequence[int]) -> symmetry.G
     # must find its group with the interpreter's stack nearly full
     adjacency = [_members(mask ^ 1 << i) for i, mask in enumerate(h.masks)]
     return _automorphisms(adjacency, [list(range(h.n))], h.n, meter, base)
+
+
+def _incidence_group(h: Hypergraph, meter: _Meter, base: Sequence[int]) -> symmetry.Group:
+    """Aut of h's two-coloured incidence graph (edge i is node i, vertex v
+    node m + v), acting on the edges, its chain's base beginning with ``base``."""
+    from .symmetry import _automorphisms
+
+    m = len(h.masks)
+    adjacency = [[m + v for v in _members(mask)] for mask in h.masks]
+    adjacency += [_members(edges) for edges in h.incidence]
+    cells = [c for c in (list(range(m)), list(range(m, m + h.n))) if c]
+    return _automorphisms(adjacency, cells, m, meter, base)
 
 
 def _is_closed_neighbourhoods(h: Hypergraph) -> bool:
@@ -588,11 +605,10 @@ def _lex_leader(h: Hypergraph, meter: _Meter) -> symmetry.LexLeader:
     The host graph's group acts on edges as its vertices' closed
     neighbourhoods do, and it is found on n points, not 2n, by the same
     refinement tree (the same ticks) in about half the time."""
-    from .symmetry import LexLeader, hypergraph_automorphisms
+    from .symmetry import LexLeader
 
-    if _is_closed_neighbourhoods(h):
-        return LexLeader(partial(_host_group, h, meter), meter)
-    return LexLeader(partial(hypergraph_automorphisms, h.n, h.edges, meter), meter)
+    find = _host_group if _is_closed_neighbourhoods(h) else _incidence_group
+    return LexLeader(partial(find, h, meter), meter)
 
 
 def find_dsw_structure(
@@ -612,14 +628,15 @@ def find_dsw_structure(
     The per-pair witness is the smallest eligible vertex id.
 
     Symmetry: a search that runs past ``symmetry.START_AFTER`` nodes finds
-    the automorphism group of the hypergraph's incidence graph and from
-    then on tries an edge only if it is the least of its orbit under the
-    group's generators that fix the edges chosen before it (lex-leader
-    pruning, by :class:`symmetry.LexLeader`).  This is exact and changes no
-    answer: an automorphism maps structures to structures, so the first
-    structure in lexicographic order, being the least of its orbit, passes
-    every test, and the same structure, with the same witnesses, is
-    returned.
+    an automorphism group of the hypergraph, its host graph's for closed
+    neighbourhoods (:func:`_host_group`) and else its incidence graph's
+    (:func:`_incidence_group`), and from then on tries an edge only if it
+    is the least of its orbit under the group's generators that fix the
+    edges chosen before it (lex-leader pruning, by
+    :class:`symmetry.LexLeader`).  This is exact and changes no answer: an
+    automorphism maps structures to structures, so the first structure in
+    lexicographic order, being the least of its orbit, passes every test,
+    and the same structure, with the same witnesses, is returned.
 
     Returns the first structure in that order, or None; the result is
     re-checked by :func:`dsw_structure_violations` before being returned.
@@ -647,7 +664,7 @@ def max_dsw_structure(
     alone.
     """
     meter = meter_for(budget)
-    m = len(h.edges)
+    m = len(h.masks)
     if m == 0:
         return None
     best = DswStructure(edge_indices=(0,), witnesses={})

@@ -420,7 +420,7 @@ def run_pipeline(
     h, packing, tau, transversal = _hypergraph_statistics(g, budget, exceeded)
     chi = _guarded(exceeded, "chromatic_number", chromatic_number, g, budget)
     stages["hypergraph"] = {
-        "edge_count": len(h.edges),
+        "edge_count": len(h.masks),
         "packing_number": packing,
         "transversality": tau,
         "transversal": transversal,

@@ -35,7 +35,6 @@ __all__ = [
     "GeneratorOrbits",
     "LexLeader",
     "graph_automorphisms",
-    "hypergraph_automorphisms",
 ]
 
 
@@ -452,24 +451,6 @@ def graph_automorphisms(
     adj = [list(a) for a in adjacency]
     n = len(adj)
     return _automorphisms(adj, [list(range(n))] if n else [], n, meter, base)
-
-
-def hypergraph_automorphisms(
-    n: int, edges: Sequence[Iterable[int]], meter: _Meter, base: Sequence[int] = ()
-) -> Group:
-    """Aut of the hypergraph on {0..n-1} with ``edges``, acting on edge indices,
-    its chain's base beginning with the edges ``base``.
-
-    The group is that of the two-coloured incidence graph: edge i is node
-    i, vertex v is node m + v, and each edge is joined to its vertices.
-    """
-    m = len(edges)
-    adj: list[list[int]] = [[m + v for v in e] for e in edges] + [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        for v in e:
-            adj[m + v].append(i)
-    cells = [c for c in (list(range(m)), list(range(m, m + n))) if c]
-    return _automorphisms(adj, cells, m, meter, base)
 
 
 class LexLeader:

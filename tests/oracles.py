@@ -147,11 +147,12 @@ def brute_domination(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def brute_packing(h: Hypergraph) -> int:
-    m = len(h.edges)
+    edges = h.edges
+    m = len(edges)
     for r in range(m, 0, -1):
         for c in combinations(range(m), r):
             if all(
-                not (h.edges[i] & h.edges[j]) for i, j in combinations(c, 2)
+                not (edges[i] & edges[j]) for i, j in combinations(c, 2)
             ):
                 return r
     return 0
@@ -160,10 +161,11 @@ def brute_packing(h: Hypergraph) -> int:
 def brute_transversal(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
     """(minimum hitting-set size, lexicographically least minimum hitting
     set) of a hypergraph with at least one edge."""
+    edges = h.edges
     for k in range(0, h.n + 1):
         for c in combinations(range(h.n), k):
             cs = set(c)
-            if all(e & cs for e in h.edges):
+            if all(e & cs for e in edges):
                 return k, c
     raise AssertionError("unreachable: the whole ground set hits every edge")
 
@@ -172,11 +174,12 @@ def dsw_feasible(h: Hypergraph, chosen: tuple[int, ...]) -> bool:
     """A chosen edge family admits private pair witnesses iff every pair's
     candidate set (intersection minus all other chosen edges) is nonempty;
     candidate sets of different pairs are automatically disjoint."""
+    edges = h.edges
     for a, b in combinations(range(len(chosen)), 2):
-        cand = h.edges[chosen[a]] & h.edges[chosen[b]]
+        cand = edges[chosen[a]] & edges[chosen[b]]
         for k, e in enumerate(chosen):
             if k not in (a, b):
-                cand = cand - h.edges[e]
+                cand = cand - edges[e]
         if not cand:
             return False
     return True
@@ -187,13 +190,14 @@ def brute_first_dsw(
 ) -> tuple[tuple[int, ...], dict[tuple[int, int], int]] | None:
     """First feasible d-combination of edge indices in lexicographic order,
     with the smallest private vertex of each position pair, or None."""
-    for chosen in combinations(range(len(h.edges)), d):
+    edges = h.edges
+    for chosen in combinations(range(len(edges)), d):
         witnesses = {}
         for a, b in combinations(range(d), 2):
-            cand = h.edges[chosen[a]] & h.edges[chosen[b]]
+            cand = edges[chosen[a]] & edges[chosen[b]]
             for k, e in enumerate(chosen):
                 if k not in (a, b):
-                    cand = cand - h.edges[e]
+                    cand = cand - edges[e]
             if not cand:
                 break
             witnesses[(a, b)] = min(cand)
@@ -203,7 +207,7 @@ def brute_first_dsw(
 
 
 def brute_max_dsw(h: Hypergraph) -> int:
-    m = len(h.edges)
+    m = len(h.masks)
     if m == 0:
         return 0
     for r in range(m, 1, -1):

@@ -88,16 +88,19 @@ def test_hypergraph_validation():
             Hypergraph(3, [edge])
 
 
-def _assert_tables(h: Hypergraph) -> None:
-    m = len(h.edges)
-    assert h.masks == tuple(sum(1 << v for v in e) for e in h.edges)
+def _assert_tables(h: Hypergraph, edges: list[frozenset[int]]) -> None:
+    # the tables and the edges read back from them, against the input edges
+    m = len(edges)
+    assert h.masks == tuple(sum(1 << v for v in e) for e in edges)
     assert h.incidence == tuple(
-        sum(1 << i for i in range(m) if v in h.edges[i]) for v in range(h.n)
+        sum(1 << i for i in range(m) if v in edges[i]) for v in range(h.n)
     )
     assert h.conflict == tuple(
-        sum(1 << j for j in range(m) if h.edges[i] & h.edges[j]) for i in range(m)
+        sum(1 << j for j in range(m) if edges[i] & edges[j]) for i in range(m)
     )
     assert all(c >> i & 1 for i, c in enumerate(h.conflict))
+    assert h.edges == tuple(edges)
+    assert all(type(e) is frozenset for e in h.edges)
 
 
 def test_bitmask_tables_match_the_edges():
@@ -108,11 +111,20 @@ def test_bitmask_tables_match_the_edges():
             frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
             for _ in range(rng.randrange(0, 8) if n else 0)
         ]
-        _assert_tables(Hypergraph(n, edges))
+        # duplicates are kept, in order
+        edges += edges[: rng.randrange(0, 3)]
+        _assert_tables(Hypergraph(n, [sorted(e, reverse=True) for e in edges]), edges)
     for g in (Graph(1, []), gen_cycle(7), gen_petersen(), gen_random_mtf(20, 3)):
+        closed = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
         h = neighborhood_hypergraph(g)
-        _assert_tables(h)
-        assert h.masks == tuple(g._bits[v] | 1 << v for v in range(g.n))
+        _assert_tables(h, closed)
+        listed = Hypergraph(g.n, closed)
+        assert (h.masks, h.incidence, h.conflict, h.edges) == (
+            listed.masks,
+            listed.incidence,
+            listed.conflict,
+            listed.edges,
+        )
         assert h.incidence == h.masks
 
 
@@ -401,6 +413,22 @@ def test_validator_catches_structural_problems():
     assert dsw_structure_violations(h, DswStructure((0, 1), {}))  # missing pair
     assert dsw_structure_violations(h, DswStructure((0, 1), {(0, 1): 0}))  # 0 not in e_1
     assert dsw_structure_violations(h, DswStructure((True, 2), {(0, 1): 2}))  # bool index
+    for y in (-1, 3, None):  # witnesses that are no vertex id
+        assert dsw_structure_violations(h, DswStructure((0, 1), {(0, 1): y}))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        DswStructure(([0], [1]), {}),  # unhashable indices
+        DswStructure((0, 1), [(0, 1)]),  # witnesses that are no map
+        DswStructure(5, {}),  # indices that are no sequence
+        DswStructure((0, 1), {(0, 1): [1]}),  # an unhashable witness
+    ],
+)
+def test_validator_reports_malformed_structures(s):
+    problems = dsw_structure_violations(_h({0, 1}, {1, 2}, {0, 2}), s)
+    assert problems and all(isinstance(p, str) for p in problems)
 
 
 def test_max_dsw_conventions():

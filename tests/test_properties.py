@@ -141,9 +141,10 @@ hypergraphs = st.one_of(random_hypergraphs(), planted_hypergraphs())
 @given(hypergraphs, st.data())
 def test_hypergraph_solvers_invariant_under_relabelling(h, data):
     perm = data.draw(st.permutations(range(h.n)))
-    order = data.draw(st.permutations(range(len(h.edges))))
-    moved = Hypergraph(h.n, [{perm[v] for v in h.edges[i]} for i in order])
-    relabelled = Hypergraph(h.n, [{perm[v] for v in e} for e in h.edges])
+    edges = h.edges
+    order = data.draw(st.permutations(range(len(edges))))
+    moved = Hypergraph(h.n, [{perm[v] for v in edges[i]} for i in order])
+    relabelled = Hypergraph(h.n, [{perm[v] for v in e} for e in edges])
     assert max_dsw_size(moved) == max_dsw_size(h)
     assert packing_number(relabelled) == packing_number(h)
     assert transversality(relabelled)[0] == transversality(h)[0]
