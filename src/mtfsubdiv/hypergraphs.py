@@ -161,7 +161,7 @@ def _covers(
     ``_cover_lb`` is always 1 there and that test is the whole last level.
 
     Orbital branching (Ostrowski, Linderoth, Rossi & Smriglio 2011), given
-    the host graph's group by ``lex.orbits()`` (for a test of every edge,
+    the host graph's group by ``lex.group()`` (for a test of every edge,
     ``lo`` = 0): a node whose chosen vertices are C expands one choice per
     orbit of the subgroup generated by the generators that fix every vertex
     of C, the first in branching order.  Each such σ fixes C, so it
@@ -186,10 +186,10 @@ def _covers(
         c = max(len(o), 1)
         by_count[c] = by_count.get(c, 0) | (1 << i)
     levels = [by_count[c] for c in sorted(by_count)]
-    orbits = None if lex is None else lex.orbits()
-    waiting = lex is not None and orbits is None
+    group = None if lex is None else lex.group()
+    waiting = lex is not None and group is None
     tried: list[list[int]] = [[]] * k  # per depth, the choices last expanded there
-    stack = [(uncovered, 0, 0 if orbits is None else orbits.all)]
+    stack = [(uncovered, 0, 0 if group is None else group.all)]
     while stack:
         uncovered, used, which = stack.pop()
         meter.tick()
@@ -210,15 +210,15 @@ def _covers(
                     return True
             continue
         if waiting:
-            orbits = lex.orbits()
-            if orbits is None:
+            group = lex.group()
+            if group is None:
                 tried[used] = choices
             else:
                 waiting = False
-                if orbits.all:
-                    stack, which = _orbital_stack(orbits, stack, tried[:used])
+                if group.all:
+                    stack, which = _orbital_stack(group, stack, tried[:used])
         if which:
-            least, fixers = orbits.least(which), orbits.fixers
+            least, fixers = group.least(which), group.fixers
             seen = 0
             kept = []
             for v in choices:
@@ -233,7 +233,7 @@ def _covers(
 
 
 def _orbital_stack(
-    orbits: symmetry.GeneratorOrbits, stack: list[tuple[int, int, int]], tried: list[list[int]]
+    group: symmetry.Group, stack: list[tuple[int, int, int]], tried: list[list[int]]
 ) -> tuple[list[tuple[int, int, int]], int]:
     """The pending nodes of a cover test pruned by orbital branching, for a
     group found at a node of depth len(tried), with that node's generator bits.
@@ -249,18 +249,18 @@ def _orbital_stack(
     for node in stack:
         depths[node[1] - 1].append(node)
     pruned: list[tuple[int, int, int]] = []
-    which = orbits.all
+    which = group.all
     for used, (choices, pending) in enumerate(zip(tried, depths), 1):
-        least = orbits.least(which)
+        least = group.least(which)
         t = len(choices) - len(pending)
         seen = {least[v] for v in choices[:t]}
         kept = []
         for v, node in zip(choices[t:], reversed(pending)):
             if least[v] not in seen:
                 seen.add(least[v])
-                kept.append((node[0], used, which & orbits.fixers[v]))
+                kept.append((node[0], used, which & group.fixers[v]))
         pruned += reversed(kept)
-        which &= orbits.fixers[choices[t - 1]]
+        which &= group.fixers[choices[t - 1]]
     return pruned, which
 
 
@@ -353,7 +353,10 @@ class DswStructure:
 
     @property
     def d(self) -> int:
-        return len(self.edge_indices)
+        try:
+            return len(self.edge_indices)
+        except TypeError:
+            raise BadParameter(f"edge indices {self.edge_indices!r} are not a sequence") from None
 
 
 def dsw_structure_violations(h: Hypergraph, s: DswStructure) -> list[str]:
@@ -564,25 +567,24 @@ def _find_dsw(
 
 def _host_group(h: Hypergraph, meter: _Meter, base: Sequence[int]) -> symmetry.Group:
     """The automorphism group of the graph whose closed neighbourhoods are
-    h's edges, acting on edge i as on vertex i, its chain's base beginning
-    with ``base``; only for h with :func:`_is_closed_neighbourhoods`.
+    h's edges, acting on edge i as on vertex i, found along a first path
+    that begins with ``base``; only for h with :func:`_is_closed_neighbourhoods`.
 
     τ needs a group that acts on vertices, which :func:`_incidence_group`'s
     (on edges) is not.  As σ maps N[i] to N[σ(i)], this group is a subgroup
     of that one, so the DSW search prunes soundly by it too; the two can
     differ, as on the Clebsch graph (1,920 against 11,520).
     """
-    from .symmetry import _automorphisms
+    from .symmetry import graph_automorphisms
 
-    # graph_automorphisms' body, called a frame nearer the search: a search
-    # must find its group with the interpreter's stack nearly full
     adjacency = [_members(mask ^ 1 << i) for i, mask in enumerate(h.masks)]
-    return _automorphisms(adjacency, [list(range(h.n))], h.n, meter, base)
+    return graph_automorphisms(adjacency, meter, base)
 
 
 def _incidence_group(h: Hypergraph, meter: _Meter, base: Sequence[int]) -> symmetry.Group:
     """Aut of h's two-coloured incidence graph (edge i is node i, vertex v
-    node m + v), acting on the edges, its chain's base beginning with ``base``."""
+    node m + v), acting on the edges, found along a first path that begins
+    with ``base``."""
     from .symmetry import _automorphisms
 
     m = len(h.masks)

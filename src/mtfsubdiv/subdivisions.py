@@ -190,15 +190,15 @@ def _pattern_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> lis
     For the k-th vertex v of ``porder`` and every other vertex w in the
     orbit of v under the automorphisms fixing ``porder[:k]`` pointwise, a
     branch map phi must satisfy phi(v) < phi(w).  Such a w comes later in
-    ``porder``.  These orbits are the basic orbits of Aut(pattern) along the
-    base ``porder``: the pattern is relabelled so that ``porder`` is its
-    vertex order, and the individualisation–refinement search, whose first
-    path takes the least non-singleton vertex at every level, returns the
-    basic orbits along that base (a vertex it skips is fixed, so its orbit
-    is itself).  Returns ``below`` with ``below[w]`` the vertices
-    whose images must be smaller than w's image.  Of each orbit of
-    injective maps under Aut(pattern), exactly one map meets every
-    condition.
+    ``porder``.  The pattern is relabelled so that ``porder`` is its vertex
+    order, and its group is found by the individualisation–refinement
+    search, whose first path takes the least non-singleton vertex at every
+    level: so the generators that fix vertices 0..k-1 generate their whole
+    pointwise stabiliser, and the orbit of k under them is read from the
+    group's tables, as :class:`symmetry.LexLeader` reads the host's.
+    Returns ``below`` with ``below[w]`` the vertices whose images must be
+    smaller than w's image.  Of each orbit of injective maps under
+    Aut(pattern), exactly one map meets every condition.
     """
     # imported on first use, so that start-up does not compile it
     from . import symmetry
@@ -207,10 +207,15 @@ def _pattern_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> lis
     adj = [[rank[u] for u in _members(pattern._bits[v])] for v in porder]
     group = symmetry.graph_automorphisms(adj, meter)
     below: list[list[int]] = [[] for _ in range(pattern.n)]
-    for base, orbit in group.levels:
-        for w in orbit:
-            if w != base:
-                below[porder[w]].append(porder[base])
+    which = group.all
+    k = 0
+    while which:
+        least = group.least(which)
+        for w in range(k + 1, pattern.n):
+            if least[w] == least[k]:
+                below[porder[w]].append(porder[k])
+        which &= group.fixers[k]
+        k += 1
     return [tuple(b) for b in below]
 
 

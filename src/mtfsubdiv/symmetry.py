@@ -8,7 +8,7 @@ if c is the least point of its orbit under a subgroup of the pointwise
 stabiliser of the tuple's first k entries.  The cover test behind τ tries
 one choice per orbit of such a subgroup (orbital branching).  Both read
 the subgroup generated by the group's generators that fix those entries,
-whose orbits :class:`GeneratorOrbits` gives.  This module supplies:
+whose orbits :class:`Group` gives.  This module supplies:
 
 - colour refinement of an ordered partition to an equitable one;
 - an individualisation–refinement search (McKay & Piperno 2014, "Practical
@@ -32,7 +32,6 @@ from .budget import _Meter
 __all__ = [
     "START_AFTER",
     "Group",
-    "GeneratorOrbits",
     "LexLeader",
     "graph_automorphisms",
 ]
@@ -214,72 +213,43 @@ class _Partition:
 # -- groups ---------------------------------------------------------------
 
 
-def _orbit_least(n: int, gens: Sequence[list[int]]) -> list[int]:
-    """Per point of range(n), the least point of its orbit under ``gens``."""
-    least = [-1] * n
-    for x in range(n):
-        if least[x] < 0:
-            least[x] = x
-            orbit = [x]
-            for y in orbit:
-                for g in gens:
-                    z = g[y]
-                    if least[z] < 0:
-                        least[z] = x
-                        orbit.append(z)
-    return least
-
-
 class Group:
-    """A permutation group on range(n), held by a strong generating set.
+    """A permutation group on range(n), held by its generators.
 
-    ``generators`` lists the group's generators, none the identity, and
-    ``levels`` the base points each with its basic orbit: the orbit of
-    ``levels[i][0]`` under the stabiliser of the base points before it,
-    levels with a one-point orbit left out.  The group's order is the
-    product of the basic orbit lengths.  With no levels it is the trivial
-    group.
+    ``generators`` lists them, none the identity (none for the trivial
+    group).  ``fixers[x]`` holds the bits of the generators that fix x and
+    ``all`` those of every generator (0 for the trivial group);
+    ``least(which)`` gives per point the least point of its orbit under the
+    generators whose bits are in ``which``, kept per ``which``.  The
+    generators that fix every point of a set generate a subgroup of its
+    pointwise stabiliser: all of it when the set begins the first path of
+    the search that found them.
     """
 
-    __slots__ = ("n", "generators", "levels", "order")
+    __slots__ = ("n", "generators", "all", "fixers", "_tables")
 
-    def __init__(
-        self, n: int, generators: list[list[int]], levels: Sequence[tuple[int, list[int]]] = ()
-    ):
+    def __init__(self, n: int, generators: list[list[int]]):
         self.n = n
         self.generators = generators
-        self.levels = levels
-        order = 1
-        for _, orbit in levels:
-            order *= len(orbit)
-        self.order = order
-
-
-class GeneratorOrbits:
-    """Orbits of the subgroups that subsets of a group's generators generate.
-
-    ``fixers[x]`` holds the bits of the generators that fix x and ``all``
-    those of every generator (0 for the trivial group); ``least(which)``
-    gives per point the least point of its orbit under the generators
-    whose bits are in ``which``, kept per ``which``.  The generators that
-    fix every point of a set generate a subgroup of its pointwise
-    stabiliser: all of it when the set begins the chain's base.
-    """
-
-    __slots__ = ("n", "gens", "all", "fixers", "_tables")
-
-    def __init__(self, group: Group):
-        self.n = n = group.n
-        self.gens = gens = group.generators
-        self.all = (1 << len(gens)) - 1
-        self.fixers = [sum(1 << i for i, g in enumerate(gens) if g[x] == x) for x in range(n)]
+        self.all = (1 << len(generators)) - 1
+        self.fixers = [sum(1 << i for i, g in enumerate(generators) if g[x] == x) for x in range(n)]
         self._tables: dict[int, list[int]] = {}
 
     def least(self, which: int) -> list[int]:
         table = self._tables.get(which)
         if table is None:
-            gens = [g for i, g in enumerate(self.gens) if which >> i & 1]
-            table = self._tables[which] = _orbit_least(self.n, gens)
+            gens = [g for i, g in enumerate(self.generators) if which >> i & 1]
+            table = self._tables[which] = [-1] * self.n
+            for x in range(self.n):
+                if table[x] < 0:
+                    table[x] = x
+                    orbit = [x]
+                    for y in orbit:
+                        for g in gens:
+                            z = g[y]
+                            if table[z] < 0:
+                                table[z] = x
+                                orbit.append(z)
         return table
 
 
@@ -319,7 +289,7 @@ def _automorphisms(
 
     First path: at each level individualise the first vertex of ``base``
     that is in a non-singleton cell, else the least such vertex, and
-    refine, down to a discrete leaf ζ.  (The chain's base thus begins with
+    refine, down to a discrete leaf ζ.  (The first path thus begins with
     the points of ``base`` the group moves, whose stabilisers are then
     free.)  Then, level by level from the deepest up, every other vertex w
     of that level's cell whose orbit under the automorphisms found so far
@@ -406,7 +376,6 @@ def _automorphisms(
                     parent[max(rx, ry)] = min(rx, ry)
 
     gens: list[list[int]] = []
-    orbits: dict[int, list[int]] = {}  # the basic orbit of each explored level
     top = path.copy()
     for level in reversed(range(depth)):
         v = choice[level]
@@ -428,26 +397,16 @@ def _automorphisms(
                     return Group(points, [])
                 gens.append(g)
                 join(g)
-            root = find(v)
-            orbits[level] = [x for x in range(points) if find(x) == root]
 
     # the automorphisms on the points, the identity dropped
-    on_points = [gp for gp in (g[:points] for g in gens) if gp != identity]
-    levels = []
-    for level in range(depth):
-        v = choice[level]
-        if v >= points:
-            break
-        if len(orbits[level]) > 1:
-            levels.append((v, orbits[level]))
-    return Group(points, on_points, levels)
+    return Group(points, [gp for gp in (g[:points] for g in gens) if gp != identity])
 
 
 def graph_automorphisms(
     adjacency: Sequence[Iterable[int]], meter: _Meter, base: Sequence[int] = ()
 ) -> Group:
     """Aut of the graph with neighbour lists ``adjacency``, on its vertices,
-    its chain's base beginning with ``base``."""
+    found along a first path that begins with ``base``."""
     adj = [list(a) for a in adjacency]
     n = len(adj)
     return _automorphisms(adj, [list(range(n))] if n else [], n, meter, base)
@@ -456,50 +415,43 @@ def graph_automorphisms(
 class LexLeader:
     """The lex-leader policy of a search that extends tuples in lexicographic order.
 
-    ``least(prefix)`` gives, per point, the least point of its orbit under
-    the subgroup generated by the group's generators that fix every point
-    of ``prefix``, or None to let every candidate pass: before ``meter``
-    reaches ``START_AFTER``, or when no generator fixes the prefix.  The
-    first call past that finds the group once, by ``find(prefix)``, the
-    prefix beginning the chain's base, so that prefix gets its whole
-    pointwise stabiliser; every later call only reads tables.  Each search
-    that prunes by these tables is exact under any subgroup of the
-    stabiliser, as its proof only uses elements that fix the prefix, so a
-    smaller subgroup prunes less and changes no answer.  The test may be
-    applied at any set of nodes, so starting late is exact: the subtree
-    the search is in when the group is found is finished with its tables.
-
-    ``orbits()`` serves a search that reads the group itself, the cover
-    test of ``hypergraphs.transversality``, under the same policy: None
-    before the meter reaches ``START_AFTER``, then the group's
-    :class:`GeneratorOrbits` (``all`` is 0 for a trivial group), the group
-    found by ``find(())`` at the first call past it unless ``least`` found
-    it first.
+    ``group(base)`` is the group, found once by ``find(base)`` at the first
+    call once ``meter`` has reached ``START_AFTER``, or None before; every
+    later call returns it, whatever its ``base``.  ``least(prefix)`` gives,
+    per point, the least point of its orbit under the subgroup generated
+    by the group's generators that fix every point of ``prefix``, or None
+    to let every candidate pass: before the group is found, or when no
+    generator fixes the prefix.  A group found at ``least(prefix)`` has
+    that prefix opening its first path, so the prefix gets its whole
+    pointwise stabiliser.  Each search that prunes by these tables is exact
+    under any subgroup of the stabiliser, as its proof only uses elements
+    that fix the prefix, so a smaller subgroup prunes less and changes no
+    answer.  The test may be applied at any set of nodes, so starting late
+    is exact: the subtree the search is in when the group is found is
+    finished with its tables.  The cover test of
+    ``hypergraphs.transversality`` reads ``group()`` itself (``all`` is 0
+    for a trivial group).
     """
 
-    __slots__ = ("_find", "_meter", "_orbits")
+    __slots__ = ("_find", "_meter", "_group")
 
     def __init__(self, find: Callable[[Sequence[int]], Group], meter: _Meter):
         self._find = find
         self._meter = meter
-        self._orbits: GeneratorOrbits | None = None  # the group's, once found
+        self._group: Group | None = None  # once found
 
-    def orbits(self) -> GeneratorOrbits | None:
-        if self._orbits is None:
+    def group(self, base: Sequence[int] = ()) -> Group | None:
+        if self._group is None:
             if self._meter.nodes < START_AFTER:
                 return None
-            self._orbits = GeneratorOrbits(self._find(()))
-        return self._orbits
+            self._group = self._find(base)
+        return self._group
 
     def least(self, prefix: Sequence[int]) -> list[int] | None:
-        orbits = self._orbits
-        if orbits is None:
-            if self._meter.nodes < START_AFTER:
-                return None
-            # found here, not through orbits(): the searches must run with
-            # the interpreter's stack nearly full, so no frame is added
-            orbits = self._orbits = GeneratorOrbits(self._find(prefix))
-        which, fixers = orbits.all, orbits.fixers
+        group = self.group(prefix)
+        if group is None:
+            return None
+        which, fixers = group.all, group.fixers
         for x in prefix:
             which &= fixers[x]
-        return orbits.least(which) if which else None
+        return group.least(which) if which else None

@@ -1,9 +1,10 @@
-"""Small graph constructors and derived witnesses shared by the tests."""
+"""Small graph constructors, the small graphs up to isomorphism, and derived
+witnesses shared by the tests."""
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from mtfsubdiv import Graph, SubdivisionWitness
 
@@ -87,3 +88,41 @@ def derived_witness(pattern: Graph, mapping: dict[int, int], n: int) -> Subdivis
     that has exactly its edges: pattern vertex a sits at ``mapping[a]``."""
     paths = {(a, b): (mapping[a], mapping[b]) for a, b in pattern.edges()}
     return SubdivisionWitness(pattern, Graph(n, paths.values()), dict(mapping), paths)
+
+
+def _canonical(size: int, edges: set[tuple[int, int]]) -> tuple:
+    # the least sorted edge list over the relabellings that list the
+    # vertices by descending degree: a complete invariant, found by brute
+    # force within each degree class
+    degree = [0] * size
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    degrees = sorted(set(degree), reverse=True)
+    classes = [[v for v in range(size) if degree[v] == d] for d in degrees]
+    best = None
+    for orders in product(*(permutations(c) for c in classes)):
+        new = {v: i for i, v in enumerate(v for order in orders for v in order)}
+        key = tuple(sorted(tuple(sorted((new[u], new[v]))) for u, v in edges))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def graphs_up_to_isomorphism(n: int) -> list[frozenset[tuple[int, int]]]:
+    """One edge set per isomorphism class of graphs on n vertices.
+
+    Classes on n vertices are grown from those on n - 1 by a new vertex
+    with every possible neighbourhood, and deduplicated by a brute-force
+    canonical form.
+    """
+    classes = [frozenset()]
+    for size in range(2, n + 1):
+        seen = {}
+        for edges in classes:
+            for r in range(size):
+                for nbrs in combinations(range(size - 1), r):
+                    grown = set(edges) | {(v, size - 1) for v in nbrs}
+                    seen.setdefault(_canonical(size, grown), frozenset(grown))
+        classes = list(seen.values())
+    return classes

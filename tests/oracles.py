@@ -217,6 +217,28 @@ def brute_max_dsw(h: Hypergraph) -> int:
     return 1
 
 
+def group_order(group, base=()) -> int:
+    """The order of a permutation group, read from its generators as if they
+    were a strong generating set along ``base`` and then the remaining
+    points in ascending order: the product, over that sequence, of each
+    point's orbit size under the generators that fix every point before it.
+    It equals the true order exactly when the generators that fix each
+    prefix of the sequence generate that prefix's whole stabiliser."""
+    order = 1
+    fixing = list(group.generators)
+    for x in [*base, *(x for x in range(group.n) if x not in base)]:
+        orbit = {x}
+        frontier = [x]
+        for y in frontier:
+            for g in fixing:
+                if g[y] not in orbit:
+                    orbit.add(g[y])
+                    frontier.append(g[y])
+        order *= len(orbit)
+        fixing = [g for g in fixing if g[x] == x]
+    return order
+
+
 def bfs_girth(g: Graph) -> int | None:
     """Length of a shortest cycle, None for forests."""
     best: int | None = None

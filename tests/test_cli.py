@@ -454,24 +454,26 @@ def test_hypergraph_budget(capsys, tmp_path):
 
 
 def test_hypergraph_dsw_max_runs_on_an_explicit_stack(capsys, tmp_path):
-    # the DSW search is 30 edges deep on N[synthetic d = 30]; it must answer
+    # the DSW search is 40 edges deep on N[synthetic d = 40]; it must answer
     # with the interpreter's stack nearly full, while packing and τ run out
-    # of their budgets (exit 2)
-    g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=30))
-    argv = ["hypergraph", graph_file(tmp_path, "d30.g6", g), "--dsw-max", "--budget-nodes", "20000"]
+    # of their budgets (exit 2).  The 33 frames allowed below are more than
+    # the command needs, up to the search's group search, on Python 3.10 to
+    # 3.13 under pytest, and fewer than one frame per edge of the structure
+    g, _, _ = gen_synthetic_dsw(SyntheticDswSpec(d=40))
+    argv = ["hypergraph", graph_file(tmp_path, "d40.g6", g), "--dsw-max", "--budget-nodes", "25000"]
     # a first run at the normal limit does what the interpreter does once
     # (codec lookup, argparse's patterns, the lazy symmetry import), so the
     # lowered limit tests only the searches
     first = run(capsys, *argv)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + 25)
+    sys.setrecursionlimit(len(inspect.stack()) + 33)
     try:
         code, out, err = run(capsys, *argv)
     finally:
         sys.setrecursionlimit(limit)
     assert (code, out, err) == first
     assert code == 2
-    assert "max_dsw_size: 30" in out
+    assert "max_dsw_size: 40" in out
 
 
 # -- error handling and hygiene -----------------------------------------

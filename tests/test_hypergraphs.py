@@ -424,11 +424,17 @@ def test_validator_catches_structural_problems():
         DswStructure((0, 1), [(0, 1)]),  # witnesses that are no map
         DswStructure(5, {}),  # indices that are no sequence
         DswStructure((0, 1), {(0, 1): [1]}),  # an unhashable witness
+        DswStructure(None, {}),
     ],
 )
 def test_validator_reports_malformed_structures(s):
     problems = dsw_structure_violations(_h({0, 1}, {1, 2}, {0, 2}), s)
     assert problems and all(isinstance(p, str) for p in problems)
+    # and the structure's size is an int or a package error
+    try:
+        assert isinstance(s.d, int)
+    except BadParameter:
+        pass
 
 
 def test_max_dsw_conventions():

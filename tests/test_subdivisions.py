@@ -36,6 +36,7 @@ from families import (
     complete_bipartite,
     complete_graph,
     derived_witness,
+    graphs_up_to_isomorphism,
     path_graph,
     paw_graph,
     random_graph,
@@ -452,7 +453,7 @@ def test_symmetry_conditions_equal_their_definition():
     # below[w] holds v = porder[k] exactly when an automorphism fixing
     # porder[:k] pointwise sends v to w, as the former per-pair automorphism
     # search decided; checked against the whole group on the patterns of the
-    # tests above and a few more
+    # tests above, a few more, and every graph on at most 5 vertices
     patterns = [
         complete_graph(3),
         complete_graph(4),
@@ -470,6 +471,7 @@ def test_symmetry_conditions_equal_their_definition():
         Graph(8, [(u, u ^ 1 << i) for u in range(8) for i in range(3) if u < u ^ 1 << i]),
         Graph(5, [(0, 1), (2, 3)]),
     ]
+    patterns += [Graph(n, edges) for n in range(1, 6) for edges in graphs_up_to_isomorphism(n)]
     for pattern in patterns:
         search = _SubdivSearch(pattern, pattern, False, meter_for(None))
         auts = brute_automorphisms(pattern)

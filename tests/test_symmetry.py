@@ -14,8 +14,8 @@ import subprocess
 import sys
 from functools import partial
 from importlib import import_module
-from itertools import combinations, permutations, product
-from math import factorial, prod
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -44,46 +44,10 @@ from families import (
     complete_bipartite,
     complete_graph,
     frucht_graph,
+    graphs_up_to_isomorphism,
     shrikhande_graph,
 )
-
-
-def _canonical(size: int, edges: set[tuple[int, int]]) -> tuple:
-    # the least sorted edge list over the relabellings that list the
-    # vertices by descending degree: a complete invariant, found by brute
-    # force within each degree class
-    degree = [0] * size
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    degrees = sorted(set(degree), reverse=True)
-    classes = [[v for v in range(size) if degree[v] == d] for d in degrees]
-    best = None
-    for orders in product(*(permutations(c) for c in classes)):
-        new = {v: i for i, v in enumerate(v for order in orders for v in order)}
-        key = tuple(sorted(tuple(sorted((new[u], new[v]))) for u, v in edges))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _graphs_up_to_isomorphism(n: int) -> list[frozenset[tuple[int, int]]]:
-    """One edge set per isomorphism class of graphs on n vertices.
-
-    Classes on n vertices are grown from those on n - 1 by a new vertex
-    with every possible neighbourhood, and deduplicated by a brute-force
-    canonical form.
-    """
-    classes = [frozenset()]
-    for size in range(2, n + 1):
-        seen = {}
-        for edges in classes:
-            for r in range(size):
-                for nbrs in combinations(range(size - 1), r):
-                    grown = set(edges) | {(v, size - 1) for v in nbrs}
-                    seen.setdefault(_canonical(size, grown), frozenset(grown))
-        classes = list(seen.values())
-    return classes
+from oracles import group_order
 
 
 def _brute_order(n: int, edges: frozenset[tuple[int, int]]) -> int:
@@ -101,11 +65,11 @@ def _group(g: Graph) -> symmetry.Group:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_group_order_matches_brute_force_on_all_small_graphs(n):
-    classes = _graphs_up_to_isomorphism(n)
+    classes = graphs_up_to_isomorphism(n)
     assert len(classes) == [1, 2, 4, 11, 34, 156][n - 1]
     for edges in classes:
         g = Graph(n, edges)
-        assert _group(g).order == _brute_order(n, edges), sorted(edges)
+        assert group_order(_group(g)) == _brute_order(n, edges), sorted(edges)
 
 
 def test_hypergraph_group_order_matches_brute_force():
@@ -126,7 +90,7 @@ def test_hypergraph_group_order_matches_brute_force():
             )
         )
         group = hypergraphs._incidence_group(h, meter_for(None), ())
-        assert group.order == brute, (n, edges)
+        assert group_order(group) == brute, (n, edges)
 
 
 def _orbits(least: list[int]) -> set[frozenset[int]]:
@@ -155,7 +119,7 @@ def test_stabiliser_orbits_match_networkx(monkeypatch, name, g, prefixes):
     # LexLeader.least against the orbits of networkx's pointwise stabiliser:
     # with the group found at the root, each orbit it gives lies inside one
     # stabiliser orbit (sound); with the group found at the prefix, which
-    # then opens the chain's base, the orbits are the stabiliser's (exact)
+    # then opens the first path, the orbits are the stabiliser's (exact)
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -163,7 +127,7 @@ def test_stabiliser_orbits_match_networkx(monkeypatch, name, g, prefixes):
     ng.add_nodes_from(range(g.n))
     ng.add_edges_from(g.edges())
     auts = [tuple(a[v] for v in range(g.n)) for a in GraphMatcher(ng, ng).isomorphisms_iter()]
-    assert _group(g).order == len(auts)
+    assert group_order(_group(g)) == len(auts)
     monkeypatch.setattr(symmetry, "START_AFTER", 0)
     adj = list(map(g.neighbors, g))
 
@@ -179,10 +143,10 @@ def test_stabiliser_orbits_match_networkx(monkeypatch, name, g, prefixes):
         found = _orbits(at_root.least(prefix) or list(range(g.n)))
         assert all(any(o <= e for e in expected) for o in found), (name, prefix)
         assert _orbits(lex_leader().least(prefix) or list(range(g.n))) == expected, (name, prefix)
-        # the prefix opens the base, so the basic orbits after it multiply
-        # to the stabiliser's order
-        levels = symmetry.graph_automorphisms(adj, meter_for(None), prefix).levels
-        assert prod(len(o) for b, o in levels if b not in prefix) == len(fixing), (name, prefix)
+        # the prefix opens the first path, so the generators that fix each
+        # prefix of the path generate that prefix's whole stabiliser
+        group = symmetry.graph_automorphisms(adj, meter_for(None), prefix)
+        assert group_order(group, base=prefix) == len(auts), (name, prefix)
 
 
 def test_discrete_refinement_means_the_trivial_group():
@@ -191,7 +155,7 @@ def test_discrete_refinement_means_the_trivial_group():
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (5, 6), (3, 5)])
     meter = meter_for(None)
     group = symmetry.graph_automorphisms(list(map(g.neighbors, g)), meter)
-    assert group.order == 1 and not group.levels
+    assert not group.generators
     assert meter.nodes == 1
 
 
@@ -199,8 +163,8 @@ def test_a_group_too_large_to_store_is_given_up():
     # S_600 on edgeless vertices needs 599 generators of 600 entries each,
     # past the stored-entry limit: the trivial group stands in, which is sound
     meter = meter_for(None)
-    assert _group(Graph(300)).order == factorial(300)
-    assert symmetry.graph_automorphisms(list(map(Graph(600).neighbors, range(600))), meter).order == 1
+    assert group_order(_group(Graph(300))) == factorial(300)
+    assert group_order(symmetry.graph_automorphisms(list(map(Graph(600).neighbors, range(600))), meter)) == 1
     assert meter.nodes < 100_000
 
 
@@ -210,7 +174,7 @@ def test_a_group_too_large_to_store_is_given_up():
 def test_lex_leader_tables(monkeypatch, first, table):
     # the group of C9 found at the root, or at the prefix (4,), whose entry
     # 0 is not the least of its orbit; the first call returns its table.
-    # Found at the root, the chain's base begins 0, 1 and no generator
+    # Found at the root, the first path begins 0, 1 and no generator
     # fixes 4, so (4,) prunes nothing; found at (4,), the reflection about
     # 4 is a generator.  No generator fixes two points
     monkeypatch.setattr(symmetry, "START_AFTER", 0)
@@ -267,7 +231,7 @@ def test_host_graph_group_against_incidence_graph_group(monkeypatch, name, g, or
     edges = h.edges
     for gen in host.generators:
         assert all(frozenset(gen[v] for v in e) == edges[gen[i]] for i, e in enumerate(edges))
-    assert (host.order, incidence.order) == (order, incidence_order)
+    assert (group_order(host), group_order(incidence)) == (order, incidence_order)
     monkeypatch.setattr(symmetry, "START_AFTER", 0)
     on_host = max_dsw_structure(h)
     monkeypatch.setattr(hypergraphs, "_is_closed_neighbourhoods", lambda h: False)
@@ -289,8 +253,8 @@ def test_only_closed_neighbourhood_hypergraphs_use_the_host_graph():
 def test_lex_leader_orbits_wait_for_start_after(monkeypatch):
     # the group itself, for the τ search, under the same policy: found once
     # with no base prescribed; the lex-leader tables are read from it: the
-    # generators fixing 0, which opens the base, give its stabiliser's
-    # orbits, and none fixes 4
+    # generators fixing 0, which opens the first path, give its
+    # stabiliser's orbits, and none fixes 4
     monkeypatch.setattr(symmetry, "START_AFTER", 10)
     meter = meter_for(None)
     bases = []
@@ -301,14 +265,14 @@ def test_lex_leader_orbits_wait_for_start_after(monkeypatch):
         return symmetry.graph_automorphisms(c9, meter, base)
 
     lex = symmetry.LexLeader(find, meter)
-    assert lex.orbits() is None and not bases
+    assert lex.group() is None and not bases
     meter.advance(10)
-    orbits = lex.orbits()
-    assert lex.orbits() is orbits and bases == [()]
-    assert orbits.least(orbits.all) == [0] * 9
-    assert orbits.least(orbits.fixers[0]) == [0, 1, 2, 3, 4, 4, 3, 2, 1]
-    assert orbits.fixers[0] & orbits.fixers[1] == 0
-    assert lex.least((0,)) == orbits.least(orbits.fixers[0])
+    group = lex.group()
+    assert lex.group() is group and bases == [()]
+    assert group.least(group.all) == [0] * 9
+    assert group.least(group.fixers[0]) == [0, 1, 2, 3, 4, 4, 3, 2, 1]
+    assert group.fixers[0] & group.fixers[1] == 0
+    assert lex.least((0,)) == group.least(group.fixers[0])
     assert lex.least((4,)) is None
     assert lex.least((4, 2)) is None and bases == [()]
 
