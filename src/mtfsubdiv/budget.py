@@ -28,10 +28,10 @@ class SearchBudget:
     ``max_seconds`` a number >= 0 (``inf`` for no time limit); anything
     else raises :class:`~mtfsubdiv.errors.BadParameter`.
 
-    A node budget counts meter ticks, and some work is not ticked: the
-    breadth-first searches behind each routing of the subdivision search,
-    and each edge it forces between host-adjacent branch images.  So the
-    wall time a node budget allows varies from search to search;
+    A node budget counts meter ticks, and some work is not ticked: the one
+    breadth-first search behind each candidate-path call of the subdivision
+    routing, and each edge it forces between host-adjacent branch images.
+    So the wall time a node budget allows varies from search to search;
     ``max_seconds`` is the bound on time.
     """
 

@@ -119,10 +119,13 @@ def gen_random_mtf(n: int, seed: int) -> Graph:
     stays triangle-free).  A pair that is skipped already has a common
     neighbor, and edges are never removed, so at the end every non-edge has
     one, which is exactly maximality.  n may not exceed
-    ``MAX_RANDOM_MTF_VERTICES``.
+    ``MAX_RANDOM_MTF_VERTICES``, and the seed must be an int (``random``
+    seeds None from the clock, so no other type is taken).
     """
     if not _is_int(n) or n < 1:
         raise BadParameter(f"gen_random_mtf needs n >= 1, got {n!r}")
+    if not _is_int(seed):
+        raise BadParameter(f"gen_random_mtf needs an integer seed, got {seed!r}")
     _check_vertex_count(n, "random-mtf", MAX_RANDOM_MTF_VERTICES)
     pairs = list(combinations(range(n), 2))
     random.Random(seed).shuffle(pairs)

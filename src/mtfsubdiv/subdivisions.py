@@ -162,28 +162,6 @@ def _bfs_dist(bits: tuple[int, ...], n: int, target: int, allowed: int) -> list[
     return dist
 
 
-def _bfs_distance(bits: tuple[int, ...], s: int, t: int, allowed: int) -> int:
-    """The distance from s to t inside the vertex mask ``allowed``, or -1.
-
-    The layered BFS of :func:`_bfs_dist`, grown from t, that stops at the
-    first layer reaching s instead of labelling every vertex.
-    """
-    seen = frontier = 1 << t
-    d = 0
-    while frontier:
-        d += 1
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= bits[low.bit_length() - 1]
-            frontier ^= low
-        if reach >> s & 1:
-            return d
-        frontier = reach & allowed & ~seen
-        seen |= frontier
-    return -1
-
-
 def _pattern_conditions(pattern: Graph, porder: list[int], meter: _Meter) -> list[tuple[int, ...]]:
     """Grochow–Kellis symmetry-breaking conditions on branch images.
 
@@ -327,8 +305,7 @@ class _SubdivSearch:
 
     def run(self) -> SubdivisionWitness | None:
         for _ in self._branch_maps():
-            order = self._chain_order()
-            if order is not None and self._route(order):
+            if self._route():
                 witness = SubdivisionWitness(self.p, self.h, *self._expand(), self.induced)
                 check = verify_witness(witness, self.induced)
                 if not check.ok:
@@ -427,47 +404,28 @@ class _SubdivSearch:
 
     # path routing ------------------------------------------------------
 
-    def _chain_order(self) -> list[int] | None:
-        """Chain indices sorted by the host BFS distance of their ends'
-        images, raised to the chain's length; a loop sorts by its length."""
-        branch, bits, full, used = self.branch, self.bits, self.full, self.branch_used
+    def _route(self) -> bool:
+        """Route every chain into ``self.routes``, in the order of ``self.chains``.
+
+        A chain of length 1 between host-adjacent images routes as that edge
+        alone, so it is set once.  The rest go depth-first over an explicit
+        stack with one candidate-path iterator per routed chain;
+        ``interiors[-1]`` masks the interiors of the paths routed so far.
+        Every route is rewritten before the routes are read, so a failed try
+        needs no undo.  The order changes which routes are found, not whether:
+        a region loses only what the paths of any witness avoid.
+        """
+        branch, bits, routes = self.branch, self.bits, self.routes
         order = []
         for i, walk in enumerate(self.chains):
             s, t = branch[walk[0]], branch[walk[-1]]
-            length = len(walk) - 1
-            if s != t:
-                d = _bfs_distance(bits, s, t, full & ~(used & ~((1 << s) | (1 << t))))
-                if d < 0:
-                    return None
-                if d > length:
-                    length = d
-            order.append((length, i))
-        order.sort()
-        return [i for _, i in order]
-
-    def _route(self, order: list[int]) -> bool:
-        """Route every chain of ``order`` into ``self.routes``.
-
-        The chains of length 1 between host-adjacent images sort first and
-        route as that edge alone, so they are set once.  The rest go
-        depth-first over an explicit stack with one candidate-path iterator
-        per routed chain; ``interiors[-1]`` masks the interiors of the paths
-        routed so far.  Every route is rewritten before the routes are
-        read, so a failed try needs no undo.
-        """
-        branch, bits, chains, routes = self.branch, self.bits, self.chains, self.routes
-        first = 0
-        for i in order:
-            if len(chains[i]) > 2:
-                break
-            s, t = branch[chains[i][0]], branch[chains[i][1]]
-            if not bits[s] >> t & 1:
-                break
-            routes[i] = (s, t)
-            first += 1
-        if first == len(order):
+            if len(walk) == 2 and bits[s] >> t & 1:
+                routes[i] = (s, t)
+            else:
+                order.append(i)
+        if not order:
             return True
-        iters = [self._chain_paths(order[first], 0)]
+        iters = [self._chain_paths(order[0], 0)]
         interiors = [0]
         while iters:
             path = next(iters[-1], None)
@@ -475,7 +433,7 @@ class _SubdivSearch:
                 iters.pop()
                 interiors.pop()
                 continue
-            k = first + len(iters) - 1
+            k = len(iters) - 1
             routes[order[k]] = path
             if k + 1 == len(order):
                 return True

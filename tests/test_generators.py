@@ -144,6 +144,14 @@ def test_random_mtf_tiny():
             gen_random_mtf(n, 1)
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, "1", [1]])
+def test_random_mtf_rejects_a_seed_that_is_no_int(seed):
+    # None would seed from the clock, True would act as seed 1, and a list
+    # raised a builtins TypeError
+    with pytest.raises(BadParameter, match="integer seed"):
+        gen_random_mtf(12, seed)
+
+
 def test_synthetic_dsw_bare_structure():
     spec = SyntheticDswSpec(d=3)
     g, x, wit = gen_synthetic_dsw(spec)

@@ -98,10 +98,14 @@ def test_mycielski_bound_is_certified_and_at_most_chi(g):
 @given(graphs(max_n=5), st.data(), graphs(max_n=8), st.booleans())
 def test_find_subdivision_invariant_under_pattern_relabelling(pattern, data, host, induced):
     # the search tries one branch map per automorphism orbit of the
-    # pattern; a wrong orbit rule would lose witnesses for some labelling
+    # pattern; a wrong orbit rule would lose witnesses for some labelling.
+    # The host's labels set the order of branch maps and routes, which
+    # must not decide whether a witness is found either
     moved = relabel(pattern, data.draw(st.permutations(range(pattern.n))))
+    host_moved = relabel(host, data.draw(st.permutations(range(host.n))))
     found = [find_subdivision(f, host, require_induced=induced) for f in (pattern, moved)]
-    assert (found[0] is None) == (found[1] is None)
+    found.append(find_subdivision(pattern, host_moved, require_induced=induced))
+    assert (found[0] is None) == (found[1] is None) == (found[2] is None)
     for w in found:
         assert w is None or verify_witness(w, require_induced=induced)
 

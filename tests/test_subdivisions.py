@@ -610,9 +610,18 @@ def test_find_induced_k4_in_petersen_search_tree_is_pinned():
     # a path step that leaves the target out of reach of the edges left
     # after it is not taken: 506 nodes when such dead steps were entered,
     # 488 while every path length was tried and neighbours of placed
-    # vertices were kept in the region the routing searches
-    w = _pinned_search(complete_graph(4), gen_petersen(), True, 164)
+    # vertices were kept in the region the routing searches, 164 while each
+    # branch map's chains were sorted by BFS distance
+    w = _pinned_search(complete_graph(4), gen_petersen(), True, 115)
     assert w.branch_map == {0: 0, 1: 1, 2: 3, 3: 8}
+    assert w.paths == {
+        (0, 1): (0, 1),
+        (0, 2): (0, 4, 3),
+        (0, 3): (0, 5, 8),
+        (1, 2): (1, 2, 3),
+        (1, 3): (1, 6, 8),
+        (2, 3): (3, 8),
+    }
 
 
 def test_find_induced_k4_in_random_mtf_search_tree_is_pinned():
