@@ -4,9 +4,10 @@ Subcommands: gen, analyze, pipeline, find-subdivision, hypergraph.
 Exit codes: 0 success / witness found, 1 exhaustive search found nothing,
 2 budget exceeded, 3 input or usage error, 141 standard output closed by
 its reader (128 + SIGPIPE, as a shell reports).  "-" as a filename reads
-standard input; the format is sniffed (JSON when the payload starts with
-'{' and contains '"', else graph6) unless --format is given.  Output never
-contains ANSI escapes, so NO_COLOR is honored by construction.
+standard input; input is read as bytes, whatever the locale, and the
+format is sniffed (JSON when the payload starts with '{' and contains '"',
+else graph6) unless --format is given.  Output never contains ANSI
+escapes, so NO_COLOR is honored by construction.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _read_payload(path: str) -> str:
+def _read_payload(path: str) -> bytes:
+    # bytes, so no locale decodes them: parse_graph reads them as ASCII
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
         return fh.read()
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .budget import SearchBudget, _Meter, meter_for
@@ -300,7 +299,7 @@ def transversality(
     all_edges = (1 << m) - 1
     incidence = h.incidence
     sorted_edges = [_members(mask) for mask in h.masks]
-    lex = _lex_leader(h, meter) if _is_closed_neighbourhoods(h) else None
+    lex = _lex_leader(h, meter)
     tau = _cover_lb(h.conflict, all_edges)
     while not _covers(h, sorted_edges, all_edges, 0, tau, meter, lex):
         tau += 1
@@ -451,7 +450,7 @@ def _still_open(
 
 
 def _find_dsw(
-    h: Hypergraph, d: int, meter: _Meter, lex: symmetry.LexLeader
+    h: Hypergraph, d: int, meter: _Meter, lex: symmetry.LexLeader | None
 ) -> DswStructure | None:
     """First d-edge structure of h in lexicographic order of edge indices, or
     None; a structure is re-checked by :func:`dsw_structure_violations`.
@@ -475,11 +474,11 @@ def _find_dsw(
     at the root, where nothing is chosen, every edge needs |e_j| >= d - 1.
     Survivors that fail are dropped without further ticks.
 
-    Symmetry: with two or more edges still needed, a candidate c is tried
-    only if it is the least edge of its orbit under the subgroup generated
-    by the generators of the hypergraph's automorphism group that fix the
-    chosen edges: ``lex.least(chosen)`` gives per edge the least edge of
-    its orbit, or None to try every candidate.  Say σ fixes the chosen
+    Symmetry (unless ``lex`` is None): with two or more edges still needed,
+    a candidate c is tried only if it is the least edge of its orbit under
+    the subgroup generated by the generators of the host graph's group that
+    fix the chosen edges: ``lex.least(chosen)`` gives per edge the least
+    edge of its orbit, or None to try every candidate.  Say σ fixes the chosen
     edges and σ(c) < c.  Then σ maps every structure that extends chosen + [c] to a
     structure whose sorted index tuple is lexicographically smaller, so the
     first structure in lexicographic order, which is the least of its
@@ -508,7 +507,7 @@ def _find_dsw(
         need = d - depth
         frame = stack[-1]
         cands, solo, pools, union = frame
-        least = lex.least(chosen) if need > 1 else None
+        least = lex.least(chosen) if lex is not None and need > 1 else None
         while cands.bit_count() >= need:
             low = cands & -cands
             cands ^= low
@@ -565,52 +564,23 @@ def _find_dsw(
     return None
 
 
-def _host_group(h: Hypergraph, meter: _Meter, base: Sequence[int]) -> symmetry.Group:
-    """The automorphism group of the graph whose closed neighbourhoods are
-    h's edges, acting on edge i as on vertex i, found along a first path
-    that begins with ``base``; only for h with :func:`_is_closed_neighbourhoods`.
+def _lex_leader(h: Hypergraph, meter: _Meter) -> symmetry.LexLeader | None:
+    """The lex-leader policy of one call, or None to search without symmetry.
 
-    τ needs a group that acts on vertices, which :func:`_incidence_group`'s
-    (on edges) is not.  As σ maps N[i] to N[σ(i)], this group is a subgroup
-    of that one, so the DSW search prunes soundly by it too; the two can
-    differ, as on the Clebsch graph (1,920 against 11,520).
-    """
-    from .symmetry import graph_automorphisms
+    When edge i of h is the closed neighbourhood N[i] of a graph (membership
+    is symmetric and every i lies in edge i), the policy's group is that
+    graph's automorphism group, which acts on edge i as on vertex i, since
+    σ maps N[i] to N[σ(i)].  Any other hypergraph gets None."""
+    masks = h.masks
+    if h.incidence != masks or not all(mask >> i & 1 for i, mask in enumerate(masks)):
+        return None
+    from . import symmetry
 
-    adjacency = [_members(mask ^ 1 << i) for i, mask in enumerate(h.masks)]
-    return graph_automorphisms(adjacency, meter, base)
+    def find(base: Sequence[int]) -> symmetry.Group:
+        adjacency = [_members(mask ^ 1 << i) for i, mask in enumerate(masks)]
+        return symmetry.graph_automorphisms(adjacency, meter, base)
 
-
-def _incidence_group(h: Hypergraph, meter: _Meter, base: Sequence[int]) -> symmetry.Group:
-    """Aut of h's two-coloured incidence graph (edge i is node i, vertex v
-    node m + v), acting on the edges, found along a first path that begins
-    with ``base``."""
-    from .symmetry import _automorphisms
-
-    m = len(h.masks)
-    adjacency = [[m + v for v in _members(mask)] for mask in h.masks]
-    adjacency += [_members(edges) for edges in h.incidence]
-    cells = [c for c in (list(range(m)), list(range(m, m + h.n))) if c]
-    return _automorphisms(adjacency, cells, m, meter, base)
-
-
-def _is_closed_neighbourhoods(h: Hypergraph) -> bool:
-    """Whether edge i of h is N[i] of a graph: membership is symmetric and
-    every i lies in edge i."""
-    return h.incidence == h.masks and all(mask >> i & 1 for i, mask in enumerate(h.masks))
-
-
-def _lex_leader(h: Hypergraph, meter: _Meter) -> symmetry.LexLeader:
-    """The lex-leader policy of one call: under the host graph's group for a
-    closed-neighbourhood hypergraph, else under h's incidence graph's.
-
-    The host graph's group acts on edges as its vertices' closed
-    neighbourhoods do, and it is found on n points, not 2n, by the same
-    refinement tree (the same ticks) in about half the time."""
-    from .symmetry import LexLeader
-
-    find = _host_group if _is_closed_neighbourhoods(h) else _incidence_group
-    return LexLeader(partial(find, h, meter), meter)
+    return symmetry.LexLeader(find, meter)
 
 
 def find_dsw_structure(
@@ -629,16 +599,16 @@ def find_dsw_structure(
     k - 1 private vertices outside it (the pair witnesses are distinct).
     The per-pair witness is the smallest eligible vertex id.
 
-    Symmetry: a search that runs past ``symmetry.START_AFTER`` nodes finds
-    an automorphism group of the hypergraph, its host graph's for closed
-    neighbourhoods (:func:`_host_group`) and else its incidence graph's
-    (:func:`_incidence_group`), and from then on tries an edge only if it
-    is the least of its orbit under the group's generators that fix the
-    edges chosen before it (lex-leader pruning, by
-    :class:`symmetry.LexLeader`).  This is exact and changes no answer: an
-    automorphism maps structures to structures, so the first structure in
-    lexicographic order, being the least of its orbit, passes every test,
-    and the same structure, with the same witnesses, is returned.
+    Symmetry, when edge i of h is the closed neighbourhood N[i] of a graph
+    (:func:`_lex_leader`; any other hypergraph is searched without it): a
+    search that runs past ``symmetry.START_AFTER`` nodes finds that graph's
+    automorphism group, and from then on tries an edge only if it is the
+    least of its orbit under the group's generators that fix the edges
+    chosen before it (lex-leader pruning, by :class:`symmetry.LexLeader`).
+    This is exact and changes no answer: an automorphism maps structures to
+    structures, so the first structure in lexicographic order, being the
+    least of its orbit, passes every test, and the same structure, with the
+    same witnesses, is returned.
 
     Returns the first structure in that order, or None; the result is
     re-checked by :func:`dsw_structure_violations` before being returned.

@@ -1,4 +1,4 @@
-"""Automorphism groups of vertex-coloured graphs, for symmetry pruning.
+"""Automorphism groups of graphs, for symmetry pruning.
 
 The exact searches build tuples one entry at a time in lexicographic order.
 A tuple that is not the least of its orbit under the symmetries of the
@@ -62,18 +62,15 @@ class _Partition:
 
     __slots__ = ("lab", "start", "size", "level")
 
-    def __init__(self, cells: list[list[int]], n: int):
-        self.lab: list[int] = []
+    def __init__(self, n: int):
+        # the unit partition: one cell, at level 0
+        self.lab = list(range(n))
         self.start = [0] * n
         self.size = [0] * n
         self.level = [_NO_CELL] * n
-        for cell in cells:
-            p = len(self.lab)
-            self.size[p] = len(cell)
-            self.level[p] = 0
-            for v in cell:
-                self.start[v] = p
-            self.lab.extend(cell)
+        if n:
+            self.size[0] = n
+            self.level[0] = 0
 
     def copy(self) -> _Partition:
         other = _Partition.__new__(_Partition)
@@ -273,24 +270,16 @@ def _is_automorphism(
 _MAX_GENERATOR_ENTRIES = 250_000
 
 
-def _automorphisms(
-    adj: Sequence[Sequence[int]],
-    cells: list[list[int]],
-    points: int,
-    meter: _Meter,
-    base: Sequence[int] = (),
+def graph_automorphisms(
+    adjacency: Sequence[Iterable[int]], meter: _Meter, base: Sequence[int] = ()
 ) -> Group:
-    """The automorphism group of a vertex-coloured graph, acting on range(points).
-
-    ``adj[v]`` lists v's neighbours and ``cells`` the colour classes in
-    order; automorphisms preserve every colour class.  ``points`` must be
-    a union of leading colour classes; the group is returned acting on it
-    (for a hypergraph's incidence graph: on the edges).
+    """The automorphism group of the graph with neighbour lists ``adjacency``,
+    acting on its vertices, found along a first path that begins with ``base``.
 
     First path: at each level individualise the first vertex of ``base``
     that is in a non-singleton cell, else the least such vertex, and
     refine, down to a discrete leaf ζ.  (The first path thus begins with
-    the points of ``base`` the group moves, whose stabilisers are then
+    the vertices of ``base`` the group moves, whose stabilisers are then
     free.)  Then, level by level from the deepest up, every other vertex w
     of that level's cell whose orbit under the automorphisms found so far
     (all of which fix the path above) differs from the path vertex's is
@@ -299,17 +288,16 @@ def _automorphisms(
     trace differs from the path's at the same level.  A subtree without
     one proves that w is in no such orbit.  At every level the
     automorphisms found then generate the stabiliser of the path above it,
-    so they are a strong generating set along the path's vertices.  Levels
-    whose vertex is not a point are not explored: their automorphisms fix
-    every point.  The path and each subtree search live in one partition
-    each, so memory stays linear in the graph however deep the path is.
+    so they are a strong generating set along the path's vertices.  The
+    path and each subtree search live in one partition each, so memory
+    stays linear in the graph however deep the path is.
     """
+    adj = [list(a) for a in adjacency]
     n = len(adj)
-    identity = list(range(points))
     adjsets = [frozenset(a) for a in adj]
-    path = _Partition(cells, n)
+    path = _Partition(n)
     meter.tick()
-    traces = [path.refine(adj, [p for p in range(n) if path.level[p] == 0], 0)]
+    traces = [path.refine(adj, [0] if n else [], 0)]
     choice: list[int] = []  # the vertex individualised at each level
     target: list[int] = []  # the position of its cell
     low = 0  # no vertex below it is in a non-singleton cell
@@ -379,37 +367,25 @@ def _automorphisms(
     top = path.copy()
     for level in reversed(range(depth)):
         v = choice[level]
-        if v < points:
-            top.restore(level)
-            failed: list[int] = []
-            for w in sorted(top.cell(target[level])):
-                rw = find(w)
-                if rw == find(v) or any(find(f) == rw for f in failed):
-                    continue
-                g = equivalent_leaf(level, w)
-                if g is None:
-                    failed.append(w)
-                    continue
-                if (len(gens) + 1) * n > _MAX_GENERATOR_ENTRIES:
-                    # storing more of a group this large would cost more
-                    # memory than its pruning can repay; the trivial group
-                    # is always a sound answer
-                    return Group(points, [])
-                gens.append(g)
-                join(g)
+        top.restore(level)
+        failed: list[int] = []
+        for w in sorted(top.cell(target[level])):
+            rw = find(w)
+            if rw == find(v) or any(find(f) == rw for f in failed):
+                continue
+            g = equivalent_leaf(level, w)
+            if g is None:
+                failed.append(w)
+                continue
+            if (len(gens) + 1) * n > _MAX_GENERATOR_ENTRIES:
+                # storing more of a group this large would cost more
+                # memory than its pruning can repay; the trivial group
+                # is always a sound answer
+                return Group(n, [])
+            gens.append(g)
+            join(g)
 
-    # the automorphisms on the points, the identity dropped
-    return Group(points, [gp for gp in (g[:points] for g in gens) if gp != identity])
-
-
-def graph_automorphisms(
-    adjacency: Sequence[Iterable[int]], meter: _Meter, base: Sequence[int] = ()
-) -> Group:
-    """Aut of the graph with neighbour lists ``adjacency``, on its vertices,
-    found along a first path that begins with ``base``."""
-    adj = [list(a) for a in adjacency]
-    n = len(adj)
-    return _automorphisms(adj, [list(range(n))] if n else [], n, meter, base)
+    return Group(n, gens)
 
 
 class LexLeader:

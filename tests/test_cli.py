@@ -101,7 +101,7 @@ def test_gen_mycielski_from_file_and_stdin(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert parse_graph6(out.strip()).n == 11
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("Dhc\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"Dhc\n")))
     code, out2, _ = run(capsys, "gen", "mycielski", "-")
     assert code == 0
     assert out2 == out
@@ -127,7 +127,7 @@ def test_oversized_declared_vertex_count_exits_3(capsys, tmp_path, monkeypatch):
     path.write_text('{"n": 3000000, "edges": []}\n')
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 3 and out == "" and "limit" in err
-    monkeypatch.setattr("sys.stdin", io.StringIO("~~???~??\n"))  # n = 258,048
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"~~???~??\n")))  # n = 258,048
     code, out, err = run(capsys, "hypergraph", "-")
     assert code == 3 and out == "" and "limit" in err
 
@@ -149,7 +149,7 @@ def test_analyze_file_outputs_json(capsys, tmp_path):
 def test_analyze_reads_stdin_from_gen_output(capsys, monkeypatch):
     code, out, _ = run(capsys, "gen", "cycle", "5")
     assert code == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(out.encode())))
     code, out2, _ = run(capsys, "analyze", "-")
     assert code == 0
     assert json.loads(out2)["maximal_triangle_free"] is True
@@ -389,6 +389,26 @@ def test_closed_stdout_pipe_exits_141(tmp_path, unbuffered):
     assert proc.returncode == 141, err
     assert "Traceback" not in err
     assert "Exception ignored" not in err
+
+
+def test_non_ascii_input_exits_3_whatever_the_locale(tmp_path):
+    # standard input and a file are read as bytes, so a UTF-8 text layer
+    # neither fails on invalid UTF-8 nor decodes valid UTF-8 into a graph
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+    path = tmp_path / "bad.g6"
+    for payload in (b"\xff\xfe", b"D\xc3\xa9"):
+        path.write_bytes(payload)
+        for args, stdin in [(["-"], payload), ([str(path)], b"")]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mtfsubdiv", "analyze", *args],
+                input=stdin,
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            err = proc.stderr.decode()
+            assert proc.returncode == 3, (payload, args, err)
+            assert "not ASCII" in err and "Traceback" not in err, (payload, args, err)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -255,14 +255,14 @@ def test_transversality_with_a_trivial_group_keeps_its_search_tree(monkeypatch, 
         meters.append(meter_for(budget))
         return meters[-1]
 
-    def trivial(adj, cells, points, meter, base=()):
-        return symmetry.Group(points, [])
+    def trivial(adjacency, meter, base=()):
+        return symmetry.Group(len(adjacency), [])
 
     monkeypatch.setattr(hypergraphs, "meter_for", capture)
     hosts = [gen_petersen(), gen_random_mtf(30, 4), gen_synthetic_dsw(SyntheticDswSpec(d=7, padding=True))[0]]
     before = [transversality(neighborhood_hypergraph(g)) for g in hosts]
     monkeypatch.setattr(symmetry, "START_AFTER", start)
-    monkeypatch.setattr(symmetry, "_automorphisms", trivial)
+    monkeypatch.setattr(symmetry, "graph_automorphisms", trivial)
     assert [transversality(neighborhood_hypergraph(g)) for g in hosts] == before
     counts = [m.nodes for m in meters]
     assert counts[:3] == counts[3:] and min(counts) > 0

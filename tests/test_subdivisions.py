@@ -439,8 +439,9 @@ def test_symmetry_conditions_keep_one_map_per_orbit():
 
 
 def test_symmetry_conditions_on_large_symmetric_patterns():
-    # |Aut| is 10! and 9!; the conditions come from the stabiliser chain of
-    # one individualisation-refinement search, never from listing the group
+    # |Aut| is 10! and 9!; the conditions come from the orbit tables of
+    # the generators that one individualisation-refinement search finds,
+    # never from listing the group
     meter = meter_for(None)
     below = _SubdivSearch(Graph(10), Graph(10), False, meter).below
     assert below == [tuple(range(w)) for w in range(10)]

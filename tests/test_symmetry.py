@@ -14,7 +14,7 @@ import subprocess
 import sys
 from functools import partial
 from importlib import import_module
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -26,6 +26,7 @@ from mtfsubdiv import (
     SearchBudget,
     SyntheticDswSpec,
     dsw_structure_violations,
+    find_dsw_structure,
     find_subdivision,
     gen_cycle,
     gen_kneser,
@@ -35,9 +36,10 @@ from mtfsubdiv import (
     gen_synthetic_dsw,
     max_dsw_structure,
     neighborhood_hypergraph,
+    transversality,
     verify_witness,
 )
-from mtfsubdiv import hypergraphs, symmetry
+from mtfsubdiv import symmetry
 from mtfsubdiv.budget import meter_for
 from families import (
     clebsch_graph,
@@ -47,7 +49,7 @@ from families import (
     graphs_up_to_isomorphism,
     shrikhande_graph,
 )
-from oracles import group_order
+from oracles import brute_first_dsw, brute_transversal, group_order
 
 
 def _brute_order(n: int, edges: frozenset[tuple[int, int]]) -> int:
@@ -70,27 +72,6 @@ def test_group_order_matches_brute_force_on_all_small_graphs(n):
     for edges in classes:
         g = Graph(n, edges)
         assert group_order(_group(g)) == _brute_order(n, edges), sorted(edges)
-
-
-def test_hypergraph_group_order_matches_brute_force():
-    # the group acts on edge indices: count the edge permutations that some
-    # vertex permutation realises
-    rng = random.Random(7)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 5)
-        edges = [frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(m)]
-        h = Hypergraph(n, edges)
-        brute = sum(
-            1
-            for tau in permutations(range(m))
-            if any(
-                all(frozenset(sigma[v] for v in edges[i]) == edges[tau[i]] for i in range(m))
-                for sigma in permutations(range(n))
-            )
-        )
-        group = hypergraphs._incidence_group(h, meter_for(None), ())
-        assert group_order(group) == brute, (n, edges)
 
 
 def _orbits(least: list[int]) -> set[frozenset[int]]:
@@ -206,7 +187,7 @@ def test_lex_leader_waits_for_start_after_and_drops_a_trivial_group(monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "name, g, order, incidence_order",
+    "name, g, order, hypergraph_order",
     [
         ("petersen", gen_petersen(), 120, 120),
         ("groetzsch", gen_mycielski(gen_cycle(5)), 10, 10),
@@ -220,34 +201,66 @@ def test_lex_leader_waits_for_start_after_and_drops_a_trivial_group(monkeypatch)
         for d in (5, 6, 7)
     ],
 )
-def test_host_graph_group_against_incidence_graph_group(monkeypatch, name, g, order, incidence_order):
+def test_host_graph_group_against_incidence_graph_group(monkeypatch, name, g, order, hypergraph_order):
     # the group found on the host graph of N[g] acts on edge i as on vertex
-    # i by automorphisms of the incidence graph, so the DSW search may prune
-    # by it: it returns the same structure under either group
+    # i by automorphisms of N[g], so the DSW search may prune by it: it
+    # returns the same structure with the group from its first node as
+    # without it.  N[g]'s own group on its edges can be larger.  Its
+    # incidence graph (edge i is node i, vertex v node n + v; v's edges
+    # are N[v] again) is connected and has the swap of its two sides, and
+    # an automorphism fixing every edge fixes every vertex, as no two are
+    # twins: so that graph's group has twice the order of N[g]'s
     h = neighborhood_hypergraph(g)
-    assert hypergraphs._is_closed_neighbourhoods(h)
-    host = hypergraphs._host_group(h, meter_for(None), ())
-    incidence = hypergraphs._incidence_group(h, meter_for(None), ())
+    host = symmetry.graph_automorphisms(list(map(g.neighbors, g)), meter_for(None))
     edges = h.edges
     for gen in host.generators:
         assert all(frozenset(gen[v] for v in e) == edges[gen[i]] for i, e in enumerate(edges))
-    assert (group_order(host), group_order(incidence)) == (order, incidence_order)
+    incidence = [[g.n + v for v in e] for e in edges] + [list(e) for e in edges]
+    incidence_group = symmetry.graph_automorphisms(incidence, meter_for(None))
+    assert (group_order(host), group_order(incidence_group)) == (order, 2 * hypergraph_order)
     monkeypatch.setattr(symmetry, "START_AFTER", 0)
-    on_host = max_dsw_structure(h)
-    monkeypatch.setattr(hypergraphs, "_is_closed_neighbourhoods", lambda h: False)
-    assert max_dsw_structure(h) == on_host
+    pruned = max_dsw_structure(h)
+    monkeypatch.setattr(symmetry, "START_AFTER", 10**9)
+    assert max_dsw_structure(h) == pruned
 
 
-def test_only_closed_neighbourhood_hypergraphs_use_the_host_graph():
+def test_only_closed_neighbourhood_hypergraphs_use_the_host_graph(monkeypatch):
+    # with the group sought from the first node and its search refused,
+    # N[C5] fails; open neighbourhoods (no i in edge i), closed ones
+    # listed out of vertex order and the duals of K_d (edge i holds the
+    # edges of K_d at vertex i) seek no group, and τ and the DSW searches
+    # answer as brute force does
+    class Refused(Exception):
+        pass
+
+    def refuse(adjacency, meter, base=()):
+        raise Refused
+
+    monkeypatch.setattr(symmetry, "START_AFTER", 0)
+    monkeypatch.setattr(symmetry, "graph_automorphisms", refuse)
     c5 = neighborhood_hypergraph(gen_cycle(5))
-    assert hypergraphs._is_closed_neighbourhoods(c5)
-    # open neighbourhoods (no i in edge i), and closed ones listed out of
-    # vertex order: the DSW search takes the incidence graph's group, and τ
-    # runs without symmetry
+    for search in (transversality, max_dsw_structure, partial(find_dsw_structure, d=2)):
+        with pytest.raises(Refused):
+            search(c5)
     opened = Hypergraph(5, [{(i - 1) % 5, (i + 1) % 5} for i in range(5)])
     rotated = Hypergraph(5, c5.edges[1:] + c5.edges[:1])
-    assert not hypergraphs._is_closed_neighbourhoods(opened)
-    assert not hypergraphs._is_closed_neighbourhoods(rotated)
+    duals = []
+    for d in range(3, 9):
+        pairs = list(combinations(range(d), 2))
+        duals.append(Hypergraph(len(pairs), [[k for k, p in enumerate(pairs) if i in p] for i in range(d)]))
+    for h in [opened, rotated, *duals]:
+        tau, witness = transversality(h)
+        assert (tau, tuple(sorted(witness))) == brute_transversal(h), h.edges
+        best = max_dsw_structure(h)
+        for d in range(2, len(h.masks) + 1):
+            expected = brute_first_dsw(h, d)
+            found = find_dsw_structure(h, d)
+            assert (None if found is None else (found.edge_indices, found.witnesses)) == expected, (h.edges, d)
+            if expected is not None:
+                assert best.d >= d
+                if best.d == d:
+                    assert (best.edge_indices, best.witnesses) == expected, h.edges
+        assert best.d == 1 or brute_first_dsw(h, best.d + 1) is None, h.edges
 
 
 def test_lex_leader_orbits_wait_for_start_after(monkeypatch):
@@ -277,8 +290,8 @@ def test_lex_leader_orbits_wait_for_start_after(monkeypatch):
     assert lex.least((4, 2)) is None and bases == [()]
 
 
-def _trivial(adj, cells, points, meter, base=()):
-    return symmetry.Group(points, [])
+def _trivial(adjacency, meter, base=()):
+    return symmetry.Group(len(adjacency), [])
 
 
 def _hosts() -> list[tuple[str, Graph]]:
@@ -331,7 +344,7 @@ def test_trivial_group_differential(monkeypatch):
         monkeypatch.setattr(symmetry, "START_AFTER", start)
         by_start[start] = _runs(hosts, patterns, budget)
     monkeypatch.setattr(symmetry, "START_AFTER", 0)
-    monkeypatch.setattr(symmetry, "_automorphisms", _trivial)
+    monkeypatch.setattr(symmetry, "graph_automorphisms", _trivial)
     trivial = _runs(hosts, patterns, budget)
     for key, value in trivial.items():
         for runs in by_start.values():
